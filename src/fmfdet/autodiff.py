@@ -475,7 +475,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
 
     def bw(g):
         gflat = g.reshape(n, f, oh * ow)
-        gw = np.einsum("nfl,ncl->fc", gflat, cols).reshape(weight.data.shape)
+        gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape)
         gcols = np.matmul(wmat.T[None], gflat)
         gx = _col2im(gcols, x.data.shape, kh, kw, stride, pad)
         if len(parents) == 3:

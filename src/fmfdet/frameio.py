@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .geometry import Pose2D
 from .scene import Box3D, PointCloudFrame, SceneSequence
 
@@ -97,8 +97,13 @@ def read_frame(path) -> PointCloudFrame:
     points = pts.reshape(num_points, 4).astype(np.float64)
     (num_boxes,) = r.unpack("<I")
     rec = np.frombuffer(r.take(num_boxes * _BOX_DTYPE.itemsize), dtype=_BOX_DTYPE)
-    boxes = [Box3D.from_array(rec["fields"][i].astype(np.float64), rec["class_id"][i])
-             for i in range(num_boxes)]
+    boxes = []
+    for i in range(num_boxes):
+        try:
+            boxes.append(Box3D.from_array(rec["fields"][i].astype(np.float64),
+                                          rec["class_id"][i]))
+        except ConfigError as e:
+            raise FormatError(f"{path}: box {i}: {e}") from e
     if r.off != len(data):
         raise FormatError(f"{path}: {len(data) - r.off} trailing bytes")
     return PointCloudFrame(points, timestamp, pose, boxes)

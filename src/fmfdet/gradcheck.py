@@ -268,6 +268,18 @@ def _case_conv_stride():
                 ad.conv2d(x, weight, stride=2, padding=1), w)))
 
 
+@_op_case("conv2d_stride2_batch")
+def _case_conv_stride_batch():
+    rng = np.random.default_rng(42)
+    x = _leaf(rng.normal(size=(2, 3, 7, 6)))
+    weight = _leaf(rng.normal(size=(4, 3, 3, 3)) * 0.5)
+    bias = _leaf(rng.normal(size=(4,)))
+    w = _weights(rng, (2, 4, 4, 3))
+    return ({"x": x, "weight": weight, "bias": bias},
+            lambda: ad.sum(ad.mul(
+                ad.conv2d(x, weight, bias, stride=2, padding=1), w)))
+
+
 @_op_case("batchnorm_train")
 def _case_bn_train():
     rng = np.random.default_rng(33)

@@ -225,13 +225,15 @@ def read_detections(path, class_names, num_frames):
         try:
             fi = int(rec["frame"])
             cid = name_to_id[rec["class"]]
-            cx, cy, cz = rec["center"]
-            w, l, h = rec["size"]
-            vx, vy = rec["velocity"]
-            det = Detection(Box3D(cx, cy, cz, w, l, h, float(rec["yaw"]),
-                                  vx, vy, cid),
-                            float(rec["score"]), cid)
-        except (KeyError, ValueError, TypeError) as e:
+            cx, cy, cz = map(float, rec["center"])
+            w, l, h = map(float, rec["size"])
+            vx, vy = map(float, rec["velocity"])
+            fields = (cx, cy, cz, w, l, h, float(rec["yaw"]), vx, vy)
+            score = float(rec["score"])
+            if not all(map(math.isfinite, fields + (score,))):
+                raise DataError(f"{path}:{ln}: non-finite value in detection record")
+            det = Detection(Box3D(*fields, cid), score, cid)
+        except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise DataError(f"{path}:{ln}: malformed detection record: {e}") from e
         if not 0 <= fi < num_frames:
             raise DataError(f"{path}:{ln}: frame index {fi} outside sequence")

@@ -225,6 +225,22 @@ class TestProperties:
         c = lambda x: ad.conv2d(ad.Tensor(x), ad.Tensor(w), padding=1).data
         assert np.allclose(c(x1 + x2), c(x1) + c(x2), atol=1e-9)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3]),
+           st.sampled_from([1, 3]), st.sampled_from([1, 2]))
+    @settings(max_examples=25, deadline=None)
+    def test_conv_weight_grad_matches_einsum_reference(self, seed, n, k, stride):
+        rng = np.random.default_rng(seed)
+        pad = k // 2
+        x = rng.normal(size=(n, 3, 7, 6))
+        weight = leaf(rng.normal(size=(4, 3, k, k)))
+        out = ad.conv2d(ad.Tensor(x), weight, stride=stride, padding=pad)
+        g = rng.normal(size=out.data.shape)
+        ad.backward(ad.sum(ad.mul(out, g)))
+        cols, oh, ow = ad._im2col(x, k, k, stride, pad)
+        ref = np.einsum("nfl,ncl->fc", g.reshape(n, 4, oh * ow), cols)
+        ref = ref.reshape(weight.data.shape)
+        assert np.max(np.abs(weight.grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_segment_mean_matches_split_means(self, seed):

@@ -1,5 +1,7 @@
 """End-to-end CLI flows in a temp workspace, plus exit-code mapping."""
 import json
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -172,6 +174,41 @@ class TestInferEval:
     def test_eval_missing_dets_is_data_error(self, workspace, tmp_path):
         assert main(["eval", "--dets", str(tmp_path / "none.jsonl"),
                      "--data", str(workspace["data"])]) == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("score", float("nan")),
+        ("center", [0.0, float("inf"), 0.0]),
+        ("yaw", float("-inf")),
+        ("velocity", [float("nan"), 0.0]),
+        ("frame", float("inf")),
+    ])
+    def test_eval_non_finite_detection_is_data_error(self, workspace, tmp_path,
+                                                     capsys, field, value):
+        rec = {"frame": 0, "class": "car", "score": 0.5,
+               "center": [0.0, 0.0, 0.0], "size": [1.0, 2.0, 1.5],
+               "yaw": 0.0, "velocity": [0.0, 0.0]}
+        rec[field] = value
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(workspace["dets"].read_text() + json.dumps(rec) + "\n")
+        assert main(["eval", "--dets", str(dets),
+                     "--data", str(workspace["data"])]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {dets}:")
+
+    def test_eval_non_positive_box_size_is_format_error(self, workspace,
+                                                        tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        frame = data / "seq_000" / "frame_000000.bin"
+        raw = bytearray(frame.read_bytes())
+        (num_boxes,) = struct.unpack_from("<I", raw, len(raw) - 40 * 2 - 4)
+        assert num_boxes == 2
+        # box records are (cx, cy, cz, w, ...): overwrite box 1's width
+        struct.pack_into("<f", raw, len(raw) - 40 + 3 * 4, -1.0)
+        frame.write_bytes(bytes(raw))
+        assert main(["eval", "--dets", str(workspace["dets"]),
+                     "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert "frame_000000.bin: box 1" in err and "config error" not in err
 
 
 class TestBench:
