@@ -11,6 +11,9 @@ Forward results are plain numpy and bit-deterministic for fixed inputs.
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
+import threading
 
 import numpy as np
 
@@ -253,11 +256,10 @@ def clip(a, lo, hi):
 
 def relu(a):
     a = _wrap(a)
-    mask = a.data > 0
-    data = a.data * mask
+    data = np.maximum(a.data, 0)
 
     def bw(g):
-        return (g * mask,)
+        return (g * (a.data > 0),)
 
     return _node(data, (a,), bw)
 
@@ -417,31 +419,49 @@ def _conv_out_dim(size, k, stride, pad):
     return (size + 2 * pad - k) // stride + 1
 
 
-def _im2col(x, kh, kw, stride, pad):
-    n, c, h, w = x.shape
-    oh = _conv_out_dim(h, kh, stride, pad)
-    ow = _conv_out_dim(w, kw, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+def _check_window(op, shape, kh, kw, stride, padding):
+    """Validate a sliding window over [N,C,H,W]; returns (oh, ow)."""
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ShapeError(f"{op}: stride must be a positive integer, got {stride!r}")
+    if not isinstance(padding, numbers.Integral) or padding < 0:
+        raise ShapeError(f"{op}: padding must be a nonnegative integer, got {padding!r}")
+    h, w = shape[2:]
+    oh = _conv_out_dim(h, kh, stride, padding)
+    ow = _conv_out_dim(w, kw, stride, padding)
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"{op}: {kh}x{kw} kernel does not fit the {h}x{w} input "
+                         f"with padding {padding}")
+    return oh, ow
 
 
-def _col2im(cols, x_shape, kh, kw, stride, pad):
-    n, c, h, w = x_shape
-    oh = _conv_out_dim(h, kh, stride, pad)
-    ow = _conv_out_dim(w, kw, stride, pad)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    if pad:
-        return xp[:, :, pad:-pad, pad:-pad]
-    return xp
+_scratch = threading.local()
+
+
+def _buffer(role, shape, dtype):
+    """An uninitialised array of `shape`.
+
+    Under no_grad nothing keeps it past the call that asked for it, so it is a
+    view of this thread's buffer for `role`, which grows to the largest shape
+    asked for and is reused; with recording on it is a fresh array."""
+    if _grad_enabled:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = getattr(_scratch, role, None)
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_scratch, role, buf)
+    return buf[:size].reshape(shape)
+
+
+def _phase_runs(size, pad, s):
+    """For each phase a of a zero-padded axis split with stride s: (a, first
+    phase index, first input index, count) of the input pixels it holds."""
+    runs = []
+    for a in range(s):
+        first = max(0, -((a - pad) // s))
+        start = a + s * first - pad
+        runs.append((a, first, start, len(range(start, size, s))))
+    return runs
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -449,6 +469,14 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
 
     `padding` is symmetric zero padding in pixels, or "same" (odd kernels,
     stride 1 output geometry H' = (H + 2p - k)/stride + 1).
+
+    Kernel-offset form: the zero-padded input is split into stride x stride
+    phases xp[a::s, b::s], each flattened with row width wq. Tap (i, j) then
+    reads one contiguous slice of phase (i % s, j % s) at offset
+    (i // s) * wq + j // s, so the conv is one GEMM per tap on that slice.
+    Output rows come out wq wide; columns >= ow are dropped. Backward keeps
+    only the phase buffer, not a k^2-times-expanded copy of the input, and
+    gathers the input gradient phase by phase with the same offsets.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -456,28 +484,72 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     f, cin, kh, kw = weight.data.shape
     if x.data.shape[1] != cin:
         raise ShapeError(f"conv2d channel mismatch: x has {x.data.shape[1]}, weight expects {cin}")
-    if padding == "same":
+    if isinstance(padding, str):
+        if padding != "same":
+            raise ShapeError(f"conv2d: padding must be a nonnegative integer or 'same', "
+                             f"got {padding!r}")
         if kh % 2 == 0 or kw % 2 == 0:
             raise ShapeError("same padding requires odd kernels")
         padding = (kh - 1) // 2
-    pad = int(padding)
-    n = x.data.shape[0]
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
-    wmat = weight.data.reshape(f, cin * kh * kw)
-    out = np.matmul(wmat[None], cols).reshape(n, f, oh, ow)
+    oh, ow = _check_window("conv2d", x.data.shape, kh, kw, stride, padding)
     parents = [x, weight]
     if bias is not None:
         bias = _wrap(bias)
         if bias.data.shape != (f,):
             raise ShapeError("conv2d bias must have shape [F]")
-        out = out + bias.data.reshape(1, f, 1, 1)
         parents.append(bias)
+    s, pad = stride, padding
+    n, _, h, w = x.data.shape
+    dtype = np.result_type(x.data, weight.data)
+    # one spare phase row: the last taps' slices run past the final row
+    hq, wq = -(-(h + 2 * pad) // s) + 1, -(-(w + 2 * pad) // s)
+    length = oh * wq
+    rows, cols = _phase_runs(h, pad, s), _phase_runs(w, pad, s)
+
+    xq = _buffer("phases", (n, cin, s, s, hq, wq), dtype)
+    for a, ra, ha, na in rows:
+        for b, qb, wb, nb in cols:
+            phase = xq[:, :, a, b]
+            phase[:, :, :ra] = phase[:, :, ra + na:] = 0
+            phase[:, :, ra:ra + na, :qb] = phase[:, :, ra:ra + na, qb + nb:] = 0
+            phase[:, :, ra:ra + na, qb:qb + nb] = x.data[:, :, ha::s, wb::s]
+    xq = xq.reshape(n, cin, s * s, hq * wq)
+    taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
+            for i in range(kh) for j in range(kw)]
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1), dtype=dtype)
+
+    # accumulate into contiguous buffers: numpy adds into strided views are
+    # several times slower
+    acc = _buffer("acc", (n, f, length), dtype)
+    prod = _buffer("tap", (n, f, length), dtype)
+    for t, (i, j, ph, off) in enumerate(taps):
+        np.matmul(wt[i, j], xq[:, :, ph, off:off + length], out=acc if t == 0 else prod)
+        if t:
+            acc += prod
+    out = acc.reshape(n, f, oh, wq)[..., :ow]
+    out = out + bias.data.reshape(1, f, 1, 1) if bias is not None else out.copy()
 
     def bw(g):
-        gflat = g.reshape(n, f, oh * ow)
-        gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape)
-        gcols = np.matmul(wmat.T[None], gflat)
-        gx = _col2im(gcols, x.data.shape, kh, kw, stride, pad)
+        # g_pad[far + q] is g at output position q, zero in the dropped
+        # columns, so phase position p collects wt^T @ g_pad[far + p - off]
+        far = taps[-1][3]
+        g_pad = np.zeros((n, f, far + hq * wq), dtype=dtype)
+        g_ext = g_pad[:, :, far:far + length]
+        g_ext.reshape(n, f, oh, wq)[..., :ow] = g
+        gw = np.empty((f, cin, kh, kw), dtype=dtype)
+        gw_n = np.empty((n, f, cin), dtype=dtype)
+        gq = np.zeros((s * s, n, cin, hq * wq), dtype=dtype)
+        gq_tap = np.empty((n, cin, hq * wq), dtype=dtype)
+        for i, j, ph, off in taps:
+            np.matmul(g_ext, xq[:, :, ph, off:off + length].transpose(0, 2, 1), out=gw_n)
+            gw[:, :, i, j] = gw_n.sum(axis=0)
+            np.matmul(wt[i, j].T, g_pad[:, :, far - off:far - off + hq * wq], out=gq_tap)
+            gq[ph] += gq_tap
+        gq = gq.reshape(s, s, n, cin, hq, wq)
+        gx = np.empty(x.data.shape, dtype=dtype)
+        for a, ra, ha, na in rows:
+            for b, qb, wb, nb in cols:
+                gx[:, :, ha::s, wb::s] = gq[a, b, :, :, ra:ra + na, qb:qb + nb]
         if len(parents) == 3:
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
@@ -494,9 +566,10 @@ def maxpool2d(x, kernel, stride=1, padding=0):
     xd = x.data if isinstance(x, Tensor) else _as_array(x)
     if xd.ndim != 4:
         raise ShapeError("maxpool2d expects [N,C,H,W]")
+    if not isinstance(kernel, numbers.Integral) or kernel < 1:
+        raise ShapeError(f"maxpool2d: kernel must be a positive integer, got {kernel!r}")
+    oh, ow = _check_window("maxpool2d", xd.shape, kernel, kernel, stride, padding)
     n, c, h, w = xd.shape
-    oh = _conv_out_dim(h, kernel, stride, padding)
-    ow = _conv_out_dim(w, kernel, stride, padding)
     xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=xd.dtype)
     xp[:, :, padding:padding + h, padding:padding + w] = xd
     out = np.full((n, c, oh, ow), -np.inf, dtype=xd.dtype)
@@ -551,11 +624,13 @@ def batchnorm(x, gamma, beta, stats, training, eps=1e-5, momentum=0.1):
 
         return _node(out, (x, gamma, beta), bw)
 
-    inv_std = 1.0 / np.sqrt(stats.var + eps)
-    xhat = (x.data - stats.mean.reshape(shape)) * inv_std.reshape(shape)
-    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+    mu, inv_std = stats.mean, 1.0 / np.sqrt(stats.var + eps)
+    scale = gamma.data * inv_std
+    out = x.data * scale.reshape(shape)
+    out += (beta.data - mu * scale).reshape(shape)
 
     def bw_eval(g):
+        xhat = (x.data - mu.reshape(shape)) * inv_std.reshape(shape)
         gg = (g * xhat).sum(axis=axes)
         gb = g.sum(axis=axes)
         gx = g * (gamma.data * inv_std).reshape(shape)

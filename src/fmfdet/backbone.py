@@ -131,12 +131,3 @@ class Neck(Module):
             cat = ad.concat_channels(cat, other)
         return self.fuse(cat)
 
-
-def pillar_feature_net(pillars: PillarTensor, params: PillarFeatureNet):
-    """Functional entry point; see PillarFeatureNet."""
-    return params(pillars)
-
-
-def neck_forward(pseudo_image, params: Neck):
-    """Functional entry point; see Neck."""
-    return params(pseudo_image)

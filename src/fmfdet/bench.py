@@ -5,6 +5,7 @@ detections produced while benchmarking match run_inference exactly.
 """
 from __future__ import annotations
 
+import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -59,6 +60,9 @@ def bench(model, sequences, match_cfg, min_frames=1, parallel=False,
     """Benchmark inference; returns (report dict, first-pass detections).
 
     Sequences are replayed until at least min_frames frames were timed.
+    `minor_faults_per_frame` is this process's minor page faults over the
+    timed frames, per frame: the cost of heap memory being returned to the
+    OS and faulted back in.
     Parallel mode runs whole sequences on a thread pool; per-frame stage
     ordering inside each sequence is unchanged, so detections are identical
     to the sequential ones.
@@ -71,6 +75,7 @@ def bench(model, sequences, match_cfg, min_frames=1, parallel=False,
     times = {name: [] for name in STAGES}
     end_to_end = []
     first_pass = None
+    faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with ad.no_grad():
         while len(end_to_end) < max(min_frames, 1):
             if parallel:
@@ -86,6 +91,7 @@ def bench(model, sequences, match_cfg, min_frames=1, parallel=False,
                         for seq in sequences]
             if first_pass is None:
                 first_pass = dets
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
 
     report = {
         "mode": "parallel" if parallel else "sequential",
@@ -94,5 +100,6 @@ def bench(model, sequences, match_cfg, min_frames=1, parallel=False,
         "end_to_end": _stats(end_to_end),
         "stage_mean_sum_ms": float(sum(_stats(times[n])["mean_ms"]
                                        for n in STAGES)),
+        "minor_faults_per_frame": faults / len(end_to_end),
     }
     return report, first_pass

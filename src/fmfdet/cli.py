@@ -21,7 +21,8 @@ from .gradcheck import run_gradcheck
 from .metrics import evaluate, read_detections, write_detections
 from .model import run_inference
 from .scene import SceneSpec, generate_scene
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train
+from .train import (TrainConfig, _shared_class_names, load_checkpoint,
+                    save_checkpoint, train)
 
 
 def load_dataset(path):
@@ -36,14 +37,6 @@ def load_dataset(path):
     if not subs:
         raise DataError(f"no sequences found under {path}")
     return [read_sequence(d) for d in subs]
-
-
-def _shared_class_names(scenes):
-    names = scenes[0].class_names
-    for seq in scenes[1:]:
-        if seq.class_names != names:
-            raise ConfigError("sequences disagree on class names")
-    return names
 
 
 def _load_checkpoint_file(path):

@@ -280,6 +280,28 @@ def _case_conv_stride_batch():
                 ad.conv2d(x, weight, bias, stride=2, padding=1), w)))
 
 
+@_op_case("conv2d_1x1")
+def _case_conv_1x1():
+    rng = np.random.default_rng(43)
+    x = _leaf(rng.normal(size=(2, 3, 4, 5)))
+    weight = _leaf(rng.normal(size=(4, 3, 1, 1)) * 0.5)
+    bias = _leaf(rng.normal(size=(4,)))
+    w = _weights(rng, (2, 4, 4, 5))
+    return ({"x": x, "weight": weight, "bias": bias},
+            lambda: ad.sum(ad.mul(ad.conv2d(x, weight, bias), w)))
+
+
+@_op_case("conv2d_k5_stride3")
+def _case_conv_k5_stride3():
+    rng = np.random.default_rng(44)
+    x = _leaf(rng.normal(size=(1, 2, 8, 7)))
+    weight = _leaf(rng.normal(size=(3, 2, 5, 5)) * 0.5)
+    w = _weights(rng, (1, 3, 3, 3))
+    return ({"x": x, "weight": weight},
+            lambda: ad.sum(ad.mul(
+                ad.conv2d(x, weight, stride=3, padding=2), w)))
+
+
 @_op_case("batchnorm_train")
 def _case_bn_train():
     rng = np.random.default_rng(33)

@@ -113,11 +113,6 @@ class DetectionHead(Module):
         )
 
 
-def head_forward(bev, params: DetectionHead) -> HeadOutput:
-    """Functional entry point; see DetectionHead."""
-    return params(bev)
-
-
 def gaussian_radius(box, cell_size, min_overlap=0.1):
     """Gaussian spread (in cells) for a box's heatmap blob.
 

@@ -71,6 +71,34 @@ class TestForwardSemantics:
             ad.conv2d(leaf(np.ones((1, 1, 4, 4))),
                       leaf(np.ones((1, 1, 2, 2))), padding="same")
 
+    @pytest.mark.parametrize("kwargs, names", [
+        ({"stride": 0}, "stride"),
+        ({"stride": -1}, "stride"),
+        ({"padding": -1}, "padding"),
+        ({"padding": "valid"}, "padding"),
+    ])
+    def test_conv2d_bad_stride_or_padding_is_shape_error(self, kwargs, names):
+        with pytest.raises(ShapeError, match=names):
+            ad.conv2d(leaf(np.ones((1, 1, 4, 4))), leaf(np.ones((1, 1, 3, 3))),
+                      **kwargs)
+
+    def test_conv2d_kernel_larger_than_input_is_shape_error(self):
+        with pytest.raises(ShapeError, match="5x5 kernel"):
+            ad.conv2d(leaf(np.ones((1, 1, 4, 4))), leaf(np.ones((3, 1, 5, 5))))
+
+    @pytest.mark.parametrize("kwargs, names", [
+        ({"stride": 0}, "stride"),
+        ({"stride": -1}, "stride"),
+        ({"padding": -1}, "padding"),
+        ({"padding": "valid"}, "padding"),
+        ({"kernel": 0}, "kernel"),
+        ({"kernel": 5}, "5x5 kernel"),
+    ])
+    def test_maxpool_bad_arguments_are_shape_errors(self, kwargs, names):
+        args = {"kernel": 3, **kwargs}
+        with pytest.raises(ShapeError, match=names):
+            ad.maxpool2d(leaf(np.ones((1, 1, 4, 4))), **args)
+
     def test_maxpool_uses_neg_inf_padding(self):
         x = leaf(-np.ones((1, 1, 3, 3)))
         out = ad.maxpool2d(x, kernel=3, stride=1, padding=1)
@@ -205,6 +233,50 @@ class TestBackwardMechanics:
         assert np.allclose(out.data[0, 1], 0.5)
 
 
+def _im2col(x, kh, kw, stride, pad):
+    """Reference lowering: every kernel tap's strided window, stacked."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+
+
+def _direct_conv(x, w, b, stride, pad):
+    """Nested-loop convolution and its x, weight and bias gradients for the
+    upstream gradient g: returns (out, grad_fn(g) -> (gx, gw, gb))."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (wd + 2 * pad - k) // stride + 1
+    out = np.empty((n, f, oh, ow))
+    for b_ in range(n):
+        for r in range(oh):
+            for q in range(ow):
+                win = xp[b_, :, r * stride:r * stride + k, q * stride:q * stride + k]
+                out[b_, :, r, q] = (w * win).sum(axis=(1, 2, 3)) + b
+
+    def grads(g):
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(w)
+        for b_ in range(n):
+            for r in range(oh):
+                for q in range(ow):
+                    rs, qs = r * stride, q * stride
+                    win = xp[b_, :, rs:rs + k, qs:qs + k]
+                    gw += g[b_, :, r, q][:, None, None, None] * win
+                    gxp[b_, :, rs:rs + k, qs:qs + k] += np.tensordot(
+                        g[b_, :, r, q], w, axes=1)
+        return gxp[:, :, pad:pad + h, pad:pad + wd], gw, g.sum(axis=(0, 2, 3))
+
+    return out, grads
+
+
 class TestProperties:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -236,10 +308,30 @@ class TestProperties:
         out = ad.conv2d(ad.Tensor(x), weight, stride=stride, padding=pad)
         g = rng.normal(size=out.data.shape)
         ad.backward(ad.sum(ad.mul(out, g)))
-        cols, oh, ow = ad._im2col(x, k, k, stride, pad)
+        cols, oh, ow = _im2col(x, k, k, stride, pad)
         ref = np.einsum("nfl,ncl->fc", g.reshape(n, 4, oh * ow), cols)
         ref = ref.reshape(weight.data.shape)
         assert np.max(np.abs(weight.grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
+           st.sampled_from([1, 3, 5]), st.sampled_from([1, 2, 3]),
+           st.sampled_from([0, 1, 2]), st.integers(5, 8), st.integers(5, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_conv_matches_nested_loop_convolution(self, seed, n, k, stride, pad, h, w):
+        if h == w:
+            w += 1      # non-square, so row and column offsets cannot be swapped
+        rng = np.random.default_rng(seed)
+        x, weight, bias = (leaf(rng.normal(size=shape))
+                           for shape in ((n, 3, h, w), (4, 3, k, k), (4,)))
+        out = ad.conv2d(x, weight, bias, stride=stride, padding=pad)
+        ref, ref_grads = _direct_conv(x.data, weight.data, bias.data, stride, pad)
+        g = rng.normal(size=ref.shape)
+        ad.backward(ad.sum(ad.mul(out, g)))
+        pairs = zip((out.data, x.grad, weight.grad, bias.grad),
+                    (ref,) + ref_grads(g))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)

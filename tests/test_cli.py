@@ -10,10 +10,12 @@ import pytest
 
 from fmfdet.backbone import BackboneConfig
 from fmfdet.augment import AugmentConfig
-from fmfdet.cli import main
+from fmfdet.bench import bench
+from fmfdet.cli import load_dataset, main
 from fmfdet.config import save_config
 from fmfdet.fmf import FMFConfig
 from fmfdet.metrics import read_detections
+from fmfdet.model import run_inference
 from fmfdet.train import TrainConfig, load_checkpoint, read_trace
 from fmfdet.voxelizer import GridConfig
 
@@ -222,6 +224,21 @@ class TestBench:
                 "voxelize", "backbone", "neck", "fmf", "head", "decode"}
             assert report[mode]["frames"] >= 2
             assert report[mode]["end_to_end"]["mean_ms"] > 0
+            assert report[mode]["minor_faults_per_frame"] >= 0
+
+    def test_parallel_and_sequential_match_run_inference(self, workspace):
+        model, cfg, _names, _step, _opt = load_checkpoint(workspace["ckpt"])
+        scenes = load_dataset(workspace["data"]) * 3
+        expect = [run_inference(model, seq, cfg.match) for seq in scenes]
+        _, sequential = bench(model, scenes, cfg.match)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # interleave the worker threads finely
+        try:
+            _, parallel = bench(model, scenes, cfg.match, parallel=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sequential == expect
+        assert parallel == expect
 
 
 class TestAblate:
