@@ -38,9 +38,8 @@ def _flatten(sequences):
 
 
 def _evaluate_model(model, sequences, match_cfg):
-    det_frames = []
-    for seq in sequences:
-        det_frames.extend(run_inference(model, seq, match_cfg))
+    det_frames = [dets for seq in sequences
+                  for dets in run_inference(model, seq, match_cfg)]
     gt_frames = _flatten(sequences)
     class_names = sequences[0].class_names
     return evaluate(det_frames, gt_frames, class_names, match_cfg)

@@ -21,19 +21,26 @@ from .errors import ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether ops record the graph, per thread: one thread's no_grad block
+    must not switch recording off (or on) under another thread."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / decode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording in this thread inside the block."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def _as_array(data, dtype=None):
@@ -141,7 +148,7 @@ def _wrap(x):
 
 def _node(data, parents, backward_fn):
     """Create an op result; record the graph only when someone needs grads."""
-    if _grad_enabled and any(p._needs_grad() for p in parents):
+    if _grad_mode.enabled and any(p._needs_grad() for p in parents):
         out = Tensor(data)
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -315,21 +322,6 @@ def maximum(a, b):
     return _node(data, (a, b), bw)
 
 
-def max_over_axis(a, axis, keepdims=False):
-    """Max reduction along one axis; gradient routes to the first argmax."""
-    a = _wrap(a)
-    data = a.data.max(axis=axis, keepdims=keepdims)
-    idx = np.argmax(a.data, axis=axis)
-
-    def bw(g):
-        gx = np.zeros_like(a.data)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), g_exp, axis)
-        return (gx,)
-
-    return _node(data, (a,), bw)
-
-
 # --------------------------------------------------------------------------
 # shape ops
 # --------------------------------------------------------------------------
@@ -443,7 +435,7 @@ def _buffer(role, shape, dtype):
     Under no_grad nothing keeps it past the call that asked for it, so it is a
     view of this thread's buffer for `role`, which grows to the largest shape
     asked for and is reused; with recording on it is a fresh array."""
-    if _grad_enabled:
+    if _grad_mode.enabled:
         return np.empty(shape, dtype)
     size = math.prod(shape)
     buf = getattr(_scratch, role, None)

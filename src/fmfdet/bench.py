@@ -1,51 +1,19 @@
 """Wall-clock latency measurement per pipeline stage.
 
-Timings are collected around the same staged calls inference makes, so the
-detections produced while benchmarking match run_inference exactly.
+Times model.run_inference itself, through its per-stage callback, so the
+benched path is the shipped one and the detections match it exactly.
 """
 from __future__ import annotations
 
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import autodiff as ad
-from .decode import decode
 from .errors import ConfigError
-from .voxelizer import voxelize
+from .model import run_inference
 
 STAGES = ("voxelize", "backbone", "neck", "fmf", "head", "decode")
-
-
-def _staged_sequence(model, sequence, match_cfg, times, end_to_end):
-    """Inference over one sequence with per-stage timers; returns detections."""
-    state = None
-    prev_pose = None
-    det_frames = []
-    for frame in sequence.frames:
-        t0 = time.perf_counter()
-        pillars = voxelize(frame, model.grid, seed=0)
-        t1 = time.perf_counter()
-        pseudo = model.pfn(pillars)
-        t2 = time.perf_counter()
-        bev = model.neck(pseudo)
-        t3 = time.perf_counter()
-        poses = None
-        if prev_pose is not None and frame.ego_pose is not None:
-            poses = (prev_pose, frame.ego_pose)
-        fused, state = model.fuse(bev, state, poses)
-        t4 = time.perf_counter()
-        out = model.head(fused)
-        t5 = time.perf_counter()
-        det_frames.append(decode(out, model.geometry, match_cfg))
-        t6 = time.perf_counter()
-        prev_pose = frame.ego_pose
-        for name, dt in zip(STAGES, np.diff([t0, t1, t2, t3, t4, t5, t6])):
-            times[name].append(dt)
-        end_to_end.append(t6 - t0)
-    return det_frames
 
 
 def _stats(samples):
@@ -55,51 +23,45 @@ def _stats(samples):
             "p99_ms": float(np.percentile(arr, 99))}
 
 
-def bench(model, sequences, match_cfg, min_frames=1, parallel=False,
-          max_workers=4):
+def bench(model, sequences, match_cfg, min_frames=1):
     """Benchmark inference; returns (report dict, first-pass detections).
 
-    Sequences are replayed until at least min_frames frames were timed.
+    Sequences are replayed through run_inference until at least min_frames
+    frames were timed. A stage's time runs from the previous stamp (or the
+    start of the sequence) to its own, so a frame's stage times add up to
+    its end-to-end time.
     `minor_faults_per_frame` is this process's minor page faults over the
     timed frames, per frame: the cost of heap memory being returned to the
     OS and faulted back in.
-    Parallel mode runs whole sequences on a thread pool; per-frame stage
-    ordering inside each sequence is unchanged, so detections are identical
-    to the sequential ones.
     """
-    total = sum(len(seq.frames) for seq in sequences)
-    if total == 0:
+    if not any(seq.frames for seq in sequences):
         raise ConfigError("bench needs at least one frame")
 
-    model.eval()
     times = {name: [] for name in STAGES}
-    end_to_end = []
+    last = 0.0
+
+    def stamp(stage):
+        nonlocal last
+        now = time.perf_counter()
+        times[stage].append(now - last)
+        last = now
+
     first_pass = None
     faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    with ad.no_grad():
-        while len(end_to_end) < max(min_frames, 1):
-            if parallel:
-                workers = min(max_workers, len(sequences))
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = [pool.submit(_staged_sequence, model, seq,
-                                           match_cfg, times, end_to_end)
-                               for seq in sequences]
-                    dets = [f.result() for f in futures]
-            else:
-                dets = [_staged_sequence(model, seq, match_cfg, times,
-                                         end_to_end)
-                        for seq in sequences]
-            if first_pass is None:
-                first_pass = dets
+    while len(times["decode"]) < max(min_frames, 1):
+        dets = []
+        for seq in sequences:
+            last = time.perf_counter()
+            dets.append(run_inference(model, seq, match_cfg, stamp))
+        if first_pass is None:
+            first_pass = dets
+    frames = len(times["decode"])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
 
     report = {
-        "mode": "parallel" if parallel else "sequential",
-        "frames": len(end_to_end),
+        "frames": frames,
         "stages": {name: _stats(times[name]) for name in STAGES},
-        "end_to_end": _stats(end_to_end),
-        "stage_mean_sum_ms": float(sum(_stats(times[n])["mean_ms"]
-                                       for n in STAGES)),
-        "minor_faults_per_frame": faults / len(end_to_end),
+        "end_to_end": _stats(np.sum([times[n] for n in STAGES], axis=0)),
+        "minor_faults_per_frame": faults / frames,
     }
     return report, first_pass

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import pathlib
 import sys
+import zipfile
 
 from .ablate import ablation_run, format_ablation
 from .bench import bench
@@ -45,7 +46,7 @@ def _load_checkpoint_file(path):
         raise DataError(f"checkpoint not found: {path}")
     try:
         return load_checkpoint(p)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
         raise FormatError(f"invalid checkpoint {path}: {e}") from e
 
 
@@ -92,20 +93,14 @@ def cmd_train(args):
     return 0
 
 
-def _flat_inference(model, scenes, match_cfg):
-    det_frames = []
-    for seq in scenes:
-        det_frames.extend(run_inference(model, seq, match_cfg))
-    return det_frames
-
-
 def cmd_infer(args):
     model, cfg, class_names, _step, _opt = _load_checkpoint_file(args.ckpt)
     scenes = load_dataset(args.data)
     if _shared_class_names(scenes) != class_names:
         raise ConfigError(f"data classes {scenes[0].class_names} do not "
                           f"match checkpoint classes {class_names}")
-    det_frames = _flat_inference(model, scenes, cfg.match)
+    det_frames = [dets for seq in scenes
+                  for dets in run_inference(model, seq, cfg.match)]
     write_detections(det_frames, class_names, args.out)
     total = sum(len(d) for d in det_frames)
     print(f"wrote {total} detections over {len(det_frames)} frames "
@@ -164,12 +159,8 @@ def cmd_grad_check(args):
 def cmd_bench(args):
     model, cfg, _names, _step, _opt = _load_checkpoint_file(args.ckpt)
     scenes = load_dataset(args.data)
-    seq_report, _ = bench(model, scenes, cfg.match,
-                          min_frames=args.min_frames)
-    par_report, _ = bench(model, scenes, cfg.match,
-                          min_frames=args.min_frames, parallel=True)
-    print(json.dumps({"sequential": seq_report, "parallel": par_report},
-                     indent=2))
+    report, _ = bench(model, scenes, cfg.match, min_frames=args.min_frames)
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -232,7 +223,7 @@ def _build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--min-frames", type=int, default=1,
-                   help="minimum frames to time per mode")
+                   help="minimum frames to time")
     p.set_defaults(func=cmd_bench)
 
     return parser

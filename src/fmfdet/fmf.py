@@ -51,7 +51,7 @@ class FMFParams(Module):
         self.bn = self.add_child("bn", BatchNorm(channels))
 
 
-def fmf_base(current, previous, params: FMFParams, mode=None):
+def fmf_base(current, previous, params: FMFParams):
     """concat(current, previous) -> conv -> BN -> ReLU; shape-preserving."""
     if current.data.shape != previous.data.shape:
         raise ShapeError(f"fmf_base shape mismatch: {current.data.shape} "
@@ -59,8 +59,6 @@ def fmf_base(current, previous, params: FMFParams, mode=None):
     if current.data.shape[1] != params.channels:
         raise ShapeError(f"fmf_base expects {params.channels} channels, "
                          f"got {current.data.shape[1]}")
-    if mode is not None:
-        params.train(mode == "train")
     x = ad.concat_channels(current, previous)
     return ad.relu(params.bn(params.conv(x)))
 
@@ -92,12 +90,12 @@ def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
 
 
 def fmf_step(current, state: FMFState, params: FMFParams, odometry=None,
-             mode=None, cell_size_out=None, origin=None):
+             cell_size_out=None, origin=None):
     """One recurrence step; returns (fused map, new state).
 
-    `odometry` is an optional (pose at t-1, pose at t) pair; when given, the
-    stored previous map is warped by their relative pose before fusion. On
-    the first frame the map self-aggregates (previous := current).
+    `odometry` is an optional (pose at t-1, pose at t) pair; when both are
+    set, the stored previous map is warped by their relative pose before
+    fusion. On the first frame the map self-aggregates (previous := current).
     """
     if state is None:
         state = FMFState()
@@ -115,6 +113,6 @@ def fmf_step(current, state: FMFState, params: FMFParams, odometry=None,
                     raise ConfigError("warping by odometry needs cell_size_out")
                 rel = relative_pose(prev_pose, cur_pose)
                 previous = warp_feature_map(previous, rel, cell_size_out, origin)
-    out = fmf_base(current, previous, params, mode)
+    out = fmf_base(current, previous, params)
     cur_pose = odometry[1] if odometry is not None else None
     return out, FMFState(prev_map=current, prev_pose=cur_pose, initialized=True)

@@ -97,10 +97,3 @@ class MapGeometry:
         ys = self.y_min + (np.arange(self.h) + 0.5) * self.cell
         gx, gy = np.meshgrid(xs, ys)
         return np.stack([gx, gy], axis=-1)
-
-    def world_to_pixel(self, xy):
-        """Continuous pixel (x, y) coordinates of world points [..., 2]."""
-        xy = np.asarray(xy, dtype=np.float64)
-        px = (xy[..., 0] - self.x_min) / self.cell - 0.5
-        py = (xy[..., 1] - self.y_min) / self.cell - 0.5
-        return np.stack([px, py], axis=-1)

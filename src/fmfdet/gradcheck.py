@@ -178,14 +178,6 @@ def _case_maximum():
     return {"a": a, "b": b}, lambda: ad.sum(ad.mul(ad.maximum(a, b), w))
 
 
-@_op_case("max_over_axis")
-def _case_max_axis():
-    rng = np.random.default_rng(24)
-    a = _leaf(_spread(rng, (3, 6)))
-    w = _weights(rng, (3,))
-    return {"a": a}, lambda: ad.sum(ad.mul(ad.max_over_axis(a, axis=1), w))
-
-
 @_op_case("reshape_transpose")
 def _case_reshape():
     rng = np.random.default_rng(25)

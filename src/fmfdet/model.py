@@ -16,6 +16,10 @@ from .layers import Module
 from .voxelizer import GridConfig, voxelize
 
 
+def _no_stamp(stage):
+    """Default per-stage callback: records nothing."""
+
+
 class Detector(Module):
     def __init__(self, grid: GridConfig, backbone: BackboneConfig,
                  fmf_cfg: FMFConfig, num_classes: int, head_channels: int,
@@ -38,31 +42,38 @@ class Detector(Module):
             "head", DetectionHead(backbone.out_channels, head_channels,
                                   num_classes, rng))
 
-    def extract(self, frame, vox_seed=0):
+    def extract(self, frame, vox_seed=0, stamp=_no_stamp):
         """Point cloud -> BEV feature map [1, C, h, w]."""
         pillars = voxelize(frame, self.grid, vox_seed)
-        return self.neck(self.pfn(pillars))
+        stamp("voxelize")
+        pseudo = self.pfn(pillars)
+        stamp("backbone")
+        bev = self.neck(pseudo)
+        stamp("neck")
+        return bev
 
-    def fuse(self, bev, state: FMFState, poses=None):
-        """Temporal aggregation step; identity when fusion is disabled."""
+    def fuse(self, bev, state: FMFState, pose):
+        """Temporal aggregation step, with odometry from state.prev_pose to
+        `pose` (this frame's); identity when fusion is disabled."""
         if self.fmf is None:
             return bev, state
         odometry = None
-        if self.fmf_cfg.use_odometry and poses is not None:
-            odometry = poses
+        if self.fmf_cfg.use_odometry:
+            odometry = (state.prev_pose if state is not None else None, pose)
         return fmf_step(bev, state, self.fmf, odometry=odometry,
                         cell_size_out=self.geometry.cell,
                         origin=(self.geometry.x_min, self.geometry.y_min))
 
     def forward_frame(self, frame, state: FMFState = None, vox_seed=0,
-                      prev_pose=None):
-        """One sequence step: returns (HeadOutput, new state)."""
-        bev = self.extract(frame, vox_seed)
-        poses = None
-        if prev_pose is not None and frame.ego_pose is not None:
-            poses = (prev_pose, frame.ego_pose)
-        fused, state = self.fuse(bev, state, poses)
-        return self.head(fused), state
+                      stamp=_no_stamp):
+        """One sequence step: returns (HeadOutput, new state). `stamp(stage)`
+        is called as voxelize, backbone, neck, fmf and head each finish."""
+        bev = self.extract(frame, vox_seed, stamp)
+        fused, state = self.fuse(bev, state, frame.ego_pose)
+        stamp("fmf")
+        out = self.head(fused)
+        stamp("head")
+        return out, state
 
     def forward_pair(self, prev_frame, cur_frame, vox_seeds=(0, 0)):
         """Training-style pair forward: features of both frames stay in the
@@ -70,25 +81,22 @@ class Detector(Module):
         bev_prev = self.extract(prev_frame, vox_seeds[0])
         state = FMFState(prev_map=bev_prev, prev_pose=prev_frame.ego_pose,
                          initialized=True)
-        poses = None
-        if prev_frame.ego_pose is not None and cur_frame.ego_pose is not None:
-            poses = (prev_frame.ego_pose, cur_frame.ego_pose)
         bev_cur = self.extract(cur_frame, vox_seeds[1])
-        fused, _ = self.fuse(bev_cur, state, poses)
+        fused, _ = self.fuse(bev_cur, state, cur_frame.ego_pose)
         return self.head(fused)
 
 
-def run_inference(model: Detector, sequence, match_cfg):
-    """Frame-ordered inference over one sequence; returns per-frame detections."""
+def run_inference(model: Detector, sequence, match_cfg, stamp=_no_stamp):
+    """Frame-ordered inference over one sequence; returns per-frame detections.
+    `stamp(stage)` is called as in Detector.forward_frame, then after decode."""
     from .decode import decode
 
     model.eval()
     det_frames = []
     state = None
-    prev_pose = None
     with ad.no_grad():
         for frame in sequence.frames:
-            out, state = model.forward_frame(frame, state, prev_pose=prev_pose)
-            prev_pose = frame.ego_pose
+            out, state = model.forward_frame(frame, state, stamp=stamp)
             det_frames.append(decode(out, model.geometry, match_cfg))
+            stamp("decode")
     return det_frames

@@ -15,7 +15,7 @@ from .augment import AugmentConfig, apply_transform, sample_transform
 from .backbone import BackboneConfig
 from .config import from_dict, to_dict
 from .decode import MatchConfig
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, FormatError
 from .fmf import FMFConfig
 from .heads import (FocalParams, LossWeights, focal_loss, regression_losses,
                     render_targets, total_loss)
@@ -205,7 +205,8 @@ def save_checkpoint(path, model, cfg: TrainConfig, class_names, step=0,
 
 
 def load_checkpoint(path):
-    """Rebuild (model, cfg, class_names, step, opt_state) from an npz file."""
+    """Rebuild (model, cfg, class_names, step, opt_state) from an npz file;
+    a non-finite parameter or buffer raises FormatError."""
     with np.load(path, allow_pickle=False) as data:
         cfg = from_dict(TrainConfig, json.loads(str(data["meta.config"][()])))
         class_names = tuple(str(s) for s in data["meta.class_names"])
@@ -216,5 +217,8 @@ def load_checkpoint(path):
                      if k.startswith("opt.")}
     model = build_model(cfg, len(class_names))
     model.load_state_dict(state)
+    for key, val in model.state_dict().items():
+        if not np.isfinite(val).all():
+            raise FormatError(f"non-finite values in {key}")
     model.eval()
     return model, cfg, class_names, step, opt_state or None

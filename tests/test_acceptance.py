@@ -302,12 +302,10 @@ def test_c07_recurrence_depth_is_two_frames():
     f0, f1, f2, sentinel = scene.frames
 
     def run(first):
-        outs, state, prev_pose = [], None, None
+        outs, state = [], None
         with ad.no_grad():
             for frame in (first, f1, f2):
-                out, state = model.forward_frame(frame, state, vox_seed=0,
-                                                 prev_pose=prev_pose)
-                prev_pose = frame.ego_pose
+                out, state = model.forward_frame(frame, state, vox_seed=0)
                 outs.append(out.heatmap.data)
         return outs
 

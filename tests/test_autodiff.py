@@ -2,6 +2,8 @@
 numpy, backward correctness against hand-derived gradients, graph mechanics.
 Exhaustive finite-difference coverage lives in fmfdet.gradcheck.
 """
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,25 @@ class TestBackwardMechanics:
             y = x * 2.0
         assert y._parents == ()
         assert np.array_equal(y.data, [2.0])
+
+    def test_no_grad_is_per_thread(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def worker():
+            with ad.no_grad():
+                entered.set()
+                release.wait(timeout=30)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert entered.wait(timeout=30)
+            x = leaf([1.0])
+            assert (x * 2.0)._parents   # recorded: the no_grad is the worker's
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
     def test_detach_cuts_graph(self):
         x = leaf([1.0])

@@ -1,13 +1,16 @@
 """End-to-end CLI flows in a temp workspace, plus exit-code mapping."""
+import dataclasses
 import json
 import shutil
 import struct
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fmfdet import autodiff as ad
 from fmfdet.backbone import BackboneConfig
 from fmfdet.augment import AugmentConfig
 from fmfdet.bench import bench
@@ -150,6 +153,34 @@ class TestInferEval:
                      "--data", str(workspace["data"]),
                      "--out", str(tmp_path / "d.jsonl")]) == 3
 
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_truncated_checkpoint_is_format_error(self, workspace, tmp_path,
+                                                  capsys, command):
+        raw = workspace["ckpt"].read_bytes()
+        bad = tmp_path / "half.npz"
+        bad.write_bytes(raw[:len(raw) // 2])
+        args = [command, "--ckpt", str(bad), "--data", str(workspace["data"])]
+        if command == "infer":
+            args += ["--out", str(tmp_path / "d.jsonl")]
+        assert main(args) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prefix,value", [("param.", np.nan),
+                                              ("buffer.", np.inf)])
+    def test_non_finite_checkpoint_is_format_error(self, workspace, tmp_path,
+                                                   capsys, prefix, value):
+        with np.load(workspace["ckpt"]) as data:
+            arrays = {k: data[k] for k in data.files}
+        key = next(k for k in arrays if k.startswith(prefix))
+        arrays[key].flat[0] = value
+        bad = tmp_path / "non_finite.npz"
+        np.savez(bad, **arrays)
+        assert main(["infer", "--ckpt", str(bad),
+                     "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "d.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
+
     def test_class_mismatch_is_config_error(self, workspace, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict(TINY_SPEC, class_names=["truck"])))
@@ -214,17 +245,16 @@ class TestInferEval:
 
 
 class TestBench:
-    def test_reports_both_modes(self, workspace, capsys):
+    def test_reports_one_run(self, workspace, capsys):
         assert main(["bench", "--ckpt", str(workspace["ckpt"]),
                      "--data", str(workspace["data"]),
                      "--min-frames", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        for mode in ("sequential", "parallel"):
-            assert set(report[mode]["stages"]) == {
-                "voxelize", "backbone", "neck", "fmf", "head", "decode"}
-            assert report[mode]["frames"] >= 2
-            assert report[mode]["end_to_end"]["mean_ms"] > 0
-            assert report[mode]["minor_faults_per_frame"] >= 0
+        assert set(report["stages"]) == {
+            "voxelize", "backbone", "neck", "fmf", "head", "decode"}
+        assert report["frames"] >= 2
+        assert report["end_to_end"]["mean_ms"] > 0
+        assert report["minor_faults_per_frame"] >= 0
 
     def test_parallel_and_sequential_match_run_inference(self, workspace):
         model, cfg, _names, _step, _opt = load_checkpoint(workspace["ckpt"])
@@ -234,11 +264,23 @@ class TestBench:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)   # interleave the worker threads finely
         try:
-            _, parallel = bench(model, scenes, cfg.match, parallel=True)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_inference, model, seq, cfg.match)
+                           for seq in scenes]
+                parallel = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert sequential == expect
         assert parallel == expect
+        # the workers' no_grad blocks must leave recording on in this thread
+        model.train()
+        frames = scenes[0].frames
+        out = model.forward_pair(frames[0], frames[1])
+        loss = ad.sum(out.heatmap)
+        for field in dataclasses.fields(out)[1:]:
+            loss = ad.add(loss, ad.sum(getattr(out, field.name)))
+        ad.backward(loss)
+        assert all(p.grad is not None for _, p in model.named_parameters())
 
 
 class TestAblate:

@@ -43,12 +43,6 @@ class TestFusionBlock:
         with pytest.raises(Exception):
             fmf_base(rand_map(0, h=6), rand_map(1, h=8), selector_params(3))
 
-    def test_mode_argument_flips_training_flag(self):
-        params = selector_params(3)
-        params.train(True)
-        fmf_base(rand_map(0), rand_map(1), params, mode="eval")
-        assert params.training is False
-
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
             FMFConfig(kernel_size=2)
