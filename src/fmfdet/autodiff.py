@@ -89,9 +89,6 @@ class Tensor:
     def _needs_grad(self):
         return self.requires_grad or self._parents != ()
 
-    def detach(self):
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -128,12 +125,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -208,16 +199,6 @@ def pow(a, exponent):
     return _node(data, (a,), bw)
 
 
-def sqrt(a):
-    a = _wrap(a)
-    data = np.sqrt(a.data)
-
-    def bw(g):
-        return (g * (0.5 / data),)
-
-    return _node(data, (a,), bw)
-
-
 def log(a):
     """Natural log; the caller guarantees strictly positive input (clip first)."""
     a = _wrap(a)
@@ -225,16 +206,6 @@ def log(a):
 
     def bw(g):
         return (g / a.data,)
-
-    return _node(data, (a,), bw)
-
-
-def exp(a):
-    a = _wrap(a)
-    data = np.exp(a.data)
-
-    def bw(g):
-        return (g * data,)
 
     return _node(data, (a,), bw)
 
@@ -309,42 +280,9 @@ def mean(a, axis=None, keepdims=False):
     return mul(sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def maximum(a, b):
-    """Elementwise max; ties route the gradient to the first argument."""
-    a, b = _wrap(a), _wrap(b)
-    take_a = a.data >= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def bw(g):
-        return (_unbroadcast(g * take_a, a.data.shape),
-                _unbroadcast(g * ~take_a, b.data.shape))
-
-    return _node(data, (a, b), bw)
-
-
 # --------------------------------------------------------------------------
 # shape ops
 # --------------------------------------------------------------------------
-
-def reshape(a, shape):
-    a = _wrap(a)
-    orig = a.data.shape
-
-    def bw(g):
-        return (g.reshape(orig),)
-
-    return _node(a.data.reshape(shape), (a,), bw)
-
-
-def transpose(a, axes):
-    a = _wrap(a)
-    inv = np.argsort(axes)
-
-    def bw(g):
-        return (g.transpose(inv),)
-
-    return _node(a.data.transpose(axes), (a,), bw)
-
 
 def concat(tensors, axis):
     tensors = [_wrap(t) for t in tensors]

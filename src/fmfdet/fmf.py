@@ -1,9 +1,15 @@
 """Temporal aggregation of BEV feature maps across consecutive frames.
 
-Each step fuses the current map with the previous step's map (optionally
-warped into the current ego frame by relative odometry) through a shared
-concat -> conv -> BN -> ReLU block. The carried state always holds the raw
-pre-aggregation map, so the temporal receptive field is exactly two frames.
+Each step fuses the current map with the previous step's map through a shared
+concat -> conv -> BN -> ReLU block. The carried state (`FMFState`) always holds
+the raw pre-aggregation map and the ego pose it was taken at, so the temporal
+receptive field is exactly two frames.
+
+Pose and geometry contract: `fmf_step` receives the current frame's ego pose
+(None when it is unknown or odometry is off) and the map's `MapGeometry`. The
+previous map is warped into the current ego frame only when both its stored
+pose and the current pose are known; otherwise it is fused unwarped, and with
+no previous map the current one self-aggregates.
 """
 from __future__ import annotations
 
@@ -37,7 +43,6 @@ class FMFState:
 
     prev_map: object = None
     prev_pose: Pose2D = None
-    initialized: bool = False
 
 
 class FMFParams(Module):
@@ -89,30 +94,27 @@ def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
     return ad.bilinear_sample(feature_map, grid)
 
 
-def fmf_step(current, state: FMFState, params: FMFParams, odometry=None,
-             cell_size_out=None, origin=None):
+def fmf_step(current, state: FMFState, params: FMFParams, pose=None, geom=None):
     """One recurrence step; returns (fused map, new state).
 
-    `odometry` is an optional (pose at t-1, pose at t) pair; when both are
-    set, the stored previous map is warped by their relative pose before
-    fusion. On the first frame the map self-aggregates (previous := current).
+    `pose` is this frame's ego pose, or None when it is unknown or odometry
+    is off. With no state, or a state with no map, the map self-aggregates
+    (previous := current). When both `pose` and `state.prev_pose` are set, the
+    stored map is warped by their relative pose onto `geom`, the MapGeometry
+    of the map, before fusion; a missing `geom` is then a ConfigError. The new
+    state holds the raw current map and `pose`.
     """
-    if state is None:
-        state = FMFState()
-    if not state.initialized:
+    if state is None or state.prev_map is None:
         previous = current
     else:
         if state.prev_map.data.shape != current.data.shape:
             raise StateError(f"feature map shape changed mid-sequence: "
                              f"{state.prev_map.data.shape} -> {current.data.shape}")
         previous = state.prev_map
-        if odometry is not None:
-            prev_pose, cur_pose = odometry
-            if prev_pose is not None and cur_pose is not None:
-                if cell_size_out is None:
-                    raise ConfigError("warping by odometry needs cell_size_out")
-                rel = relative_pose(prev_pose, cur_pose)
-                previous = warp_feature_map(previous, rel, cell_size_out, origin)
+        if pose is not None and state.prev_pose is not None:
+            if geom is None:
+                raise ConfigError("warping by odometry needs the map geometry")
+            previous = warp_feature_map(previous, relative_pose(state.prev_pose, pose),
+                                        geom.cell, (geom.x_min, geom.y_min))
     out = fmf_base(current, previous, params)
-    cur_pose = odometry[1] if odometry is not None else None
-    return out, FMFState(prev_map=current, prev_pose=cur_pose, initialized=True)
+    return out, FMFState(prev_map=current, prev_pose=pose)

@@ -17,6 +17,7 @@ holding the class names and frame order.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import struct
 
@@ -85,11 +86,15 @@ def read_frame(path) -> PointCloudFrame:
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     (timestamp,) = r.unpack("<d")
+    if not math.isfinite(timestamp):
+        raise FormatError(f"{path}: non-finite timestamp {timestamp}")
     (has_pose,) = r.unpack("<B")
     pose = None
     if has_pose == 1:
-        tx, ty, yaw = r.unpack("<3d")
-        pose = Pose2D(tx, ty, yaw)
+        xy_yaw = r.unpack("<3d")
+        if not all(map(math.isfinite, xy_yaw)):
+            raise FormatError(f"{path}: non-finite ego pose {xy_yaw}")
+        pose = Pose2D(*xy_yaw)
     elif has_pose != 0:
         raise FormatError(f"{path}: invalid pose flag {has_pose}")
     (num_points,) = r.unpack("<I")
@@ -99,9 +104,11 @@ def read_frame(path) -> PointCloudFrame:
     rec = np.frombuffer(r.take(num_boxes * _BOX_DTYPE.itemsize), dtype=_BOX_DTYPE)
     boxes = []
     for i in range(num_boxes):
+        fields = rec["fields"][i].astype(np.float64)
+        if not np.isfinite(fields).all():
+            raise FormatError(f"{path}: box {i}: non-finite fields {fields.tolist()}")
         try:
-            boxes.append(Box3D.from_array(rec["fields"][i].astype(np.float64),
-                                          rec["class_id"][i]))
+            boxes.append(Box3D.from_array(fields, rec["class_id"][i]))
         except ConfigError as e:
             raise FormatError(f"{path}: box {i}: {e}") from e
     if r.off != len(data):
@@ -136,9 +143,16 @@ def read_sequence(data_dir) -> SceneSequence:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise FormatError(f"{mpath}: invalid JSON manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{mpath}: manifest is not a JSON object")
     for key in ("class_names", "frames"):
         if key not in manifest:
             raise FormatError(f"{mpath}: manifest missing '{key}'")
+        value = manifest[key]
+        if (not isinstance(value, list) or not value
+                or not all(isinstance(v, str) for v in value)):
+            raise FormatError(f"{mpath}: manifest '{key}' must be a non-empty "
+                              f"list of strings, got {value!r}")
     frames = []
     for name in manifest["frames"]:
         fpath = root / name

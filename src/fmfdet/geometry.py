@@ -90,10 +90,3 @@ class MapGeometry:
         return cls(x_min=grid.x_min, y_min=grid.y_min,
                    cell=grid.cell_x * stride,
                    h=grid.dims[1] // stride, w=grid.dims[0] // stride)
-
-    def pixel_centers(self):
-        """World xy of every cell center, as an [h, w, 2] array."""
-        xs = self.x_min + (np.arange(self.w) + 0.5) * self.cell
-        ys = self.y_min + (np.arange(self.h) + 0.5) * self.cell
-        gx, gy = np.meshgrid(xs, ys)
-        return np.stack([gx, gy], axis=-1)

@@ -93,28 +93,12 @@ def _case_pow():
     return {"a": a}, lambda: ad.sum(ad.mul(ad.pow(a, 1.7), w))
 
 
-@_op_case("sqrt")
-def _case_sqrt():
-    rng = np.random.default_rng(14)
-    a = _leaf(rng.uniform(0.5, 2.0, size=(4,)))
-    w = _weights(rng, (4,))
-    return {"a": a}, lambda: ad.sum(ad.mul(ad.sqrt(a), w))
-
-
 @_op_case("log")
 def _case_log():
     rng = np.random.default_rng(15)
     a = _leaf(rng.uniform(0.5, 3.0, size=(4,)))
     w = _weights(rng, (4,))
     return {"a": a}, lambda: ad.sum(ad.mul(ad.log(a), w))
-
-
-@_op_case("exp")
-def _case_exp():
-    rng = np.random.default_rng(16)
-    a = _leaf(rng.uniform(-1.0, 1.0, size=(4,)))
-    w = _weights(rng, (4,))
-    return {"a": a}, lambda: ad.sum(ad.mul(ad.exp(a), w))
 
 
 @_op_case("abs")
@@ -167,24 +151,6 @@ def _case_mean():
     a = _leaf(rng.normal(size=(3, 4)))
     w = _weights(rng, (3,))
     return {"a": a}, lambda: ad.sum(ad.mul(ad.mean(a, axis=1), w))
-
-
-@_op_case("maximum")
-def _case_maximum():
-    rng = np.random.default_rng(23)
-    a = _leaf(_spread(rng, (4, 4)))
-    b = _leaf(_spread(rng, (4, 4)) + rng.choice([-0.37, 0.37], size=(4, 4)))
-    w = _weights(rng, (4, 4))
-    return {"a": a, "b": b}, lambda: ad.sum(ad.mul(ad.maximum(a, b), w))
-
-
-@_op_case("reshape_transpose")
-def _case_reshape():
-    rng = np.random.default_rng(25)
-    a = _leaf(rng.normal(size=(2, 3, 4)))
-    w = _weights(rng, (4, 6))
-    return {"a": a}, lambda: ad.sum(
-        ad.mul(ad.reshape(ad.transpose(a, (2, 0, 1)), (4, 6)), w))
 
 
 @_op_case("concat")
@@ -389,11 +355,12 @@ def _case_resample_down():
     return {"x": x}, lambda: ad.sum(ad.mul(ad.resample_nearest(x, (3, 4)), w))
 
 
-def _numeric_grad(tensor, forward, h=_H):
-    numeric = np.zeros_like(tensor.data)
-    it = np.nditer(tensor.data, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
+def _fd_error(tensor, analytic, indices, forward, h=_H):
+    """Worst relative error of `analytic` against the central difference
+    (f(x + h e_i) - f(x - h e_i)) / 2h over coordinates i of `tensor`; each
+    coordinate is restored after it is perturbed."""
+    worst = 0.0
+    for idx in indices:
         orig = tensor.data[idx]
         tensor.data[idx] = orig + h
         with ad.no_grad():
@@ -402,8 +369,8 @@ def _numeric_grad(tensor, forward, h=_H):
         with ad.no_grad():
             fm = forward().item()
         tensor.data[idx] = orig
-        numeric[idx] = (fp - fm) / (2.0 * h)
-    return numeric
+        worst = max(worst, _rel_err(analytic[idx], (fp - fm) / (2.0 * h)))
+    return worst
 
 
 def check_ops():
@@ -418,7 +385,8 @@ def check_ops():
         for t in tensors.values():
             analytic = (t.grad if t.grad is not None
                         else np.zeros_like(t.data))
-            worst = max(worst, _rel_err(analytic, _numeric_grad(t, forward)))
+            worst = max(worst, _fd_error(t, analytic, np.ndindex(t.data.shape),
+                                         forward))
         results.append((name, worst))
     return results
 
@@ -482,21 +450,9 @@ def check_pipeline(full=False, seed=0, h=_H):
             flat_indices = np.arange(size)
         else:
             flat_indices = rng.choice(size, size=2, replace=False)
-        worst = 0.0
-        for flat in flat_indices:
-            idx = np.unravel_index(int(flat), p.data.shape)
-            orig = p.data[idx]
-            p.data[idx] = orig + h
-            with ad.no_grad():
-                fp = forward().item()
-            p.data[idx] = orig - h
-            with ad.no_grad():
-                fm = forward().item()
-            p.data[idx] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            err = np.abs(analytic[name][idx] - numeric) / max(1.0, np.abs(numeric))
-            worst = max(worst, float(err))
-        per_param[name] = worst
+        indices = (np.unravel_index(int(flat), p.data.shape)
+                   for flat in flat_indices)
+        per_param[name] = _fd_error(p, analytic[name], indices, forward, h)
 
     return {"param_count": model.param_count(),
             "loss": loss.item(),

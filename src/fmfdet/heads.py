@@ -96,21 +96,13 @@ class DetectionHead(Module):
                 final.bias.data[:] = -math.log((1.0 - 0.1) / 0.1)
             self.branches[name] = (hidden, final)
 
-    def _branch(self, name, x):
-        hidden, final = self.branches[name]
-        return final(ad.relu(hidden(x)))
-
     def __call__(self, bev):
         if bev.data.ndim != 4:
             raise ShapeError("head expects a [1,C,h,w] map")
-        return HeadOutput(
-            heatmap=ad.sigmoid(self._branch("heatmap", bev)),
-            offset=self._branch("offset", bev),
-            height=self._branch("height", bev),
-            size=self._branch("size", bev),
-            rotation=self._branch("rotation", bev),
-            velocity=self._branch("velocity", bev),
-        )
+        maps = {name: final(ad.relu(hidden(bev)))
+                for name, (hidden, final) in self.branches.items()}
+        maps["heatmap"] = ad.sigmoid(maps["heatmap"])
+        return HeadOutput(**maps)
 
 
 def gaussian_radius(box, cell_size, min_overlap=0.1):

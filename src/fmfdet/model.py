@@ -52,38 +52,26 @@ class Detector(Module):
         stamp("neck")
         return bev
 
-    def fuse(self, bev, state: FMFState, pose):
-        """Temporal aggregation step, with odometry from state.prev_pose to
-        `pose` (this frame's); identity when fusion is disabled."""
-        if self.fmf is None:
-            return bev, state
-        odometry = None
-        if self.fmf_cfg.use_odometry:
-            odometry = (state.prev_pose if state is not None else None, pose)
-        return fmf_step(bev, state, self.fmf, odometry=odometry,
-                        cell_size_out=self.geometry.cell,
-                        origin=(self.geometry.x_min, self.geometry.y_min))
-
     def forward_frame(self, frame, state: FMFState = None, vox_seed=0,
                       stamp=_no_stamp):
         """One sequence step: returns (HeadOutput, new state). `stamp(stage)`
-        is called as voxelize, backbone, neck, fmf and head each finish."""
+        is called as voxelize, backbone, neck, fmf and head each finish. With
+        fusion disabled the map passes to the head unchanged."""
         bev = self.extract(frame, vox_seed, stamp)
-        fused, state = self.fuse(bev, state, frame.ego_pose)
+        if self.fmf is not None:
+            pose = frame.ego_pose if self.fmf_cfg.use_odometry else None
+            bev, state = fmf_step(bev, state, self.fmf, pose, self.geometry)
         stamp("fmf")
-        out = self.head(fused)
+        out = self.head(bev)
         stamp("head")
         return out, state
 
     def forward_pair(self, prev_frame, cur_frame, vox_seeds=(0, 0)):
         """Training-style pair forward: features of both frames stay in the
         gradient graph; the head runs on the current frame only."""
-        bev_prev = self.extract(prev_frame, vox_seeds[0])
-        state = FMFState(prev_map=bev_prev, prev_pose=prev_frame.ego_pose,
-                         initialized=True)
-        bev_cur = self.extract(cur_frame, vox_seeds[1])
-        fused, _ = self.fuse(bev_cur, state, cur_frame.ego_pose)
-        return self.head(fused)
+        state = FMFState(prev_map=self.extract(prev_frame, vox_seeds[0]),
+                         prev_pose=prev_frame.ego_pose)
+        return self.forward_frame(cur_frame, state, vox_seeds[1])[0]
 
 
 def run_inference(model: Detector, sequence, match_cfg, stamp=_no_stamp):

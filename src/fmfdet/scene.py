@@ -16,19 +16,9 @@ from .errors import ConfigError, DataError
 from .geometry import Pose2D, rot2d, wrap_angle
 
 __all__ = [
-    "Point", "Pose2D", "Box3D", "PointCloudFrame", "SceneSequence",
-    "SceneSpec", "generate_scene",
+    "Pose2D", "Box3D", "PointCloudFrame", "SceneSequence", "SceneSpec",
+    "generate_scene",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class Point:
-    """Single LiDAR return: position in meters, intensity in [0, 1]."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float = 0.0
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """End-to-end CLI flows in a temp workspace, plus exit-code mapping."""
 import dataclasses
+import importlib
 import json
+import pkgutil
 import shutil
 import struct
 import subprocess
@@ -10,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import fmfdet
 from fmfdet import autodiff as ad
 from fmfdet.backbone import BackboneConfig
 from fmfdet.augment import AugmentConfig
@@ -17,8 +20,11 @@ from fmfdet.bench import bench
 from fmfdet.cli import load_dataset, main
 from fmfdet.config import save_config
 from fmfdet.fmf import FMFConfig
+from fmfdet.frameio import read_frame, write_frame
+from fmfdet.geometry import Pose2D
 from fmfdet.metrics import read_detections
 from fmfdet.model import run_inference
+from fmfdet.scene import PointCloudFrame
 from fmfdet.train import TrainConfig, load_checkpoint, read_trace
 from fmfdet.voxelizer import GridConfig
 
@@ -62,6 +68,23 @@ def workspace(tmp_path_factory):
                  "--out", str(dets)]) == 0
     return {"root": root, "spec": spec_path, "data": data,
             "cfg": cfg_path, "ckpt": ckpt, "dets": dets}
+
+
+def poisoned_copy(data, out, field, value):
+    """Copy a dataset and set one field of seq_000's second frame to `value`:
+    the timestamp, the ego pose's x, or a field of its first box."""
+    shutil.copytree(data, out)
+    path = out / "seq_000" / "frame_000001.bin"
+    f = read_frame(path)
+    ts, pose, boxes = f.timestamp, f.ego_pose, list(f.gt_boxes)
+    if field == "timestamp":
+        ts = value
+    elif field == "pose":
+        pose = Pose2D(value, pose.y, pose.yaw)
+    else:
+        boxes[0] = dataclasses.replace(boxes[0], **{field: value})
+    write_frame(PointCloudFrame(f.points, ts, pose, boxes), path)
+    return path
 
 
 class TestGenData:
@@ -126,6 +149,32 @@ class TestTrain:
                      "--out", str(tmp_path / "m.npz"),
                      "--set", "nope=1"]) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("cx", float("nan")), ("cx", float("inf")), ("yaw", float("nan")),
+        ("pose", float("nan")), ("timestamp", float("nan"))])
+    def test_non_finite_frame_is_format_error(self, workspace, tmp_path,
+                                              capsys, field, value):
+        bad = poisoned_copy(workspace["data"], tmp_path / "data", field, value)
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "m.npz")]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("frames", 3), ("frames", [1, 2]),
+                                           ("class_names", "car"),
+                                           ("class_names", [])])
+    def test_malformed_manifest_is_format_error(self, workspace, tmp_path,
+                                                capsys, key, value):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        mpath = data / "seq_001" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest[key] = value
+        mpath.write_text(json.dumps(manifest))
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--data", str(data), "--out", str(tmp_path / "m.npz")]) == 3
+        assert str(mpath) in capsys.readouterr().err
+
     def test_divergence_exit_code(self, workspace, tmp_path):
         with np.errstate(all="ignore"):
             code = main(["train", "--config", str(workspace["cfg"]),
@@ -180,6 +229,14 @@ class TestInferEval:
                      "--out", str(tmp_path / "d.jsonl")]) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and key in err
+
+    def test_non_finite_pose_is_format_error(self, workspace, tmp_path, capsys):
+        bad = poisoned_copy(workspace["data"], tmp_path / "data", "pose",
+                            float("nan"))
+        assert main(["infer", "--ckpt", str(workspace["ckpt"]),
+                     "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "d.jsonl")]) == 3
+        assert str(bad) in capsys.readouterr().err
 
     def test_class_mismatch_is_config_error(self, workspace, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -326,3 +383,10 @@ class TestEntryPoint:
                                "from fmfdet.cli import main; main(['--help'])"],
                               capture_output=True, text=True)
         assert "gen-data" in proc.stdout and "ablate" in proc.stdout
+
+    def test_every_exported_name_resolves(self):
+        modules = [fmfdet] + [importlib.import_module(f"fmfdet.{m.name}")
+                              for m in pkgutil.iter_modules(fmfdet.__path__)]
+        for mod in modules:
+            for name in getattr(mod, "__all__", ()):
+                assert hasattr(mod, name), f"{mod.__name__}.__all__ names {name}"

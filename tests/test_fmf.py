@@ -6,9 +6,10 @@ import fmfdet.autodiff as ad
 from fmfdet.errors import ConfigError, StateError
 from fmfdet.fmf import (FMFConfig, FMFParams, FMFState, fmf_base, fmf_step,
                         warp_feature_map)
-from fmfdet.geometry import Pose2D, relative_pose
+from fmfdet.geometry import MapGeometry, Pose2D, relative_pose
 
 CELL = 0.32
+GEOM = MapGeometry(x_min=-3 * CELL, y_min=-3 * CELL, cell=CELL, h=6, w=6)
 
 
 def selector_params(c, pick="current"):
@@ -99,7 +100,7 @@ class TestStep:
         cur = rand_map(11)
         out, state = fmf_step(cur, None, selector_params(3, "previous"))
         assert np.allclose(out.data, np.maximum(cur.data, 0.0), atol=1e-12)
-        assert state.initialized
+        assert state.prev_map is cur
 
     def test_state_carries_raw_map_not_fused_output(self):
         a, b = rand_map(12), rand_map(13)
@@ -128,10 +129,7 @@ class TestStep:
         state = None
         outs = []
         for _ in range(3):
-            out, state = fmf_step(cur, state, params,
-                                  odometry=(state.prev_pose if state else None,
-                                            pose),
-                                  cell_size_out=CELL)
+            out, state = fmf_step(cur, state, params, pose, GEOM)
             outs.append(out.data)
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[1], outs[2])
@@ -140,9 +138,8 @@ class TestStep:
         params = selector_params(3, "previous")
         prev = rand_map(19)
         p0, p1 = Pose2D(0, 0, 0), Pose2D(2 * CELL, 0, 0)
-        state = FMFState(prev_map=prev, prev_pose=p0, initialized=True)
-        out, _ = fmf_step(rand_map(20), state, params, odometry=(p0, p1),
-                          cell_size_out=CELL)
+        state = FMFState(prev_map=prev, prev_pose=p0)
+        out, _ = fmf_step(rand_map(20), state, params, p1, GEOM)
         expect = np.maximum(prev.data[:, :, :, 2:], 0.0)
         assert np.allclose(out.data[:, :, :, :-2], expect, atol=1e-12)
         assert not out.data[:, :, :, -2:].any()
@@ -154,12 +151,12 @@ class TestStep:
             fmf_step(rand_map(22, h=8, w=8), state, params)
 
     def test_warp_without_cell_size_raises(self):
+        """A pose pair with no map geometry (which holds the cell size)."""
         params = FMFParams(3, 3, np.random.default_rng(5))
-        _, state = fmf_step(rand_map(23), None, params,
-                            odometry=(None, Pose2D(0, 0, 0)))
+        _, state = fmf_step(rand_map(23), None, params, Pose2D(0, 0, 0))
+        assert state.prev_pose == Pose2D(0, 0, 0)
         with pytest.raises(ConfigError):
-            fmf_step(rand_map(24), state, params,
-                     odometry=(Pose2D(0, 0, 0), Pose2D(1, 0, 0)))
+            fmf_step(rand_map(24), state, params, Pose2D(1, 0, 0))
 
 
 class TestGradients:
@@ -182,7 +179,7 @@ class TestGradients:
         prev = rand_map(26)
         prev.requires_grad = True
         wts = ad.Tensor(np.cos(np.arange(cur.data.size)).reshape(cur.data.shape))
-        state_proto = FMFState(prev_map=prev, prev_pose=None, initialized=True)
+        state_proto = FMFState(prev_map=prev, prev_pose=None)
 
         def loss():
             out, _ = fmf_step(cur, state_proto, params)
@@ -198,13 +195,12 @@ class TestGradients:
         cur = rand_map(27)
         prev = rand_map(28)
         prev.requires_grad = True
-        odo = (Pose2D(0, 0, 0), Pose2D(0.1, -0.07, 0.05))
+        p0, p1 = Pose2D(0, 0, 0), Pose2D(0.1, -0.07, 0.05)
         wts = ad.Tensor(np.sin(np.arange(cur.data.size)).reshape(cur.data.shape))
 
         def loss():
-            state = FMFState(prev_map=prev, prev_pose=odo[0], initialized=True)
-            out, _ = fmf_step(cur, state, params, odometry=odo,
-                              cell_size_out=CELL)
+            state = FMFState(prev_map=prev, prev_pose=p0)
+            out, _ = fmf_step(cur, state, params, p1, GEOM)
             return ad.sum(out * wts)
 
         self._fd(loss, params.conv.weight, (1, 4, 0, 2))

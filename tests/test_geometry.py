@@ -92,15 +92,6 @@ class TestMapGeometry:
         with pytest.raises(ConfigError):
             MapGeometry.from_grid(grid, stride=3)
 
-    def test_pixel_centers_cover_the_map(self):
-        grid = desk_pillar_config()
-        geom = MapGeometry.from_grid(grid, stride=2)
-        centers = geom.pixel_centers()
-        assert centers.shape == (40, 40, 2)
-        assert centers[0, 0, 0] == pytest.approx(-12.8 + 0.32)
-        assert centers[0, 0, 1] == pytest.approx(-12.8 + 0.32)
-        assert centers[-1, -1, 0] == pytest.approx(12.8 - 0.32)
-
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ConfigError):
             MapGeometry(0.0, 0.0, -1.0, 4, 4)

@@ -1,4 +1,6 @@
 """Scene generation and the binary frame / sequence-directory format."""
+import dataclasses
+import json
 import math
 import struct
 
@@ -98,6 +100,27 @@ class TestFrameFormat:
         with pytest.raises(FormatError):
             read_frame(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("timestamp", math.nan), ("timestamp", math.inf), ("pose", math.nan),
+        ("cx", math.nan), ("cx", math.inf), ("yaw", math.nan), ("w", math.inf)])
+    def test_non_finite_field_is_format_error(self, tmp_path, field, value):
+        box = Box3D(0, 0, 0, 1, 1, 1, 0.0)
+        boxes = [box, box]
+        ts, pose = 0.5, Pose2D(1.0, 2.0, 0.5)
+        if field == "timestamp":
+            ts = value
+        elif field == "pose":
+            pose = Pose2D(1.0, value, 0.5)
+        else:
+            boxes[1] = dataclasses.replace(box, **{field: value})
+        path = tmp_path / "f.bin"
+        write_frame(PointCloudFrame(np.zeros((0, 4)), ts, pose, boxes), path)
+        with pytest.raises(FormatError) as err:
+            read_frame(path)
+        assert str(path) in str(err.value)
+        if field not in ("timestamp", "pose"):
+            assert "box 1" in str(err.value)
+
     def test_magic_is_the_documented_constant(self):
         assert MAGIC == b"FMFPC1\x00\x00"
         assert frame_file_name(7) == "frame_000007.bin"
@@ -128,6 +151,28 @@ class TestSequenceDirectory:
         (tmp_path / "s" / frame_file_name(1)).unlink()
         with pytest.raises(DataError):
             read_sequence(tmp_path / "s")
+
+    @pytest.mark.parametrize("key,value", [
+        ("frames", 3), ("frames", [1, 2]), ("frames", []),
+        ("class_names", "car"), ("class_names", []), ("class_names", ["car", 1])])
+    def test_malformed_manifest_field_is_format_error(self, tmp_path, key, value):
+        seq = generate_scene(SceneSpec(seed=1, num_frames=2,
+                                       points_per_object=10, clutter_points=0))
+        write_sequence(seq, tmp_path / "s")
+        mpath = tmp_path / "s" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest[key] = value
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError) as err:
+            read_sequence(tmp_path / "s")
+        assert str(mpath) in str(err.value) and key in str(err.value)
+
+    def test_non_object_manifest_rejected(self, tmp_path):
+        d = tmp_path / "s"
+        d.mkdir()
+        (d / "manifest.json").write_text("3")
+        with pytest.raises(FormatError):
+            read_sequence(d)
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         d = tmp_path / "s"

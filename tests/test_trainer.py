@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fmfdet import autodiff as ad
 from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
 from fmfdet.config import (apply_overrides, from_dict, load_config,
@@ -119,6 +120,32 @@ class TestTrainLoop:
                           np.random.default_rng(0))
         n_block = sum(p.data.size for _, p in block.named_parameters())
         assert n_on - n_off == n_block
+
+
+class TestForwardPath:
+    @pytest.mark.parametrize("fmf", [FMFConfig(use_odometry=True),
+                                     FMFConfig(use_odometry=False),
+                                     FMFConfig(enabled=False)],
+                             ids=["odometry", "no_odometry", "no_fusion"])
+    def test_pair_forward_equals_streaming_step(self, fmf):
+        spec = SceneSpec(num_frames=2, num_objects=2, range=3.2, margin=1.0,
+                         ego_speed=0.5, ego_yaw_rate=0.4, seed=3,
+                         class_names=("car", "pedestrian"),
+                         points_per_object=40, clutter_points=10)
+        f0, f1 = generate_scene(spec).frames
+        model = build_model(tiny_cfg(fmf=fmf), 2)
+        # a fresh heatmap branch predicts a constant; make it see its input
+        final = model.head.branches["heatmap"][1]
+        final.weight.data[:] = np.random.default_rng(0).normal(
+            size=final.weight.data.shape)
+        model.eval()
+        with ad.no_grad():
+            pair = model.forward_pair(f0, f1, (4, 5))
+            _, state = model.forward_frame(f0, None, 4)
+            stream, _ = model.forward_frame(f1, state, 5)
+        for field in dataclasses.fields(pair):
+            assert np.array_equal(getattr(pair, field.name).data,
+                                  getattr(stream, field.name).data), field.name
 
 
 class TestTraceFiles:
