@@ -6,6 +6,13 @@ sampling. Each op records its parents and a backward function; `backward`
 walks the graph once in reverse topological order and accumulates gradients
 on every tensor created with ``requires_grad=True``.
 
+Memory contract: an op's backward function saves only what the graph already
+holds (its parents and its own output, plus per-channel or index arrays) and
+recomputes anything map-sized from them. So the inputs of an op must not be
+mutated between its forward and the backward through it. `backward` frees the
+graph as it walks it, like PyTorch's ``retain_graph=False``: one backward per
+graph, and a second one through a freed node raises StateError.
+
 Forward results are plain numpy and bit-deterministic for fixed inputs.
 """
 from __future__ import annotations
@@ -17,7 +24,7 @@ import threading
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, StateError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -57,7 +64,10 @@ class Tensor:
 
     ``grad`` is populated by ``backward`` and accumulates across calls until
     ``zero_grad`` (or manual reset). Tensors produced by ops are treated as
-    immutable; mutate ``data`` only on leaves you own (e.g. optimizer steps).
+    immutable; mutate ``data`` only on leaves you own, and only once the
+    backward through them has run (e.g. optimizer steps, which rebind it).
+    After ``backward`` an op result keeps its ``data`` but no longer its
+    parents or backward function.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -87,7 +97,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
     def _needs_grad(self):
-        return self.requires_grad or self._parents != ()
+        return self.requires_grad or self._backward_fn is not None
 
     def zero_grad(self):
         self.grad = None
@@ -368,13 +378,12 @@ _scratch = threading.local()
 
 
 def _buffer(role, shape, dtype):
-    """An uninitialised array of `shape`.
+    """An uninitialised view of this thread's scratch buffer for `role`,
+    which grows to the largest shape asked for and is reused.
 
-    Under no_grad nothing keeps it past the call that asked for it, so it is a
-    view of this thread's buffer for `role`, which grows to the largest shape
-    asked for and is reused; with recording on it is a fresh array."""
-    if _grad_mode.enabled:
-        return np.empty(shape, dtype)
+    Nothing may keep it past the call that asked for it: ops copy their
+    results out of it, and backward functions rebuild what they need from
+    the graph rather than saving it."""
     size = math.prod(shape)
     buf = getattr(_scratch, role, None)
     if buf is None or buf.dtype != dtype or buf.size < size:
@@ -404,9 +413,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     phases xp[a::s, b::s], each flattened with row width wq. Tap (i, j) then
     reads one contiguous slice of phase (i % s, j % s) at offset
     (i // s) * wq + j // s, so the conv is one GEMM per tap on that slice.
-    Output rows come out wq wide; columns >= ow are dropped. Backward keeps
-    only the phase buffer, not a k^2-times-expanded copy of the input, and
-    gathers the input gradient phase by phase with the same offsets.
+    Output rows come out wq wide; columns >= ow are dropped. The phases live
+    in this thread's scratch buffer: backward refills them from x, which the
+    graph holds as a parent, and gathers the input gradient phase by phase
+    with the same offsets.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -436,14 +446,17 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     length = oh * wq
     rows, cols = _phase_runs(h, pad, s), _phase_runs(w, pad, s)
 
-    xq = _buffer("phases", (n, cin, s, s, hq, wq), dtype)
-    for a, ra, ha, na in rows:
-        for b, qb, wb, nb in cols:
-            phase = xq[:, :, a, b]
-            phase[:, :, :ra] = phase[:, :, ra + na:] = 0
-            phase[:, :, ra:ra + na, :qb] = phase[:, :, ra:ra + na, qb + nb:] = 0
-            phase[:, :, ra:ra + na, qb:qb + nb] = x.data[:, :, ha::s, wb::s]
-    xq = xq.reshape(n, cin, s * s, hq * wq)
+    def phases():
+        xq = _buffer("phases", (n, cin, s, s, hq, wq), dtype)
+        for a, ra, ha, na in rows:
+            for b, qb, wb, nb in cols:
+                phase = xq[:, :, a, b]
+                phase[:, :, :ra] = phase[:, :, ra + na:] = 0
+                phase[:, :, ra:ra + na, :qb] = phase[:, :, ra:ra + na, qb + nb:] = 0
+                phase[:, :, ra:ra + na, qb:qb + nb] = x.data[:, :, ha::s, wb::s]
+        return xq.reshape(n, cin, s * s, hq * wq)
+
+    xq = phases()
     taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
             for i in range(kh) for j in range(kw)]
     wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1), dtype=dtype)
@@ -462,6 +475,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     def bw(g):
         # g_pad[far + q] is g at output position q, zero in the dropped
         # columns, so phase position p collects wt^T @ g_pad[far + p - off]
+        xq = phases()
         far = taps[-1][3]
         g_pad = np.zeros((n, f, far + hq * wq), dtype=dtype)
         g_ext = g_pad[:, :, far:far + length]
@@ -525,7 +539,8 @@ def batchnorm(x, gamma, beta, stats, training, eps=1e-5, momentum=0.1):
     """Normalize over all axes except channel axis 1.
 
     Train mode uses batch statistics (biased variance) and updates `stats`;
-    eval mode normalizes by the stored running statistics.
+    eval mode normalizes by the stored running statistics. Both backward
+    passes recompute the normalized input from x rather than saving it.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     c = x.data.shape[1]
@@ -544,6 +559,7 @@ def batchnorm(x, gamma, beta, stats, training, eps=1e-5, momentum=0.1):
         out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
 
         def bw(g):
+            xhat = (x.data - mu.reshape(shape)) * inv_std.reshape(shape)
             gg = (g * xhat).sum(axis=axes)
             gb = g.sum(axis=axes)
             gxhat = g * gamma.data.reshape(shape)
@@ -718,13 +734,14 @@ def resample_nearest(x, out_hw):
     """Nearest-neighbor resize of x [N,C,H,W] by an integer factor.
 
     Upsampling repeats pixels; downsampling keeps the top-left pixel of each
-    block. Non-integer ratios are a shape error.
+    block. Non-integer ratios are a shape error. At the identity shape it
+    returns x itself.
     """
     x = _wrap(x)
     n, c, h, w = x.data.shape
     oh, ow = int(out_hw[0]), int(out_hw[1])
     if oh == h and ow == w:
-        return _node(x.data.copy(), (x,), lambda g: (g,))
+        return x
     if oh >= h:
         if oh % h or ow % w:
             raise ShapeError(f"resample {h}x{w} -> {oh}x{ow} is not an integer factor")
@@ -752,10 +769,18 @@ def resample_nearest(x, out_hw):
 # backward
 # --------------------------------------------------------------------------
 
+def _freed(g):
+    raise StateError("backward through a graph that an earlier backward "
+                     "already freed")
+
+
 def backward(loss):
     """Reverse-accumulate gradients of a scalar loss onto requires_grad leaves.
 
-    Repeated calls without zeroing accumulate into `.grad`.
+    Frees the graph as it walks it: once a node's backward function has run
+    (or the node got no gradient), its parents and saved arrays are dropped,
+    so one backward per graph. A later backward that reaches a freed node
+    raises StateError. Repeated calls on fresh graphs accumulate into `.grad`.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -779,19 +804,21 @@ def backward(loss):
                 stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
+        if g is not None and node.requires_grad:
             node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward_fn is None:
             continue
-        parent_grads = node._backward_fn(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not p._needs_grad():
-                continue
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
-            else:
-                grads[id(p)] = pg
+        if g is not None:
+            parent_grads = node._backward_fn(g)
+            for p, pg in zip(node._parents, parent_grads):
+                if pg is None or not p._needs_grad():
+                    continue
+                if id(p) in grads:
+                    grads[id(p)] = grads[id(p)] + pg
+                else:
+                    grads[id(p)] = pg
+        node._parents = ()
+        node._backward_fn = _freed

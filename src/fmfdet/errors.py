@@ -22,8 +22,9 @@ class DataError(IOError):
 
 
 class StateError(RuntimeError):
-    """Sequence state was used inconsistently (e.g. map shape changed mid-run)."""
+    """State was used inconsistently (e.g. a map shape changed mid-run, or a
+    backward ran through a graph an earlier backward already freed)."""
 
 
 class DivergenceError(ArithmeticError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""

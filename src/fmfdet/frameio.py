@@ -12,7 +12,8 @@ Frame layout (little-endian):
 Point and box payloads are single precision, so only f32-representable values
 round-trip bit-exactly; timestamps and poses are double precision and always
 do. A sequence is a directory of frame_%06d.bin files plus manifest.json
-holding the class names and frame order.
+holding the class names and frame order; every frame entry must name a file
+inside that directory.
 """
 from __future__ import annotations
 
@@ -154,8 +155,14 @@ def read_sequence(data_dir) -> SceneSequence:
             raise FormatError(f"{mpath}: manifest '{key}' must be a non-empty "
                               f"list of strings, got {value!r}")
     frames = []
+    resolved_root = root.resolve()
     for name in manifest["frames"]:
         fpath = root / name
+        rel = pathlib.PurePath(name)
+        if (rel.is_absolute() or ".." in rel.parts
+                or not fpath.resolve().is_relative_to(resolved_root)):
+            raise FormatError(f"{mpath}: frame entry {name!r} lies outside "
+                              f"the sequence directory")
         if not fpath.is_file():
             raise DataError(f"{data_dir}: manifest lists missing frame {name}")
         frames.append(read_frame(fpath))

@@ -159,6 +159,12 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
                 raise DivergenceError(f"non-finite loss at step {step}: "
                                       f"{values}")
             ad.backward(loss)
+            grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                      for p in model.parameters()
+                                      if p.grad is not None))
+            if not math.isfinite(grad_norm):
+                raise DivergenceError(f"non-finite gradient norm at step "
+                                      f"{step}: {grad_norm}")
             opt.step()
             opt.zero_grad()
 

@@ -3,6 +3,7 @@ numpy, backward correctness against hand-derived gradients, graph mechanics.
 Exhaustive finite-difference coverage lives in fmfdet.gradcheck.
 """
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmfdet import autodiff as ad
-from fmfdet.errors import ShapeError
+from fmfdet.errors import ShapeError, StateError
+from fmfdet.layers import ConvBNReLU
 
 
 def leaf(data):
@@ -153,6 +155,10 @@ class TestForwardSemantics:
         with pytest.raises(ShapeError):
             ad.resample_nearest(x, (5, 4))
 
+    def test_resample_identity_returns_input(self):
+        x = leaf(np.arange(12.0).reshape(1, 1, 3, 4))
+        assert ad.resample_nearest(x, x.shape[2:]) is x
+
 
 class TestBackwardMechanics:
     def test_grad_accumulates_across_calls(self):
@@ -173,6 +179,56 @@ class TestBackwardMechanics:
         y = x * 1.0
         ad.backward(ad.sum(ad.add(y, y)))
         assert x.grad[0] == 2.0
+
+    def test_second_backward_through_freed_graph_raises(self):
+        x = leaf([2.0])
+        loss = ad.sum(ad.relu(x * 3.0))
+        ad.backward(loss)
+        with pytest.raises(StateError, match="already freed"):
+            ad.backward(loss)
+        assert x.grad[0] == 3.0
+
+    def test_backward_from_intermediate_of_freed_graph_raises(self):
+        x = leaf([2.0])
+        y = x * 3.0
+        ad.backward(ad.sum(ad.relu(y)))
+        with pytest.raises(StateError, match="already freed"):
+            ad.backward(ad.sum(y * 2.0))
+
+    def test_backward_frees_every_reached_node(self):
+        rng = np.random.default_rng(2)
+        x = leaf(rng.normal(size=(2, 3, 6, 6)))
+        block = ConvBNReLU(3, 4, 3, rng)
+        loss = ad.sum(ad.resample_nearest(block(x), (3, 3)))
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if node._backward_fn is not None and id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        nodes = list(nodes.values())
+        assert len(nodes) == 5     # conv, batchnorm, relu, resample, sum
+        ad.backward(loss)
+        assert all(node._parents == () for node in nodes)
+        assert x.grad is not None and block.conv.weight.grad is not None
+
+    def test_conv_bn_relu_retains_only_its_outputs(self):
+        """A training forward keeps the three maps the graph holds (conv,
+        batch norm and relu outputs), not a padded copy of the input or the
+        normalized map: backward recomputes those."""
+        rng = np.random.default_rng(0)
+        block = ConvBNReLU(8, 8, 3, rng)
+        x = ad.Tensor(rng.normal(size=(2, 8, 32, 32)))
+        block(x)      # sizes this thread's scratch buffers
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = block(x)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is not None
+        assert retained <= 3.5 * x.data.nbytes
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError):

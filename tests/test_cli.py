@@ -175,6 +175,18 @@ class TestTrain:
                      "--data", str(data), "--out", str(tmp_path / "m.npz")]) == 3
         assert str(mpath) in capsys.readouterr().err
 
+    def test_manifest_entry_outside_sequence_is_format_error(
+            self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        mpath = data / "seq_001" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["frames"][1] = "../seq_000/frame_000001.bin"
+        mpath.write_text(json.dumps(manifest))
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--data", str(data), "--out", str(tmp_path / "m.npz")]) == 3
+        assert str(mpath) in capsys.readouterr().err
+
     def test_divergence_exit_code(self, workspace, tmp_path):
         with np.errstate(all="ignore"):
             code = main(["train", "--config", str(workspace["cfg"]),

@@ -167,6 +167,26 @@ class TestSequenceDirectory:
             read_sequence(tmp_path / "s")
         assert str(mpath) in str(err.value) and key in str(err.value)
 
+    @pytest.mark.parametrize("entry", ["absolute", "dotdot", "symlink"])
+    def test_frame_entry_outside_directory_is_format_error(self, tmp_path, entry):
+        seq = generate_scene(SceneSpec(seed=1, num_frames=2,
+                                       points_per_object=10, clutter_points=0))
+        write_sequence(seq, tmp_path / "s")
+        write_sequence(seq, tmp_path / "sibling")
+        outside = tmp_path / "sibling" / frame_file_name(1)
+        name = {"absolute": str(outside),
+                "dotdot": f"../sibling/{frame_file_name(1)}",
+                "symlink": "link.bin"}[entry]
+        if entry == "symlink":
+            (tmp_path / "s" / name).symlink_to(outside)
+        mpath = tmp_path / "s" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["frames"][1] = name
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError) as err:
+            read_sequence(tmp_path / "s")
+        assert str(mpath) in str(err.value) and name in str(err.value)
+
     def test_non_object_manifest_rejected(self, tmp_path):
         d = tmp_path / "s"
         d.mkdir()

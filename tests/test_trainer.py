@@ -1,5 +1,6 @@
 """Training loop, trace files, checkpoints, and config plumbing."""
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -108,6 +109,30 @@ class TestTrainLoop:
             with pytest.raises(DivergenceError, match="non-finite"):
                 train(tiny_cfg(lr_init=1e18, max_steps=30, epochs=20),
                       [tiny_scene()])
+
+    def test_non_finite_gradient_raises_before_the_step(self, monkeypatch):
+        # the package's `train` function shadows its train module
+        train_mod = importlib.import_module("fmfdet.train")
+        models, at_backward = [], {}
+        real_build, real_backward = train_mod.build_model, ad.backward
+
+        def spy_build(*args, **kw):
+            models.append(real_build(*args, **kw))
+            return models[-1]
+
+        def nan_backward(loss):
+            real_backward(loss)
+            params = models[0].parameters()
+            at_backward.update((id(p), p.data.copy()) for p in params)
+            params[0].grad[(0,) * params[0].grad.ndim] = np.nan
+
+        monkeypatch.setattr(train_mod, "build_model", spy_build)
+        monkeypatch.setattr(ad, "backward", nan_backward)
+        with pytest.raises(DivergenceError, match="non-finite gradient"):
+            train(tiny_cfg(), [tiny_scene()])
+        params = models[0].parameters()
+        assert len(at_backward) == len(params)
+        assert all(np.array_equal(p.data, at_backward[id(p)]) for p in params)
 
     def test_disabling_fusion_removes_exactly_its_params(self):
         cfg = tiny_cfg()
