@@ -6,7 +6,7 @@ distance-matched detection metrics. Everything runs on numpy with a small
 reverse-mode autodiff core, so training and inference need no GPU.
 """
 
-from .augment import AugmentConfig, AugTransform, apply_transform, augment, sample_transform
+from .augment import AugmentConfig, AugTransform, apply_transform, sample_transform
 from .backbone import BackboneConfig, Neck, PillarFeatureNet
 from .decode import Detection, MatchConfig, decode, find_peaks
 from .errors import (ConfigError, DataError, DivergenceError, FormatError,
@@ -22,8 +22,7 @@ from .model import Detector, run_inference
 from .optim import AdamW, one_cycle_lr
 from .scene import Box3D, PointCloudFrame, SceneSequence, SceneSpec, generate_scene
 from .train import TrainConfig, build_model, load_checkpoint, save_checkpoint, train
-from .voxelizer import (GridConfig, PillarTensor, default_pillar_config,
-                        default_voxel_config, desk_pillar_config,
+from .voxelizer import (GridConfig, PillarTensor, desk_pillar_config,
                         desk_voxel_config, voxelize)
 
 __version__ = "0.1.0"
@@ -35,13 +34,13 @@ __all__ = [
     "FocalParams", "FormatError", "GridConfig", "HeadOutput", "LossWeights",
     "MapGeometry", "MatchConfig", "Neck", "PillarFeatureNet", "PillarTensor",
     "PointCloudFrame", "Pose2D", "SceneSequence", "SceneSpec", "ShapeError",
-    "StateError", "TargetMaps", "TrainConfig", "apply_transform", "augment",
-    "build_model", "decode", "default_pillar_config", "default_voxel_config",
-    "desk_pillar_config", "desk_voxel_config", "evaluate", "find_peaks",
-    "fmf_base", "fmf_step", "focal_loss", "gaussian_radius", "generate_scene",
-    "load_checkpoint", "match_and_ap", "nds", "one_cycle_lr", "read_detections",
-    "read_frame", "read_sequence", "regression_losses", "relative_pose",
-    "render_targets", "rot2d", "run_inference", "sample_transform",
-    "save_checkpoint", "total_loss", "train", "voxelize", "warp_feature_map",
-    "wrap_angle", "write_detections", "write_frame", "write_sequence",
+    "StateError", "TargetMaps", "TrainConfig", "apply_transform",
+    "build_model", "decode", "desk_pillar_config", "desk_voxel_config",
+    "evaluate", "find_peaks", "fmf_base", "fmf_step", "focal_loss",
+    "gaussian_radius", "generate_scene", "load_checkpoint", "match_and_ap",
+    "nds", "one_cycle_lr", "read_detections", "read_frame", "read_sequence",
+    "regression_losses", "relative_pose", "render_targets", "rot2d",
+    "run_inference", "sample_transform", "save_checkpoint", "total_loss",
+    "train", "voxelize", "warp_feature_map", "wrap_angle", "write_detections",
+    "write_frame", "write_sequence",
 ]

@@ -94,9 +94,3 @@ def apply_transform(frame: PointCloudFrame, tf: AugTransform) -> PointCloudFrame
         pose = Pose2D(float(tx), float(ty), float(wrap_angle(yaw)))
     return PointCloudFrame(pts, frame.timestamp, pose, boxes)
 
-
-def augment(frame: PointCloudFrame, seed, cfg: AugmentConfig = None) -> PointCloudFrame:
-    """Sample a transform from the seed and apply it to one frame."""
-    cfg = cfg if cfg is not None else AugmentConfig()
-    tf = sample_transform(np.random.default_rng(seed), cfg)
-    return apply_transform(frame, tf)

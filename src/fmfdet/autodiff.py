@@ -294,23 +294,19 @@ def mean(a, axis=None, keepdims=False):
 # shape ops
 # --------------------------------------------------------------------------
 
-def concat(tensors, axis):
-    tensors = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    split_at = np.cumsum(sizes)[:-1]
+def concat_channels(*maps):
+    """Concatenate [N,C,H,W] maps along the channel axis."""
+    maps = [_wrap(m) for m in maps]
+    shapes = [m.data.shape for m in maps]
+    if any(sh[:1] + sh[2:] != shapes[0][:1] + shapes[0][2:] for sh in shapes):
+        raise ShapeError(f"concat_channels: {' vs '.join(map(str, shapes))}")
+    data = np.concatenate([m.data for m in maps], axis=1)
+    split_at = np.cumsum([sh[1] for sh in shapes])[:-1]
 
     def bw(g):
-        return tuple(np.split(g, split_at, axis=axis))
+        return tuple(np.split(g, split_at, axis=1))
 
-    return _node(data, tuple(tensors), bw)
-
-
-def concat_channels(a, b):
-    """Concatenate two [N,C,H,W] maps along the channel axis."""
-    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2:] != b.data.shape[2:]:
-        raise ShapeError(f"concat_channels: {a.data.shape} vs {b.data.shape}")
-    return concat((a, b), axis=1)
+    return _node(data, tuple(maps), bw)
 
 
 def index_rows(a, idx):
@@ -459,7 +455,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     xq = phases()
     taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
             for i in range(kh) for j in range(kw)]
-    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1), dtype=dtype)
+
+    def taps_weight():
+        return np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1), dtype=dtype)
+
+    wt = taps_weight()
 
     # accumulate into contiguous buffers: numpy adds into strided views are
     # several times slower
@@ -475,7 +475,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     def bw(g):
         # g_pad[far + q] is g at output position q, zero in the dropped
         # columns, so phase position p collects wt^T @ g_pad[far + p - off]
-        xq = phases()
+        xq, wt = phases(), taps_weight()
         far = taps[-1][3]
         g_pad = np.zeros((n, f, far + hq * wq), dtype=dtype)
         g_ext = g_pad[:, :, far:far + length]
@@ -731,38 +731,28 @@ def bilinear_sample(feature_map, sample_grid):
 
 
 def resample_nearest(x, out_hw):
-    """Nearest-neighbor resize of x [N,C,H,W] by an integer factor.
+    """Nearest-neighbor downsample of x [N,C,H,W] by an integer factor.
 
-    Upsampling repeats pixels; downsampling keeps the top-left pixel of each
-    block. Non-integer ratios are a shape error. At the identity shape it
-    returns x itself.
+    Keeps the top-left pixel of each block. Upsampling and non-integer ratios
+    are a shape error. At the identity shape it returns x itself.
     """
     x = _wrap(x)
-    n, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     oh, ow = int(out_hw[0]), int(out_hw[1])
     if oh == h and ow == w:
         return x
-    if oh >= h:
-        if oh % h or ow % w:
-            raise ShapeError(f"resample {h}x{w} -> {oh}x{ow} is not an integer factor")
-        fy, fx = oh // h, ow // w
-        data = np.repeat(np.repeat(x.data, fy, axis=2), fx, axis=3)
-
-        def bw_up(g):
-            return (g.reshape(n, c, h, fy, w, fx).sum(axis=(3, 5)),)
-
-        return _node(data, (x,), bw_up)
-    if h % oh or w % ow:
-        raise ShapeError(f"resample {h}x{w} -> {oh}x{ow} is not an integer factor")
+    if not (0 < oh <= h and 0 < ow <= w) or h % oh or w % ow:
+        raise ShapeError(f"resample {h}x{w} -> {oh}x{ow} is not an integer "
+                         f"downsampling factor")
     fy, fx = h // oh, w // ow
     data = x.data[:, :, ::fy, ::fx].copy()
 
-    def bw_down(g):
+    def bw(g):
         gx = np.zeros_like(x.data)
         gx[:, :, ::fy, ::fx] = g
         return (gx,)
 
-    return _node(data, (x,), bw_down)
+    return _node(data, (x,), bw)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Pillar feature network and the multi-scale BEV neck.
 
-The PFN embeds each cell's valid points (padding rows never enter the
-computation), max-pools per cell, and scatters to a dense pseudo-image.
-The neck runs strided conv stages, resamples every stage back to the output
-resolution, concatenates, and fuses to the final channel width.
+The PFN embeds the flat point rows of every cell, max-pools per cell, and
+scatters to a dense pseudo-image. The neck runs strided conv stages,
+downsamples every stage to the output resolution (the last stage's stride),
+concatenates them once, and fuses to the final channel width.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ class BackboneConfig:
 
 
 class PillarFeatureNet(Module):
-    """Per-point linear -> BN -> ReLU, masked max per cell, scatter to grid."""
+    """Per-point linear -> BN -> ReLU, max per cell, scatter to grid."""
 
     def __init__(self, in_dim, channels, rng):
         super().__init__()
@@ -66,15 +66,12 @@ class PillarFeatureNet(Module):
         p = pillars.num_cells
         if p == 0:
             return ad.Tensor(np.zeros((1, self.channels, h, w)))
-        if pillars.features.shape[2] != self.in_dim:
-            raise ShapeError(f"pillar feature dim {pillars.features.shape[2]} "
+        if pillars.features.shape[1] != self.in_dim:
+            raise ShapeError(f"pillar feature dim {pillars.features.shape[1]} "
                              f"!= configured {self.in_dim}")
         counts = pillars.point_counts
-        valid = np.arange(pillars.features.shape[1])[None, :] < counts[:, None]
-        flat = ad.Tensor(pillars.features[valid])
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        embedded = ad.relu(self.bn(self.linear(flat)))
-        cell_feats = ad.segment_max(embedded, starts)
+        embedded = ad.relu(self.bn(self.linear(ad.Tensor(pillars.features))))
+        cell_feats = ad.segment_max(embedded, np.cumsum(counts) - counts)
         coords = pillars.coords
         if coords.shape[1] == 3:
             # voxel mode: average the per-voxel features over each BEV column
@@ -126,8 +123,5 @@ class Neck(Module):
             for block in stage:
                 cur = block(cur)
             outs.append(conv(ad.resample_nearest(cur, (oh, ow))))
-        cat = outs[0]
-        for other in outs[1:]:
-            cat = ad.concat_channels(cat, other)
-        return self.fuse(cat)
+        return self.fuse(ad.concat_channels(*outs))
 

@@ -83,11 +83,6 @@ def load_config(path, cls):
     return from_dict(cls, data)
 
 
-def save_config(cfg, path):
-    pathlib.Path(path).write_text(json.dumps(to_dict(cfg), indent=2) + "\n",
-                                  encoding="utf-8")
-
-
 def apply_overrides(cfg, assignments):
     """Apply "a.b.c=value" strings on top of a config, returning a new one."""
     for item in assignments:

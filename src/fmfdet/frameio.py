@@ -11,9 +11,11 @@ Frame layout (little-endian):
 
 Point and box payloads are single precision, so only f32-representable values
 round-trip bit-exactly; timestamps and poses are double precision and always
-do. A sequence is a directory of frame_%06d.bin files plus manifest.json
-holding the class names and frame order; every frame entry must name a file
-inside that directory.
+do. Every stored value must be finite: a NaN or Inf in the timestamp, pose,
+points or boxes makes the file a FormatError naming the first bad field.
+A sequence is a directory of frame_%06d.bin files plus manifest.json holding
+the class names and frame order; every frame entry must name a file inside
+that directory.
 """
 from __future__ import annotations
 
@@ -101,6 +103,10 @@ def read_frame(path) -> PointCloudFrame:
     (num_points,) = r.unpack("<I")
     pts = np.frombuffer(r.take(num_points * 16), dtype=_POINT_DTYPE)
     points = pts.reshape(num_points, 4).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: point {bad[0]}: non-finite values "
+                          f"{points[bad[0]].tolist()}")
     (num_boxes,) = r.unpack("<I")
     rec = np.frombuffer(r.take(num_boxes * _BOX_DTYPE.itemsize), dtype=_BOX_DTYPE)
     boxes = []

@@ -83,17 +83,6 @@ class GridConfig:
         return PILLAR_FEATURE_DIM if self.mode == "pillar" else VOXEL_FEATURE_DIM
 
 
-def default_pillar_config() -> GridConfig:
-    """Full-scale pillar grid: 0.32 m cells, 20-point / 60k-pillar caps."""
-    return GridConfig()
-
-
-def default_voxel_config() -> GridConfig:
-    """Full-scale voxel grid: [0.1, 0.1, 0.15] m cells, 10-point / 150k caps."""
-    return GridConfig(cell_size=(0.1, 0.1, 0.15), max_points_per_cell=10,
-                      max_cells=150000, mode="voxel")
-
-
 def desk_pillar_config() -> GridConfig:
     """Pillar preset on a +-12.8 m area (80x80 grid), same cells and caps."""
     return GridConfig(x_range=(-12.8, 12.8), y_range=(-12.8, 12.8))
@@ -108,9 +97,11 @@ def desk_voxel_config() -> GridConfig:
 
 @dataclasses.dataclass
 class PillarTensor:
-    """Occupied cells of one frame.
+    """Occupied cells of one frame, as flat point rows.
 
-    features: [P, N_max, D] with rows beyond point_counts[p] exactly zero;
+    features: [M, D] decorated rows of the kept points, cell by cell in cell
+    order, so cell p owns rows starts[p]:starts[p] + point_counts[p] with
+    starts the exclusive cumulative sum of point_counts;
     coords: [P, 2] (ix, iy) in pillar mode, [P, 3] (ix, iy, iz) in voxel mode;
     grid_dims: (W, H) BEV extent; z_bins: number of z levels (1 for pillars).
     """
@@ -123,7 +114,7 @@ class PillarTensor:
 
     @property
     def num_cells(self):
-        return self.features.shape[0]
+        return self.point_counts.shape[0]
 
 
 def _decorate(pts, coords_per_point, means_per_point, cfg):
@@ -139,24 +130,10 @@ def _decorate(pts, coords_per_point, means_per_point, cfg):
 def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTensor:
     w, h, z = cfg.dims
     n_max = cfg.max_points_per_cell
-    d = cfg.feature_dim
-    pts = frame.points
-
-    def empty():
-        ncoord = 2 if cfg.mode == "pillar" else 3
-        return PillarTensor(np.zeros((0, n_max, d)), np.zeros((0, ncoord), np.int64),
-                            np.zeros(0, np.int64), (w, h),
-                            1 if cfg.mode == "pillar" else z)
-
-    if pts.shape[0] == 0:
-        return empty()
-
     mins = np.array([cfg.x_range[0], cfg.y_range[0], cfg.z_range[0]])
     maxs = np.array([cfg.x_range[1], cfg.y_range[1], cfg.z_range[1]])
-    in_range = np.all((pts[:, :3] >= mins) & (pts[:, :3] < maxs), axis=1)
-    pts = pts[in_range]
-    if pts.shape[0] == 0:
-        return empty()
+    pts = frame.points
+    pts = pts[np.all((pts[:, :3] >= mins) & (pts[:, :3] < maxs), axis=1)]
 
     cells = np.floor((pts[:, :3] - mins) / np.array(cfg.cell_size)).astype(np.int64)
     if cfg.mode == "pillar":
@@ -187,30 +164,12 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
         cell_mask[kept_cells] = True
         keep &= np.repeat(cell_mask, counts)
         capped_counts = capped_counts[cell_mask]
-        uniq_keys = uniq_keys[cell_mask]
 
     pts = pts[keep]
     cells = cells[keep]
-    p_actual = uniq_keys.size
-    if p_actual == 0:
-        return empty()
-
-    cell_rank = np.repeat(np.arange(p_actual), capped_counts)
-    offsets = np.concatenate([[0], np.cumsum(capped_counts)[:-1]])
-    row_within = np.arange(pts.shape[0]) - np.repeat(offsets, capped_counts)
-
-    sums = np.add.reduceat(pts[:, :3], offsets, axis=0)
-    means = sums / capped_counts[:, None]
-    decorated = _decorate(pts, cells, means[cell_rank], cfg)
-
-    features = np.zeros((p_actual, n_max, d))
-    features[cell_rank, row_within] = decorated
-
-    first = offsets
+    offsets = np.cumsum(capped_counts) - capped_counts
+    means = np.add.reduceat(pts[:, :3], offsets, axis=0) / capped_counts[:, None]
+    features = _decorate(pts, cells, np.repeat(means, capped_counts, axis=0), cfg)
     if cfg.mode == "pillar":
-        coords = cells[first][:, :2]
-    else:
-        coords = cells[first]
-    return PillarTensor(features, coords.astype(np.int64),
-                        capped_counts.astype(np.int64), (w, h),
-                        1 if cfg.mode == "pillar" else z)
+        return PillarTensor(features, cells[offsets, :2], capped_counts, (w, h))
+    return PillarTensor(features, cells[offsets], capped_counts, (w, h), z)

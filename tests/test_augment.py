@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fmfdet.augment import (AugmentConfig, AugTransform, apply_transform,
-                            augment, sample_transform)
+                            sample_transform)
 from fmfdet.geometry import Pose2D, relative_pose, rot2d
 from fmfdet.scene import Box3D, PointCloudFrame
 
@@ -139,13 +139,17 @@ class TestLabelConsistency:
 class TestSampling:
     def test_seed_determinism(self):
         f = demo_frame()
-        a = augment(f, seed=7)
-        b = augment(f, seed=7)
+        a = apply_transform(f, sample_transform(np.random.default_rng(7),
+                                                AugmentConfig()))
+        b = apply_transform(f, sample_transform(np.random.default_rng(7),
+                                                AugmentConfig()))
         assert a == b
 
     def test_disabled_config_is_identity(self):
         f = demo_frame()
-        out = augment(f, seed=3, cfg=AugmentConfig(enabled=False))
+        tf = sample_transform(np.random.default_rng(3),
+                              AugmentConfig(enabled=False))
+        out = apply_transform(f, tf)
         assert np.array_equal(out.points, f.points)
         for a, b in zip(out.gt_boxes, f.gt_boxes):
             assert np.abs(a.as_array() - b.as_array()).max() < 1e-12

@@ -4,6 +4,7 @@ Exhaustive finite-difference coverage lives in fmfdet.gradcheck.
 """
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -147,13 +148,21 @@ class TestForwardSemantics:
         out = ad.bilinear_sample(m, grid)
         assert np.array_equal(out.data[0, 0, 0], [0.0, 0.0])
 
-    def test_resample_round_trip_up_down(self):
-        x = leaf(np.arange(12.0).reshape(1, 1, 3, 4))
-        up = ad.resample_nearest(x, (6, 8))
-        down = ad.resample_nearest(up, (3, 4))
-        assert np.array_equal(down.data, x.data)
+    def test_resample_down_keeps_block_corners_and_rejects_up(self):
+        x = leaf(np.arange(48.0).reshape(1, 1, 6, 8))
+        down = ad.resample_nearest(x, (3, 2))
+        assert np.array_equal(down.data[0, 0], [[0.0, 4.0], [16.0, 20.0],
+                                                [32.0, 36.0]])
+        for bad in ((5, 4), (12, 16), (6, 16), (0, 4)):
+            with pytest.raises(ShapeError):
+                ad.resample_nearest(x, bad)
+
+    def test_concat_channels_checks_every_map(self):
+        a, b = leaf(np.zeros((1, 2, 3, 3))), leaf(np.ones((1, 1, 3, 3)))
+        cat = ad.concat_channels(a, b, a)
+        assert np.array_equal(cat.data[0, :, 0, 0], [0.0, 0.0, 1.0, 0.0, 0.0])
         with pytest.raises(ShapeError):
-            ad.resample_nearest(x, (5, 4))
+            ad.concat_channels(a, b, leaf(np.zeros((1, 1, 3, 4))))
 
     def test_resample_identity_returns_input(self):
         x = leaf(np.arange(12.0).reshape(1, 1, 3, 4))
@@ -229,6 +238,22 @@ class TestBackwardMechanics:
             tracemalloc.stop()
         assert out._backward_fn is not None
         assert retained <= 3.5 * x.data.nbytes
+
+    def test_conv2d_backward_saves_no_array(self):
+        """conv2d's backward holds its parents, not copies of them: no closure
+        cell of its backward function (or of a helper it calls) is an array."""
+        rng = np.random.default_rng(4)
+        out = ad.conv2d(leaf(rng.normal(size=(2, 3, 6, 6))),
+                        leaf(rng.normal(size=(4, 3, 3, 3))),
+                        leaf(rng.normal(size=4)), stride=2, padding=1)
+        fns, saved = [out._backward_fn], []
+        while fns:
+            for cell in fns.pop().__closure__ or ():
+                saved.append(cell.cell_contents)
+                if isinstance(saved[-1], types.FunctionType):
+                    fns.append(saved[-1])
+        assert saved
+        assert not any(isinstance(v, np.ndarray) for v in saved)
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError):

@@ -50,19 +50,6 @@ class TestPillarFeatureNet:
         mask[5, 3] = True
         assert not out[0, :, ~mask].any()
 
-    def test_padding_rows_never_enter_computation(self):
-        rng = np.random.default_rng(2)
-        pts = np.concatenate([rng.uniform(-1.2, 1.2, size=(30, 2)),
-                              rng.uniform(-1.9, 3.9, size=(30, 1)),
-                              rng.uniform(0, 1, size=(30, 1))], axis=1)
-        pillars = voxelize(frame_of(pts), tiny_grid())
-        pfn = PillarFeatureNet(9, 8, np.random.default_rng(3))
-        clean = pfn(pillars).data.copy()
-        for p in range(pillars.num_cells):
-            pillars.features[p, pillars.point_counts[p]:] = 1e9
-        poisoned = pfn(pillars).data
-        assert np.array_equal(clean, poisoned)
-
     def test_feature_dim_mismatch_raises(self):
         pillars = voxelize(frame_of([[0.0, 0.0, 0.0, 0.1]]), desk_voxel_config())
         pfn = PillarFeatureNet(9, 8, np.random.default_rng(0))

@@ -18,7 +18,7 @@ from fmfdet.backbone import BackboneConfig
 from fmfdet.augment import AugmentConfig
 from fmfdet.bench import bench
 from fmfdet.cli import load_dataset, main
-from fmfdet.config import save_config
+from fmfdet.config import to_dict
 from fmfdet.fmf import FMFConfig
 from fmfdet.frameio import read_frame, write_frame
 from fmfdet.geometry import Pose2D
@@ -58,7 +58,7 @@ def workspace(tmp_path_factory):
                  "--out", str(data)]) == 0
 
     cfg_path = root / "train.json"
-    save_config(tiny_train_config(), cfg_path)
+    cfg_path.write_text(json.dumps(to_dict(tiny_train_config())))
     ckpt = root / "model.npz"
     assert main(["train", "--config", str(cfg_path), "--data", str(data),
                  "--out", str(ckpt)]) == 0
@@ -72,18 +72,22 @@ def workspace(tmp_path_factory):
 
 def poisoned_copy(data, out, field, value):
     """Copy a dataset and set one field of seq_000's second frame to `value`:
-    the timestamp, the ego pose's x, or a field of its first box."""
+    the timestamp, the ego pose's x, the intensity of its third point, or a
+    field of its first box."""
     shutil.copytree(data, out)
     path = out / "seq_000" / "frame_000001.bin"
     f = read_frame(path)
     ts, pose, boxes = f.timestamp, f.ego_pose, list(f.gt_boxes)
+    points = f.points.copy()
     if field == "timestamp":
         ts = value
+    elif field == "intensity":
+        points[2, 3] = value
     elif field == "pose":
         pose = Pose2D(value, pose.y, pose.yaw)
     else:
         boxes[0] = dataclasses.replace(boxes[0], **{field: value})
-    write_frame(PointCloudFrame(f.points, ts, pose, boxes), path)
+    write_frame(PointCloudFrame(points, ts, pose, boxes), path)
     return path
 
 
@@ -151,14 +155,18 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value", [
         ("cx", float("nan")), ("cx", float("inf")), ("yaw", float("nan")),
-        ("pose", float("nan")), ("timestamp", float("nan"))])
+        ("pose", float("nan")), ("timestamp", float("nan")),
+        ("intensity", float("nan"))])
     def test_non_finite_frame_is_format_error(self, workspace, tmp_path,
                                               capsys, field, value):
         bad = poisoned_copy(workspace["data"], tmp_path / "data", field, value)
         assert main(["train", "--config", str(workspace["cfg"]),
                      "--data", str(tmp_path / "data"),
                      "--out", str(tmp_path / "m.npz")]) == 3
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        if field == "intensity":
+            assert "point 2" in err
 
     @pytest.mark.parametrize("key,value", [("frames", 3), ("frames", [1, 2]),
                                            ("class_names", "car"),
@@ -249,6 +257,15 @@ class TestInferEval:
                      "--data", str(tmp_path / "data"),
                      "--out", str(tmp_path / "d.jsonl")]) == 3
         assert str(bad) in capsys.readouterr().err
+
+    def test_non_finite_point_is_format_error(self, workspace, tmp_path, capsys):
+        bad = poisoned_copy(workspace["data"], tmp_path / "data", "intensity",
+                            float("nan"))
+        assert main(["infer", "--ckpt", str(workspace["ckpt"]),
+                     "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "d.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "point 2" in err
 
     def test_class_mismatch_is_config_error(self, workspace, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -355,7 +372,8 @@ class TestBench:
 class TestAblate:
     def test_fusion_onoff_report(self, workspace, tmp_path, capsys):
         cfg_b = tmp_path / "b.json"
-        save_config(tiny_train_config(fmf=FMFConfig(enabled=False)), cfg_b)
+        cfg_b.write_text(json.dumps(to_dict(
+            tiny_train_config(fmf=FMFConfig(enabled=False)))))
         report_path = tmp_path / "ablation.json"
         assert main(["ablate", "--config-a", str(workspace["cfg"]),
                      "--config-b", str(cfg_b),
@@ -374,7 +392,7 @@ class TestAblate:
 
     def test_non_fmf_difference_is_config_error(self, workspace, tmp_path):
         cfg_b = tmp_path / "b.json"
-        save_config(tiny_train_config(head_channels=12), cfg_b)
+        cfg_b.write_text(json.dumps(to_dict(tiny_train_config(head_channels=12))))
         assert main(["ablate", "--config-a", str(workspace["cfg"]),
                      "--config-b", str(cfg_b),
                      "--train-data", str(workspace["data"]),

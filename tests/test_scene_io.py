@@ -102,23 +102,31 @@ class TestFrameFormat:
 
     @pytest.mark.parametrize("field,value", [
         ("timestamp", math.nan), ("timestamp", math.inf), ("pose", math.nan),
-        ("cx", math.nan), ("cx", math.inf), ("yaw", math.nan), ("w", math.inf)])
+        ("cx", math.nan), ("cx", math.inf), ("yaw", math.nan), ("w", math.inf),
+        ("point_x", math.inf), ("point_z", -math.inf),
+        ("point_intensity", math.nan)])
     def test_non_finite_field_is_format_error(self, tmp_path, field, value):
         box = Box3D(0, 0, 0, 1, 1, 1, 0.0)
         boxes = [box, box]
         ts, pose = 0.5, Pose2D(1.0, 2.0, 0.5)
+        points = np.zeros((5, 4))
         if field == "timestamp":
             ts = value
         elif field == "pose":
             pose = Pose2D(1.0, value, 0.5)
+        elif field.startswith("point_"):
+            points[3, ("x", "y", "z", "intensity").index(field[6:])] = value
+            points[4, 3] = math.nan
         else:
             boxes[1] = dataclasses.replace(box, **{field: value})
         path = tmp_path / "f.bin"
-        write_frame(PointCloudFrame(np.zeros((0, 4)), ts, pose, boxes), path)
+        write_frame(PointCloudFrame(points, ts, pose, boxes), path)
         with pytest.raises(FormatError) as err:
             read_frame(path)
         assert str(path) in str(err.value)
-        if field not in ("timestamp", "pose"):
+        if field.startswith("point_"):
+            assert "point 3" in str(err.value)
+        elif field not in ("timestamp", "pose"):
             assert "box 1" in str(err.value)
 
     def test_magic_is_the_documented_constant(self):

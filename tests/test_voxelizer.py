@@ -9,13 +9,22 @@ from hypothesis import strategies as st
 from fmfdet.errors import ConfigError
 from fmfdet.scene import PointCloudFrame
 from fmfdet.voxelizer import (PILLAR_FEATURE_DIM, VOXEL_FEATURE_DIM,
-                              GridConfig, default_pillar_config,
-                              default_voxel_config, desk_pillar_config,
+                              GridConfig, desk_pillar_config,
                               desk_voxel_config, voxelize)
+
+FULL_PILLAR = GridConfig()
+FULL_VOXEL = GridConfig(cell_size=(0.1, 0.1, 0.15), max_points_per_cell=10,
+                        max_cells=150000, mode="voxel")
 
 
 def frame_of(rows):
     return PointCloudFrame(np.asarray(rows, dtype=np.float64).reshape(-1, 4), 0.0)
+
+
+def cell_rows(out, p):
+    """Feature rows of cell p: a contiguous run of the flat rows."""
+    start = int(out.point_counts[:p].sum())
+    return out.features[start:start + out.point_counts[p]]
 
 
 def brute_bins(points, cfg):
@@ -34,9 +43,9 @@ def brute_bins(points, cfg):
 
 class TestGridConfig:
     def test_default_grid_dims(self):
-        assert default_pillar_config().dims == (320, 320, 1)
+        assert FULL_PILLAR.dims == (320, 320, 1)
         assert desk_pillar_config().dims == (80, 80, 1)
-        assert default_voxel_config().dims == (1024, 1024, 40)
+        assert FULL_VOXEL.dims == (1024, 1024, 40)
         assert desk_voxel_config().dims == (256, 256, 40)
 
     def test_feature_dims_per_mode(self):
@@ -64,8 +73,7 @@ class TestGridConfig:
 
 class TestBinning:
     def test_index_arithmetic_on_known_points(self):
-        cfg = default_pillar_config()
-        out = voxelize(frame_of([[0.0, 0.0, 0.0, 0.1]]), cfg)
+        out = voxelize(frame_of([[0.0, 0.0, 0.0, 0.1]]), FULL_PILLAR)
         assert out.coords.tolist() == [[160, 160]]
         cfg = desk_pillar_config()
         out = voxelize(frame_of([[0.0, 0.0, 0.0, 0.1],
@@ -95,8 +103,10 @@ class TestBinning:
     def test_empty_frame_gives_empty_tensor(self):
         cfg = desk_pillar_config()
         out = voxelize(PointCloudFrame(np.zeros((0, 4)), 0.0), cfg)
-        assert out.features.shape == (0, cfg.max_points_per_cell, 9)
+        assert out.features.shape == (0, 9)
         assert out.coords.shape == (0, 2)
+        assert out.point_counts.shape == (0,)
+        assert out.num_cells == 0
         assert out.grid_dims == (80, 80)
         assert out.z_bins == 1
 
@@ -104,6 +114,7 @@ class TestBinning:
         cfg = desk_pillar_config()
         out = voxelize(frame_of([[100.0, 0.0, 0.0, 0.1]]), cfg)
         assert out.num_cells == 0
+        assert out.features.shape == (0, 9)
 
     @given(pts=st.lists(st.tuples(
         st.floats(-12.7, 12.7), st.floats(-12.7, 12.7),
@@ -115,11 +126,10 @@ class TestBinning:
         expect = brute_bins(np.array(pts).reshape(-1, 4), cfg)
         got_keys = {tuple(c) for c in out.coords.tolist()}
         assert got_keys == set(expect)
+        assert out.features.shape == (out.point_counts.sum(), 9)
         for p, key in enumerate(map(tuple, out.coords.tolist())):
-            n = out.point_counts[p]
-            rows = {tuple(r) for r in out.features[p, :n, :4].tolist()}
+            rows = {tuple(r) for r in cell_rows(out, p)[:, :4].tolist()}
             assert rows == set(expect[key])
-            assert not out.features[p, n:].any()
 
     def test_voxel_mode_bins_in_three_axes(self):
         cfg = desk_voxel_config()
@@ -127,7 +137,7 @@ class TestBinning:
                                  [0.0, 0.0, 0.0, 0.2]]), cfg)
         assert out.z_bins == 40
         assert sorted(out.coords.tolist()) == [[128, 128, 0], [128, 128, 13]]
-        assert out.features.shape[2] == 7
+        assert out.features.shape == (2, 7)
 
 
 class TestDecoration:
@@ -139,13 +149,15 @@ class TestDecoration:
         cc = -12.8 + 40.5 * 0.32  # center of cell (40, 40) on both axes
         row0 = [0.0, 0.0, 1.0, 0.5, -0.05, -0.05, 0.25, -cc, -cc]
         row1 = [0.1, 0.1, 0.5, 0.2, 0.05, 0.05, -0.25, 0.1 - cc, 0.1 - cc]
-        assert np.allclose(out.features[0, 0], row0, atol=1e-12)
-        assert np.allclose(out.features[0, 1], row1, atol=1e-12)
+        assert out.features.shape == (2, 9)
+        assert np.allclose(out.features[0], row0, atol=1e-12)
+        assert np.allclose(out.features[1], row1, atol=1e-12)
 
     def test_voxel_feature_layout_omits_cell_center(self):
         cfg = desk_voxel_config()
         out = voxelize(frame_of([[0.01, 0.02, 0.03, 0.9]]), cfg)
-        row = out.features[0, 0]
+        assert out.features.shape == (1, 7)
+        row = out.features[0]
         assert np.allclose(row[:4], [0.01, 0.02, 0.03, 0.9])
         assert np.allclose(row[4:], 0.0)  # single point: offsets to own mean
 
@@ -156,8 +168,7 @@ class TestDecoration:
         out = voxelize(frame_of(pts), desk_pillar_config())
         assert out.num_cells > 0
         for p in range(out.num_cells):
-            n = out.point_counts[p]
-            assert np.allclose(out.features[p, :n, 4:7].sum(axis=0), 0.0,
+            assert np.allclose(cell_rows(out, p)[:, 4:7].sum(axis=0), 0.0,
                                atol=1e-12)
 
 
@@ -172,9 +183,10 @@ class TestCaps:
                               rng.uniform(0, 1, size=(20, 1))], axis=1)
         out = voxelize(frame_of(pts), self.one_cell, seed=1)
         assert out.point_counts.tolist() == [5]
-        kept = {tuple(r) for r in out.features[0, :5, :4].tolist()}
+        assert out.features.shape == (5, 9)
+        kept = {tuple(r) for r in out.features[:, :4].tolist()}
+        assert len(kept) == 5
         assert kept <= {tuple(r) for r in pts.tolist()}
-        assert not out.features[0, 5:].any()
 
     def test_cell_cap_keeps_subset_of_cells(self):
         cfg = GridConfig(x_range=(-12.8, 12.8), y_range=(-12.8, 12.8),
