@@ -17,12 +17,6 @@ _DEFAULT_TRAIN_SEQUENCES = 2
 _DEFAULT_EVAL_SEQUENCES = 2
 
 
-def _non_fmf_dict(cfg: TrainConfig):
-    d = to_dict(cfg)
-    d.pop("fmf", None)
-    return d
-
-
 def default_scene_spec(seed=0, num_frames=10):
     return dataclasses.replace(SceneSpec(), seed=seed, num_frames=num_frames,
                                ego_speed=0.4)
@@ -54,7 +48,7 @@ def ablation_run(cfg_a: TrainConfig, cfg_b: TrainConfig, train_scenes=None,
     sets are not supplied, deterministic synthetic ones are generated from
     data_seed.
     """
-    if _non_fmf_dict(cfg_a) != _non_fmf_dict(cfg_b):
+    if dataclasses.replace(cfg_a, fmf=cfg_b.fmf) != cfg_b:
         raise ConfigError("ablation configs may differ only in fmf settings")
     if train_scenes is None:
         train_scenes = make_scene_set(data_seed, _DEFAULT_TRAIN_SEQUENCES)

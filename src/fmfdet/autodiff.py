@@ -63,9 +63,10 @@ class Tensor:
     """N-dimensional value with an optional gradient.
 
     ``grad`` is populated by ``backward`` and accumulates across calls until
-    ``zero_grad`` (or manual reset). Tensors produced by ops are treated as
-    immutable; mutate ``data`` only on leaves you own, and only once the
-    backward through them has run (e.g. optimizer steps, which rebind it).
+    its owner resets it (e.g. ``AdamW.zero_grad``). Tensors produced by ops
+    are treated as immutable; mutate ``data`` only on leaves you own, and
+    only once the backward through them has run (e.g. optimizer steps, which
+    rebind it).
     After ``backward`` an op result keeps its ``data`` but no longer its
     parents or backward function.
     """
@@ -85,10 +86,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def size(self):
         return self.data.size
 
@@ -99,17 +96,11 @@ class Tensor:
     def _needs_grad(self):
         return self.requires_grad or self._backward_fn is not None
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
         return add(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return neg(self)
 
     def __sub__(self, other):
         return add(self, neg(_wrap(other)))
@@ -127,20 +118,8 @@ class Tensor:
             return mul(self, pow(other, -1.0))
         return mul(self, 1.0 / float(other))
 
-    def __pow__(self, exponent):
-        return pow(self, exponent)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def backward(self):
-        backward(self)
 
 
 def _wrap(x):

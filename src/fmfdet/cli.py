@@ -14,7 +14,7 @@ import zipfile
 
 from .ablate import ablation_run, format_ablation
 from .bench import bench
-from .config import apply_overrides, from_dict, load_config
+from .config import apply_overrides, from_dict, load_config, read_json_object
 from .decode import MatchConfig
 from .errors import ConfigError, DataError, DivergenceError, FormatError
 from .frameio import MANIFEST_NAME, read_sequence, write_sequence
@@ -51,15 +51,7 @@ def _load_checkpoint_file(path):
 
 
 def cmd_gen_data(args):
-    p = pathlib.Path(args.spec)
-    if not p.is_file():
-        raise ConfigError(f"spec file not found: {args.spec}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{args.spec}: invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ConfigError(f"{args.spec}: expected a JSON object")
+    data = read_json_object(args.spec)
     count = data.pop("count", 1)
     if not isinstance(count, int) or count < 1:
         raise ConfigError("count must be a positive integer")

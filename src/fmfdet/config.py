@@ -1,8 +1,11 @@
 """Dataclass <-> JSON config plumbing and dotted-path overrides.
 
-Configs are nested frozen dataclasses with full defaults, so a file only
-needs the fields it changes. Overrides take the form "a.b.c=value" with the
-value parsed as JSON when possible (falling back to a raw string).
+Configs are nested frozen dataclasses with full defaults. Config files,
+checkpoints, scene specs and "a.b.c=value" overrides all merge through
+`from_dict`: each named field replaces its value in the base, and a nested
+section merges onto the base's current value of that section, so a dict only
+needs the fields it changes. Override values are parsed as JSON when possible
+(falling back to a raw string).
 """
 from __future__ import annotations
 
@@ -29,9 +32,7 @@ def to_dict(cfg):
 
 def _coerce(template, value, path):
     if dataclasses.is_dataclass(template):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}: expected an object")
-        return from_dict(type(template), value, path)
+        return from_dict(template, value, path)
     if isinstance(template, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list")
@@ -53,34 +54,43 @@ def _coerce(template, value, path):
     return value
 
 
-def from_dict(cls, data, path=""):
-    """Build a dataclass from a (possibly partial) dict, validating keys."""
+def from_dict(base, data, path=""):
+    """Merge a (possibly partial) dict onto `base`, a config class (meaning
+    its defaults) or a config instance, validating keys and types."""
+    if isinstance(base, type):
+        base = base()
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or cls.__name__}: expected an object")
-    base = cls()
-    names = {f.name for f in dataclasses.fields(cls)}
+        raise ConfigError(f"{path or type(base).__name__}: expected an object")
+    names = {f.name for f in dataclasses.fields(base)}
     kwargs = {}
     for key, value in data.items():
-        if key not in names:
-            raise ConfigError(f"unknown config key "
-                              f"{(path + '.' if path else '') + key!s}")
         sub = (path + "." if path else "") + key
+        if key not in names:
+            raise ConfigError(f"unknown config key {sub}")
         kwargs[key] = _coerce(getattr(base, key), value, sub)
     try:
         return dataclasses.replace(base, **kwargs)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path or cls.__name__}: {e}") from e
+        raise ConfigError(f"{path or type(base).__name__}: {e}") from e
 
 
-def load_config(path, cls):
+def read_json_object(path):
+    """Parse a JSON file that holds one object; ConfigError names the path
+    when the file is missing, is not valid JSON or is not an object."""
     p = pathlib.Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    return from_dict(cls, data)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return data
+
+
+def load_config(path, cls):
+    return from_dict(cls, read_json_object(path))
 
 
 def apply_overrides(cfg, assignments):
@@ -96,20 +106,7 @@ def apply_overrides(cfg, assignments):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        cfg = _set_path(cfg, parts, value, key.strip())
+        for part in reversed(parts):
+            value = {part: value}
+        cfg = from_dict(cfg, value)
     return cfg
-
-
-def _set_path(cfg, parts, value, full_key):
-    name = parts[0]
-    if not dataclasses.is_dataclass(cfg) or name not in {f.name for f in dataclasses.fields(cfg)}:
-        raise ConfigError(f"unknown config key {full_key!r}")
-    current = getattr(cfg, name)
-    if len(parts) == 1:
-        new = _coerce(current, value, full_key)
-    else:
-        new = _set_path(current, parts[1:], value, full_key)
-    try:
-        return dataclasses.replace(cfg, **{name: new})
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{full_key}: {e}") from e

@@ -308,11 +308,7 @@ def check_pipeline(full=False, seed=0, h=_H):
     target = render_targets(cur.gt_boxes, model.geometry, len(seq.class_names),
                             cfg.min_overlap)
 
-    snapshot = {n: getter().copy() for n, getter, _ in model.named_buffers()}
-
     def forward():
-        for n, _getter, setter in model.named_buffers():
-            setter(snapshot[n].copy())
         out = model.forward_pair(prev, cur, vox_seeds=(11, 12))
         l_hm = focal_loss(out.heatmap, target, cfg.focal)
         return total_loss(l_hm, *regression_losses(out, target),

@@ -223,7 +223,10 @@ def read_detections(path, class_names, num_frames):
         except json.JSONDecodeError as e:
             raise DataError(f"{path}:{ln}: invalid JSON record: {e}") from e
         try:
-            fi = int(rec["frame"])
+            fi = rec["frame"]
+            if isinstance(fi, bool) or not isinstance(fi, int):
+                raise DataError(f"{path}:{ln}: frame index {fi!r} is not an "
+                                f"integer")
             cid = name_to_id[rec["class"]]
             cx, cy, cz = map(float, rec["center"])
             w, l, h = map(float, rec["size"])

@@ -114,65 +114,60 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     total_steps = min(planned, cfg.max_steps) if cfg.max_steps else planned
 
     rng = np.random.default_rng(cfg.seed)
-    step = 0
     trace = []
-    for _epoch in range(cfg.epochs):
-        if step >= total_steps:
-            break
-        order = rng.permutation(len(pairs))
-        for b in range(n_batches):
-            if step >= total_steps:
-                break
-            batch = [pairs[i] for i in order[b * cfg.batch_size:
-                                             (b + 1) * cfg.batch_size]]
-            lr, momentum = one_cycle_lr(step, total_steps, cfg.lr_init,
-                                        cfg.momentum_range)
-            opt.lr = lr
-            opt.beta1 = momentum
+    for step in range(total_steps):
+        b = step % n_batches
+        if b == 0:
+            order = rng.permutation(len(pairs))
+        batch = [pairs[i] for i in order[b * cfg.batch_size:
+                                         (b + 1) * cfg.batch_size]]
+        lr, momentum = one_cycle_lr(step, total_steps, cfg.lr_init,
+                                    cfg.momentum_range)
+        opt.lr = lr
+        opt.beta1 = momentum
 
-            sums = None
-            for si, tp, tc in batch:
-                seeds = rng.integers(0, 2 ** 31 - 1, size=3)
-                prev = scenes[si].frames[tp]
-                cur = scenes[si].frames[tc]
-                if cfg.augment.enabled:
-                    tf = sample_transform(np.random.default_rng(seeds[0]),
-                                          cfg.augment)
-                    prev = apply_transform(prev, tf)
-                    cur = apply_transform(cur, tf)
-                out = model.forward_pair(prev, cur,
-                                         vox_seeds=(int(seeds[1]),
-                                                    int(seeds[2])))
-                target = render_targets(cur.gt_boxes, model.geometry,
-                                        len(class_names), cfg.min_overlap)
-                l_hm = focal_loss(out.heatmap, target, cfg.focal)
-                comps = (l_hm,) + regression_losses(out, target)
-                sums = comps if sums is None else tuple(
-                    ad.add(a, c) for a, c in zip(sums, comps))
+        sums = None
+        for si, tp, tc in batch:
+            seeds = rng.integers(0, 2 ** 31 - 1, size=3)
+            prev = scenes[si].frames[tp]
+            cur = scenes[si].frames[tc]
+            if cfg.augment.enabled:
+                tf = sample_transform(np.random.default_rng(seeds[0]),
+                                      cfg.augment)
+                prev = apply_transform(prev, tf)
+                cur = apply_transform(cur, tf)
+            out = model.forward_pair(prev, cur,
+                                     vox_seeds=(int(seeds[1]),
+                                                int(seeds[2])))
+            target = render_targets(cur.gt_boxes, model.geometry,
+                                    len(class_names), cfg.min_overlap)
+            l_hm = focal_loss(out.heatmap, target, cfg.focal)
+            comps = (l_hm,) + regression_losses(out, target)
+            sums = comps if sums is None else tuple(
+                ad.add(a, c) for a, c in zip(sums, comps))
 
-            scale = 1.0 / len(batch)
-            means = tuple(ad.mul(s, scale) for s in sums)
-            loss = total_loss(*means, cfg.loss_weights)
+        scale = 1.0 / len(batch)
+        means = tuple(ad.mul(s, scale) for s in sums)
+        loss = total_loss(*means, cfg.loss_weights)
 
-            values = [m.item() for m in means] + [loss.item()]
-            if not all(np.isfinite(values)):
-                raise DivergenceError(f"non-finite loss at step {step}: "
-                                      f"{values}")
-            ad.backward(loss)
-            grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                                      for p in model.parameters()
-                                      if p.grad is not None))
-            if not math.isfinite(grad_norm):
-                raise DivergenceError(f"non-finite gradient norm at step "
-                                      f"{step}: {grad_norm}")
-            opt.step()
-            opt.zero_grad()
+        values = [m.item() for m in means] + [loss.item()]
+        if not all(np.isfinite(values)):
+            raise DivergenceError(f"non-finite loss at step {step}: "
+                                  f"{values}")
+        ad.backward(loss)
+        grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                  for p in model.parameters()
+                                  if p.grad is not None))
+        if not math.isfinite(grad_norm):
+            raise DivergenceError(f"non-finite gradient norm at step "
+                                  f"{step}: {grad_norm}")
+        opt.step()
+        opt.zero_grad()
 
-            trace.append((step, lr) + tuple(values))
-            if print_every and step % print_every == 0:
-                print(f"step {step}/{total_steps} lr {lr:.6f} "
-                      f"loss {values[-1]:.6f}")
-            step += 1
+        trace.append((step, lr) + tuple(values))
+        if print_every and step % print_every == 0:
+            print(f"step {step}/{total_steps} lr {lr:.6f} "
+                  f"loss {values[-1]:.6f}")
 
     if trace_path is not None:
         write_trace(trace_path, trace)

@@ -1,11 +1,12 @@
 """Point-cloud binning into capped, decorated pillars or voxels.
 
 Cells are half-open along every axis: a point exactly on a max-range boundary
-is discarded, so floor((p - min)/cell) always lands in-grid. When a cell holds
-more points than the cap, or the frame more occupied cells than max_cells,
-survivors are drawn by seeded uniform sampling without replacement; cells are
-processed in ascending flat-key order so the result is a pure function of
-(frame, config, seed).
+is discarded, and a cell index floor((p - min)/cell) that rounds up to the
+cell count is clamped to the last cell, so every kept point lands in-grid.
+When a cell holds more points than the cap, or the frame more occupied cells
+than max_cells, survivors are drawn by seeded uniform sampling without
+replacement; cells are processed in ascending flat-key order so the result is
+a pure function of (frame, config, seed).
 """
 from __future__ import annotations
 
@@ -136,6 +137,7 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
     pts = pts[np.all((pts[:, :3] >= mins) & (pts[:, :3] < maxs), axis=1)]
 
     cells = np.floor((pts[:, :3] - mins) / np.array(cfg.cell_size)).astype(np.int64)
+    cells = np.minimum(cells, np.array([w - 1, h - 1, z - 1]))
     if cfg.mode == "pillar":
         keys = cells[:, 1] * w + cells[:, 0]
     else:

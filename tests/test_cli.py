@@ -26,7 +26,7 @@ from fmfdet.metrics import read_detections
 from fmfdet.model import run_inference
 from fmfdet.scene import PointCloudFrame
 from fmfdet.train import TrainConfig, load_checkpoint, read_trace
-from fmfdet.voxelizer import GridConfig
+from fmfdet.voxelizer import GridConfig, desk_pillar_config
 
 TINY_SPEC = {
     "num_frames": 4, "num_objects": 2, "range": 3.2, "margin": 1.0,
@@ -141,6 +141,21 @@ class TestTrain:
                      "--set", "lr_init=0.001"]) == 0
         _, cfg, _, step, _ = load_checkpoint(ckpt)
         assert step == 2 and cfg.lr_init == 0.001
+
+    def test_partial_grid_section_merges_onto_desk_grid(self, workspace,
+                                                        tmp_path):
+        cfg = dict(to_dict(tiny_train_config()), max_steps=1,
+                   grid={"max_points_per_cell": 16})
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(cfg))
+        ckpt = tmp_path / "m.npz"
+        assert main(["train", "--config", str(path),
+                     "--data", str(workspace["data"]),
+                     "--out", str(ckpt)]) == 0
+        _, loaded, _, _, _ = load_checkpoint(ckpt)
+        assert loaded.grid.dims == (80, 80, 1)
+        assert loaded.grid == dataclasses.replace(desk_pillar_config(),
+                                                  max_points_per_cell=16)
 
     def test_missing_data_dir_is_data_error(self, workspace, tmp_path):
         assert main(["train", "--config", str(workspace["cfg"]),
@@ -312,6 +327,17 @@ class TestInferEval:
         assert main(["eval", "--dets", str(dets),
                      "--data", str(workspace["data"])]) == 3
         assert capsys.readouterr().err.startswith(f"data error: {dets}:")
+
+    def test_eval_non_integer_frame_is_data_error(self, workspace, tmp_path,
+                                                  capsys):
+        rec = {"frame": 1.7, "class": "car", "score": 0.5,
+               "center": [0.0, 0.0, 0.0], "size": [1.0, 2.0, 1.5],
+               "yaw": 0.0, "velocity": [0.0, 0.0]}
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps(rec) + "\n")
+        assert main(["eval", "--dets", str(dets),
+                     "--data", str(workspace["data"])]) == 3
+        assert "frame index 1.7 is not an integer" in capsys.readouterr().err
 
     def test_eval_non_positive_box_size_is_format_error(self, workspace,
                                                         tmp_path, capsys):

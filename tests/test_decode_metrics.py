@@ -1,5 +1,6 @@
 """Peak decoding and the detection metric stack against brute-force oracles."""
 import bisect
+import json
 import math
 
 import numpy as np
@@ -359,6 +360,16 @@ class TestDetectionFiles:
         write_detections(frames, ("car",), path)
         with pytest.raises(DataError):
             read_detections(path, ("car",), 1)
+
+    @pytest.mark.parametrize("frame", [1.7, True, "2"])
+    def test_non_integer_frame_rejected(self, tmp_path, frame):
+        path = tmp_path / "dets.jsonl"
+        write_detections([[Detection(box_at(0, 0), 0.5, 0)]], ("car",), path)
+        rec = json.loads(path.read_text())
+        rec["frame"] = frame
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(DataError, match=":1: frame index"):
+            read_detections(path, ("car",), 3)
 
     def test_empty_file_gives_empty_frames(self, tmp_path):
         path = tmp_path / "dets.jsonl"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fmfdet import autodiff as ad
+from fmfdet.ablate import ablation_run
 from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
 from fmfdet.config import apply_overrides, from_dict, load_config, to_dict
@@ -16,7 +17,7 @@ from fmfdet.scene import SceneSpec, generate_scene
 from fmfdet.train import (TRACE_COLUMNS, TrainConfig, build_model,
                           load_checkpoint, read_trace, save_checkpoint,
                           train, write_trace)
-from fmfdet.voxelizer import GridConfig
+from fmfdet.voxelizer import GridConfig, desk_pillar_config
 
 TINY_GRID = GridConfig(x_range=(-5.12, 5.12), y_range=(-5.12, 5.12),
                        cell_size=(0.32, 0.32, 6.0))
@@ -241,6 +242,11 @@ class TestConfigIO:
         assert cfg.epochs == 3
         assert cfg.lr_init == TrainConfig().lr_init
 
+    def test_partial_section_merges_onto_its_default(self):
+        cfg = from_dict(TrainConfig, {"grid": {"max_cells": 100}})
+        assert cfg.grid == dataclasses.replace(desk_pillar_config(),
+                                               max_cells=100)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             from_dict(TrainConfig, {"lr": 0.1})
@@ -275,6 +281,15 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path, TrainConfig)
 
+    @pytest.mark.parametrize("raw,match", [
+        (b"\xff\xfe{}", "invalid JSON"),
+        (b"[1, 2]", "expected a JSON object")])
+    def test_non_utf8_or_non_object_file(self, tmp_path, raw, match):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match=f"bad.json: {match}"):
+            load_config(path, TrainConfig)
+
 
 class TestOverrides:
     def test_scalar_and_nested(self):
@@ -289,6 +304,24 @@ class TestOverrides:
         cfg = apply_overrides(TrainConfig(), ["grid.mode=pillar"])
         assert cfg.grid.mode == "pillar"
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("grid", "max_cells", 100), ("backbone", "out_channels", 16),
+        ("fmf", "use_odometry", False), ("augment", "flip_x", False)])
+    def test_file_and_set_agree(self, tmp_path, section, field, value):
+        """A partial section merges onto the section it replaces, whether it
+        comes from a file or from --set, dotted or as a whole object."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {field: value}}))
+        dotted = [f"{section}.{field}={json.dumps(value)}"]
+        whole = [f"{section}={json.dumps({field: value})}"]
+        assert load_config(path, TrainConfig) == apply_overrides(
+            TrainConfig(), dotted)
+        base = tiny_cfg(fmf=FMFConfig(kernel_size=5))
+        cfg = apply_overrides(base, dotted)
+        assert apply_overrides(base, whole) == cfg
+        assert getattr(cfg, section) == dataclasses.replace(
+            getattr(base, section), **{field: value})
+
     def test_bad_forms(self):
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides(TrainConfig(), ["lr_init"])
@@ -297,6 +330,16 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="empty path"):
             apply_overrides(TrainConfig(), ["grid..mode=pillar"])
 
+    def test_path_into_a_scalar_rejected(self):
+        with pytest.raises(ConfigError, match="lr_init"):
+            apply_overrides(TrainConfig(), ["lr_init.x=1"])
+
     def test_validation_still_applies(self):
         with pytest.raises(ConfigError):
             apply_overrides(TrainConfig(), ["lr_init=-1"])
+
+
+def test_ablation_configs_may_differ_only_in_fmf():
+    with pytest.raises(ConfigError, match="differ only in fmf"):
+        ablation_run(tiny_cfg(), tiny_cfg(fmf=FMFConfig(enabled=False),
+                                          head_channels=9))

@@ -87,6 +87,34 @@ class TestBinning:
                                  [0.0, 0.0, 4.0, 0.1]]), cfg)
         assert out.num_cells == 0
 
+    @pytest.mark.parametrize("cfg",
+                             [desk_pillar_config(), desk_voxel_config()],
+                             ids=["pillar", "voxel"])
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+    def test_point_just_below_upper_boundary_lands_in_last_cell(self, cfg,
+                                                                 axis):
+        # (nextafter(max, 0) - min) / cell rounds up to the cell count here;
+        # pillar mode never reads the z index, so its z case only checks the
+        # point is kept.
+        ranges = (cfg.x_range, cfg.y_range, cfg.z_range)
+        pt = [0.05, 0.05, 0.05, 0.5]
+        pt[axis] = np.nextafter(ranges[axis][1], 0.0)
+        out = voxelize(frame_of([pt]), cfg)
+        assert out.num_cells == 1
+        ndim = out.coords.shape[1]
+        assert (out.coords[0] < np.array(cfg.dims[:ndim])).all()
+        if axis < ndim:
+            assert out.coords[0, axis] == cfg.dims[axis] - 1
+
+    def test_edge_point_keeps_its_own_pillar(self):
+        # Unclamped, the x-edge point's flat key equals that of cell (0, 41)
+        # on the far side of the map, and the two shared one pillar.
+        out = voxelize(frame_of([[np.nextafter(12.8, 0.0), 0.05, 0.0, 0.5],
+                                 [-12.7, 0.42, 0.0, 0.5]]),
+                       desk_pillar_config())
+        assert out.coords.tolist() == [[79, 40], [0, 41]]
+        assert out.point_counts.tolist() == [1, 1]
+
     def test_lower_boundary_kept_at_index_zero(self):
         cfg = desk_pillar_config()
         out = voxelize(frame_of([[-12.8, -12.8, -2.0, 0.5]]), cfg)
