@@ -13,6 +13,14 @@ mutated between its forward and the backward through it. `backward` frees the
 graph as it walks it, like PyTorch's ``retain_graph=False``: one backward per
 graph, and a second one through a freed node raises StateError.
 
+Dtypes: ops take float32 or float64 arrays (anything else is wrapped as
+float64), and a result has the dtype ``np.result_type`` gives the operands it
+is computed from; `bilinear_sample`'s follows the map alone, since its grid
+is coordinates. So float32 data stays float32 only while every operand it
+meets is float32 or a Python scalar: a float64 array upcasts the result, and
+so does a NumPy float64 scalar or 0-d array under NumPy 2's promotion rules
+(NumPy 1.x keeps float32 for those two).
+
 Forward results are plain numpy and bit-deterministic for fixed inputs.
 """
 from __future__ import annotations
@@ -474,7 +482,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
             for b, qb, wb, nb in cols:
                 gx[:, :, ha::s, wb::s] = gq[a, b, :, :, ra:ra + na, qb:qb + nb]
         if len(parents) == 3:
-            return gx, gw, g.sum(axis=(0, 2, 3))
+            return gx, gw, g.sum(axis=(0, 2, 3)).astype(dtype, copy=False)
         return gx, gw
 
     return _node(out, tuple(parents), bw)
@@ -686,15 +694,17 @@ def bilinear_sample(feature_map, sample_grid):
     y0 = np.floor(gy).astype(np.int64)
     wx = gx - x0
     wy = gy - y0
+    dtype = feature_map.data.dtype
     corners = []
     for dy, dx, cw in ((0, 0, (1 - wy) * (1 - wx)), (0, 1, (1 - wy) * wx),
                        (1, 0, wy * (1 - wx)), (1, 1, wy * wx)):
         yy = y0 + dy
         xx = x0 + dx
         valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        corners.append((np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1), cw * valid))
+        corners.append((np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1),
+                        (cw * valid).astype(dtype, copy=False)))
 
-    out = np.zeros((n, c) + grid.shape[1:3], dtype=feature_map.data.dtype)
+    out = np.zeros((n, c) + grid.shape[1:3], dtype=dtype)
     for yy, xx, cw in corners:
         for b in range(n):
             out[b] += feature_map.data[b][:, yy[b], xx[b]] * cw[b][None]

@@ -52,7 +52,8 @@ class BackboneConfig:
 
 
 class PillarFeatureNet(Module):
-    """Per-point linear -> BN -> ReLU, max per cell, scatter to grid."""
+    """Per-point linear -> BN -> ReLU, max per cell, scatter to grid. The
+    float64 point rows are cast to the weights' dtype, the compute dtype."""
 
     def __init__(self, in_dim, channels, rng):
         super().__init__()
@@ -63,14 +64,15 @@ class PillarFeatureNet(Module):
 
     def __call__(self, pillars: PillarTensor):
         w, h = pillars.grid_dims
-        p = pillars.num_cells
-        if p == 0:
-            return ad.Tensor(np.zeros((1, self.channels, h, w)))
+        dtype = self.linear.weight.data.dtype
+        if pillars.num_cells == 0:
+            return ad.Tensor(np.zeros((1, self.channels, h, w), dtype))
         if pillars.features.shape[1] != self.in_dim:
             raise ShapeError(f"pillar feature dim {pillars.features.shape[1]} "
                              f"!= configured {self.in_dim}")
         counts = pillars.point_counts
-        embedded = ad.relu(self.bn(self.linear(ad.Tensor(pillars.features))))
+        rows = ad.Tensor(pillars.features, dtype=dtype)
+        embedded = ad.relu(self.bn(self.linear(rows)))
         cell_feats = ad.segment_max(embedded, np.cumsum(counts) - counts)
         coords = pillars.coords
         if coords.shape[1] == 3:

@@ -32,7 +32,8 @@ def bench(model, sequences, match_cfg, min_frames=1):
     its end-to-end time.
     `minor_faults_per_frame` is this process's minor page faults over the
     timed frames, per frame: the cost of heap memory being returned to the
-    OS and faulted back in.
+    OS and faulted back in. `compute_dtype` names the dtype of the model's
+    parameters, so a latency figure says which dtype it measured.
     """
     if not any(seq.frames for seq in sequences):
         raise ConfigError("bench needs at least one frame")
@@ -63,5 +64,7 @@ def bench(model, sequences, match_cfg, min_frames=1):
         "stages": {name: _stats(times[name]) for name in STAGES},
         "end_to_end": _stats(np.sum([times[n] for n in STAGES], axis=0)),
         "minor_faults_per_frame": faults / frames,
+        "compute_dtype": "+".join(sorted({p.data.dtype.name
+                                          for p in model.parameters()})),
     }
     return report, first_pass

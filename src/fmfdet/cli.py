@@ -14,7 +14,8 @@ import zipfile
 
 from .ablate import ablation_run, format_ablation
 from .bench import bench
-from .config import apply_overrides, from_dict, load_config, read_json_object
+from .config import (apply_overrides, coerce, from_dict, load_config,
+                     read_json_object)
 from .decode import MatchConfig
 from .errors import ConfigError, DataError, DivergenceError, FormatError
 from .frameio import MANIFEST_NAME, read_sequence, write_sequence
@@ -52,8 +53,8 @@ def _load_checkpoint_file(path):
 
 def cmd_gen_data(args):
     data = read_json_object(args.spec)
-    count = data.pop("count", 1)
-    if not isinstance(count, int) or count < 1:
+    count = coerce(1, data.pop("count", 1), "count")
+    if count < 1:
         raise ConfigError("count must be a positive integer")
     spec = from_dict(SceneSpec, data)
 

@@ -30,7 +30,9 @@ def to_dict(cfg):
     return out
 
 
-def _coerce(template, value, path):
+def coerce(template, value, path):
+    """`value` checked against, and converted to, the type of `template`
+    (a field's current value); ConfigError names `path` when it does not fit."""
     if dataclasses.is_dataclass(template):
         return from_dict(template, value, path)
     if isinstance(template, tuple):
@@ -67,7 +69,7 @@ def from_dict(base, data, path=""):
         sub = (path + "." if path else "") + key
         if key not in names:
             raise ConfigError(f"unknown config key {sub}")
-        kwargs[key] = _coerce(getattr(base, key), value, sub)
+        kwargs[key] = coerce(getattr(base, key), value, sub)
     try:
         return dataclasses.replace(base, **kwargs)
     except (TypeError, ValueError) as e:

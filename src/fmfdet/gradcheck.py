@@ -5,6 +5,8 @@ central differences, and an end-to-end check that differentiates the full
 training loss of a small model through every parameter tensor. Inputs are
 constructed to stay away from kinks and ties (relu/abs at zero, clip edges,
 max ties), where one-sided derivatives make the comparison meaningless.
+Both layers run in float64, whatever the training default: the tolerances
+are float64 numbers, so the pipeline model sets compute_dtype="float64".
 """
 from __future__ import annotations
 
@@ -285,7 +287,8 @@ def tiny_train_config(seed=0):
     return TrainConfig(grid=tiny_grid_config(), backbone=backbone,
                        head_channels=4, seed=seed,
                        fmf=FMFConfig(enabled=True, use_odometry=True),
-                       augment=AugmentConfig(enabled=False))
+                       augment=AugmentConfig(enabled=False),
+                       compute_dtype="float64")
 
 
 def tiny_scene_spec(seed=7):

@@ -4,6 +4,12 @@ The head predicts, per BEV cell: a per-class center heatmap plus offset,
 height, log-size, (sin, cos) rotation, and velocity regression maps. Targets
 render one Gaussian per object onto the class channel (max-combined), with
 regression supervised only at the integer center cells.
+
+The head runs in the model's compute dtype; the loss tail stays float64.
+Targets, focal masks and regression rows are float64, so every loss is
+float64. Of the gradients that flow back, only the K-channel heatmap one is
+float64 in a float32 model, up to the heatmap's final conv, whose backward
+works in the compute dtype.
 """
 from __future__ import annotations
 
@@ -140,6 +146,7 @@ def render_targets(gt_boxes, geom: MapGeometry, num_classes, min_overlap=0.1):
     Boxes whose centers fall outside the grid are dropped. Per class, the
     heatmap is the elementwise max over that class's object Gaussians,
     evaluated on integer cell offsets so each center cell is exactly 1.
+    Every target array is float64, whatever the model's compute dtype.
     """
     h, w = geom.h, geom.w
     heatmap = np.zeros((num_classes, h, w))
@@ -181,6 +188,7 @@ def focal_loss(pred_heatmap, target: TargetMaps, fp: FocalParams):
 
     Center pixels (y = 1) contribute (1-z)^alpha log z; all others contribute
     (1-y)^beta z^alpha log(1-z). Predictions are clamped away from {0, 1}.
+    The masks are float64, so the loss is float64 for a float32 heatmap too.
     """
     y = target.heatmap[None]
     if pred_heatmap.data.shape != y.shape:
@@ -206,7 +214,8 @@ def regression_losses(head: HeadOutput, target: TargetMaps):
     """Mean absolute error at center cells for each regression branch.
 
     Returns (L_offset, L_size, L_height, L_rotation, L_velocity); all zero
-    when the frame has no annotated centers.
+    when the frame has no annotated centers. The target rows are float64, so
+    the losses are too; the gather back into the maps keeps their dtype.
     """
     if target.num_objects == 0:
         zero = ad.Tensor(0.0)

@@ -81,11 +81,11 @@ class Module:
             if val.shape != p.data.shape:
                 raise ShapeError(f"parameter {n}: shape {val.shape} != {p.data.shape}")
             p.data = val.astype(p.data.dtype)
-        for n, _getter, setter in self.named_buffers():
+        for n, getter, setter in self.named_buffers():
             key = "buffer." + n
             if key not in state:
                 raise ShapeError(f"missing buffer {n} in state")
-            setter(np.asarray(state[key], dtype=np.float64))
+            setter(np.asarray(state[key], dtype=getter().dtype))
 
 
 class Linear(Module):

@@ -23,7 +23,7 @@ def _no_stamp(stage):
 class Detector(Module):
     def __init__(self, grid: GridConfig, backbone: BackboneConfig,
                  fmf_cfg: FMFConfig, num_classes: int, head_channels: int,
-                 seed: int = 0):
+                 seed: int = 0, compute_dtype="float32"):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.grid = grid
@@ -41,6 +41,12 @@ class Detector(Module):
         self.head = self.add_child(
             "head", DetectionHead(backbone.out_channels, head_channels,
                                   num_classes, rng))
+        # the init draws above are float64, so both dtypes start alike
+        dtype = np.dtype(compute_dtype)
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
+        for _name, getter, setter in self.named_buffers():
+            setter(getter().astype(dtype, copy=False))
 
     def extract(self, frame, vox_seed=0, stamp=_no_stamp):
         """Point cloud -> BEV feature map [1, C, h, w]."""

@@ -47,6 +47,7 @@ class TrainConfig:
     loss_weights: LossWeights = LossWeights()
     match: MatchConfig = MatchConfig()
     augment: AugmentConfig = AugmentConfig()
+    compute_dtype: str = "float32"  # parameters and activations; losses stay float64
 
     def __post_init__(self):
         if self.lr_init <= 0:
@@ -64,11 +65,15 @@ class TrainConfig:
             raise ConfigError("head_channels must be at least 1")
         if not 0.0 < self.min_overlap < 1.0:
             raise ConfigError("min_overlap must lie in (0, 1)")
+        if self.compute_dtype not in ("float32", "float64"):
+            raise ConfigError(f"compute_dtype must be \"float32\" or "
+                              f"\"float64\", got {self.compute_dtype!r}")
 
 
 def build_model(cfg: TrainConfig, num_classes) -> Detector:
     return Detector(cfg.grid, cfg.backbone, cfg.fmf, num_classes,
-                    head_channels=cfg.head_channels, seed=cfg.seed)
+                    head_channels=cfg.head_channels, seed=cfg.seed,
+                    compute_dtype=cfg.compute_dtype)
 
 
 def _shared_class_names(scenes):

@@ -380,6 +380,26 @@ def test_c09_determinism(tmp_path):
                "detection files identical")
 
 
+def test_c09_determinism_float64(tmp_path):
+    """c09's rerun check on the float64 path, which c09 itself (at the
+    float32 default) no longer covers."""
+    scene = tiny_scene()
+    cfg = TrainConfig(**TINY_CFG, compute_dtype="float64")
+    model_a, _, trace_a = train(cfg, [scene])
+    model_b, _, trace_b = train(cfg, [scene])
+    assert model_a.parameters()[0].data.dtype == np.float64
+    assert trace_a == trace_b
+
+    paths = []
+    for i, model in enumerate((model_a, model_b)):
+        dets = run_inference(model, scene, cfg.match)
+        path = tmp_path / f"dets_{i}.jsonl"
+        write_detections(dets, scene.class_names, path)
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    _report(9, "float64: 10-step traces equal, detection files identical")
+
+
 def test_c10_ablation_harness():
     cfg_a = TrainConfig(**TINY_CFG)
     cfg_b = TrainConfig(**dict(TINY_CFG, fmf=FMFConfig(enabled=False)))

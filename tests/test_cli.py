@@ -116,6 +116,23 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec),
                      "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("count", [True, 2.5, "2"])
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys, count):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(TINY_SPEC, count=count)))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_count_is_accepted(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(TINY_SPEC, count=2.0)))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["seq_000", "seq_001"]
+        assert "wrote 2 sequences" in capsys.readouterr().out
+
     def test_unknown_spec_key_is_config_error(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict(TINY_SPEC, frames=4)))
@@ -156,6 +173,21 @@ class TestTrain:
         assert loaded.grid.dims == (80, 80, 1)
         assert loaded.grid == dataclasses.replace(desk_pillar_config(),
                                                   max_points_per_cell=16)
+
+    @pytest.mark.parametrize("dtype,code", [("float64", 0), ("float16", 2)])
+    def test_set_compute_dtype(self, workspace, tmp_path, capsys, dtype, code):
+        ckpt = tmp_path / "m.npz"
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--data", str(workspace["data"]), "--out", str(ckpt),
+                     "--set", "max_steps=1",
+                     "--set", f"compute_dtype={dtype}"]) == code
+        if code:
+            assert "compute_dtype must be" in capsys.readouterr().err
+            assert not ckpt.exists()
+        else:
+            model = load_checkpoint(ckpt)[0]
+            assert {p.data.dtype for p in model.parameters()} == {
+                np.dtype(dtype)}
 
     def test_missing_data_dir_is_data_error(self, workspace, tmp_path):
         assert main(["train", "--config", str(workspace["cfg"]),
@@ -367,6 +399,7 @@ class TestBench:
         assert report["frames"] >= 2
         assert report["end_to_end"]["mean_ms"] > 0
         assert report["minor_faults_per_frame"] >= 0
+        assert report["compute_dtype"] == "float32"
 
     def test_parallel_and_sequential_match_run_inference(self, workspace):
         model, cfg, _names, _step, _opt = load_checkpoint(workspace["ckpt"])
