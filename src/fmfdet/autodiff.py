@@ -1,10 +1,11 @@
 """Reverse-mode autodiff on numpy arrays, covering the pipeline's operator set.
 
-Dense elementwise math, matmul, 2D convolution / batch norm / pooling, the
-sparse scatter/gather ops used to build pseudo-images, and bilinear map
-sampling. Each op records its parents and a backward function; `backward`
-walks the graph once in reverse topological order and accumulates gradients
-on every tensor created with ``requires_grad=True``.
+Dense elementwise math, whole-tensor sum and mean, matmul, 2D convolution /
+batch norm / max pooling, the sparse scatter/gather ops used to build
+pseudo-images, and bilinear map sampling. Each op records its parents and a
+backward function; `backward` walks the graph once in reverse topological
+order and accumulates gradients on every tensor created with
+``requires_grad=True``.
 
 Memory contract: an op's backward function saves only what the graph already
 holds (its parents and its own output, plus per-channel or index arrays) and
@@ -120,11 +121,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, pow(other, -1.0))
-        return mul(self, 1.0 / float(other))
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -252,29 +248,17 @@ def sigmoid(a):
     return _node(data, (a,), bw)
 
 
-def sum(a, axis=None, keepdims=False):
+def sum(a):
+    """Sum of all elements, as a 0-d tensor."""
     a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, a.data.shape).copy(),)
-
-    return _node(data, (a,), bw)
+    return _node(a.data.sum(), (a,),
+                 lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a):
+    """Mean of all elements, as a 0-d tensor."""
     a = _wrap(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-    return mul(sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(sum(a), 1.0 / a.data.size)
 
 
 # --------------------------------------------------------------------------
@@ -311,7 +295,7 @@ def index_rows(a, idx):
 
 
 # --------------------------------------------------------------------------
-# matmul / linear
+# matmul
 # --------------------------------------------------------------------------
 
 def matmul(a, b):
@@ -324,14 +308,6 @@ def matmul(a, b):
         return g @ b.data.T, a.data.T @ g
 
     return _node(data, (a, b), bw)
-
-
-def linear(x, weight, bias=None):
-    """x [M,D] @ weight [D,F] + bias [F]."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -389,8 +365,8 @@ def _phase_runs(size, pad, s):
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """Cross-correlation of x [N,C,H,W] with weight [F,C,kh,kw].
 
-    `padding` is symmetric zero padding in pixels, or "same" (odd kernels,
-    stride 1 output geometry H' = (H + 2p - k)/stride + 1).
+    `padding` is symmetric zero padding in pixels; the output is
+    H' = (H + 2 padding - kh) // stride + 1 (likewise W').
 
     Kernel-offset form: the zero-padded input is split into stride x stride
     phases xp[a::s, b::s], each flattened with row width wq. Tap (i, j) then
@@ -407,13 +383,6 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     f, cin, kh, kw = weight.data.shape
     if x.data.shape[1] != cin:
         raise ShapeError(f"conv2d channel mismatch: x has {x.data.shape[1]}, weight expects {cin}")
-    if isinstance(padding, str):
-        if padding != "same":
-            raise ShapeError(f"conv2d: padding must be a nonnegative integer or 'same', "
-                             f"got {padding!r}")
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError("same padding requires odd kernels")
-        padding = (kh - 1) // 2
     oh, ow = _check_window("conv2d", x.data.shape, kh, kw, stride, padding)
     parents = [x, weight]
     if bias is not None:
@@ -510,23 +479,13 @@ def maxpool2d(x, kernel, stride=1, padding=0):
     return Tensor(out)
 
 
-class RunningStats:
-    """Mutable running mean/var buffers for batch norm (not differentiated)."""
-
-    def __init__(self, channels, dtype=np.float64):
-        self.mean = np.zeros(channels, dtype=dtype)
-        self.var = np.ones(channels, dtype=dtype)
-
-    def update(self, batch_mean, batch_var, momentum):
-        self.mean = (1.0 - momentum) * self.mean + momentum * batch_mean
-        self.var = (1.0 - momentum) * self.var + momentum * batch_var
-
-
-def batchnorm(x, gamma, beta, stats, training, eps=1e-5, momentum=0.1):
+def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
+              momentum=0.1):
     """Normalize over all axes except channel axis 1.
 
-    Train mode uses batch statistics (biased variance) and updates `stats`;
-    eval mode normalizes by the stored running statistics. Both backward
+    Train mode uses batch statistics (biased variance) and moves the running
+    statistics, two non-differentiated tensors, toward them by rebinding their
+    ``data``; eval mode normalizes by the running statistics. Both backward
     passes recompute the normalized input from x rather than saving it.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
@@ -540,7 +499,8 @@ def batchnorm(x, gamma, beta, stats, training, eps=1e-5, momentum=0.1):
     if training:
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        stats.update(mu, var, momentum)
+        running_mean.data = (1.0 - momentum) * running_mean.data + momentum * mu
+        running_var.data = (1.0 - momentum) * running_var.data + momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x.data - mu.reshape(shape)) * inv_std.reshape(shape)
         out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
@@ -557,7 +517,7 @@ def batchnorm(x, gamma, beta, stats, training, eps=1e-5, momentum=0.1):
 
         return _node(out, (x, gamma, beta), bw)
 
-    mu, inv_std = stats.mean, 1.0 / np.sqrt(stats.var + eps)
+    mu, inv_std = running_mean.data, 1.0 / np.sqrt(running_var.data + eps)
     scale = gamma.data * inv_std
     out = x.data * scale.reshape(shape)
     out += (beta.data - mu * scale).reshape(shape)

@@ -1,9 +1,11 @@
 """Parameter-holding layers on top of the autodiff ops.
 
 A Module tracks named parameters (Tensors with requires_grad) and named
-buffers (plain arrays such as batch-norm running statistics), and composes
-hierarchically. Initialization draws from an explicit numpy Generator so
-model construction is a pure function of the seed.
+buffers (Tensors outside the gradient graph: the batch-norm running
+statistics), and composes hierarchically. `named_state` walks both as one
+"param.<path>" / "buffer.<path>" table, which the dtype cast, `state_dict`,
+`load_state_dict` and checkpoints all use. Initialization draws from an
+explicit numpy Generator so model construction is a pure function of the seed.
 """
 from __future__ import annotations
 
@@ -17,38 +19,39 @@ from .errors import ShapeError
 
 class Module:
     def __init__(self):
-        self._params = {}
-        self._buffers = {}
+        self._state = {"param": {}, "buffer": {}}
         self._children = {}
         self.training = True
 
     def add_param(self, name, tensor):
         tensor.requires_grad = True
-        self._params[name] = tensor
+        self._state["param"][name] = tensor
         return tensor
 
-    def add_buffer(self, name, getter, setter):
-        """Register a mutable array exposed through (getter, setter) closures."""
-        self._buffers[name] = (getter, setter)
+    def add_buffer(self, name, tensor):
+        self._state["buffer"][name] = tensor
+        return tensor
 
     def add_child(self, name, module):
         self._children[name] = module
         return module
 
-    def named_parameters(self, prefix=""):
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def _named(self, kind, prefix):
+        for name, t in self._state[kind].items():
+            yield prefix + name, t
         for cname, child in self._children.items():
-            yield from child.named_parameters(prefix + cname + ".")
+            yield from child._named(kind, prefix + cname + ".")
+
+    def named_parameters(self):
+        return self._named("param", "")
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix=""):
-        for name, (getter, setter) in self._buffers.items():
-            yield prefix + name, getter, setter
-        for cname, child in self._children.items():
-            yield from child.named_buffers(prefix + cname + ".")
+    def named_state(self):
+        """(key, tensor) for every parameter, then every buffer."""
+        for kind in ("param", "buffer"):
+            yield from self._named(kind, kind + ".")
 
     def param_count(self):
         return sum(p.size for p in self.parameters())
@@ -67,46 +70,43 @@ class Module:
             p.grad = None
 
     def state_dict(self):
-        state = {"param." + n: p.data.copy() for n, p in self.named_parameters()}
-        for n, getter, _ in self.named_buffers():
-            state["buffer." + n] = getter().copy()
-        return state
+        return {key: t.data.copy() for key, t in self.named_state()}
 
     def load_state_dict(self, state):
-        for n, p in self.named_parameters():
-            key = "param." + n
+        """Every array loads under one rule: its key is in `named_state`, is
+        present, has the tensor's shape, and is cast to the tensor's dtype."""
+        table = dict(self.named_state())
+        extra = [key for key in state if key not in table]
+        if extra:
+            raise ShapeError(f"arrays this model does not have: {', '.join(extra)}")
+        for key, t in table.items():
             if key not in state:
-                raise ShapeError(f"missing parameter {n} in state")
+                raise ShapeError(f"missing {key} in state")
             val = np.asarray(state[key])
-            if val.shape != p.data.shape:
-                raise ShapeError(f"parameter {n}: shape {val.shape} != {p.data.shape}")
-            p.data = val.astype(p.data.dtype)
-        for n, getter, setter in self.named_buffers():
-            key = "buffer." + n
-            if key not in state:
-                raise ShapeError(f"missing buffer {n} in state")
-            setter(np.asarray(state[key], dtype=getter().dtype))
+            if val.shape != t.data.shape:
+                raise ShapeError(f"{key}: shape {val.shape} != {t.data.shape}")
+            t.data = val.astype(t.data.dtype)
 
 
 class Linear(Module):
     """x [M, in] @ W [in, out] + b, Kaiming-normal init for ReLU nets."""
 
-    def __init__(self, in_features, out_features, rng, bias=True):
+    def __init__(self, in_features, out_features, rng):
         super().__init__()
         std = math.sqrt(2.0 / in_features)
         self.weight = self.add_param(
             "weight", ad.Tensor(rng.normal(0.0, std, size=(in_features, out_features))))
-        self.bias = None
-        if bias:
-            self.bias = self.add_param("bias", ad.Tensor(np.zeros(out_features)))
+        self.bias = self.add_param("bias", ad.Tensor(np.zeros(out_features)))
 
     def __call__(self, x):
-        return ad.linear(x, self.weight, self.bias)
+        return ad.add(ad.matmul(x, self.weight), self.bias)
 
 
 class Conv2d(Module):
+    """Odd-kernel conv padded by kernel // 2, so stride 1 keeps the map size."""
+
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1,
-                 padding="same", bias=True):
+                 bias=True):
         super().__init__()
         if kernel % 2 == 0:
             raise ShapeError("conv kernels must be odd")
@@ -120,7 +120,7 @@ class Conv2d(Module):
         if bias:
             self.bias = self.add_param("bias", ad.Tensor(np.zeros(out_channels)))
         self.stride = stride
-        self.padding = padding
+        self.padding = kernel // 2
 
     def __call__(self, x):
         return ad.conv2d(x, self.weight, self.bias, stride=self.stride,
@@ -134,20 +134,17 @@ class BatchNorm(Module):
         super().__init__()
         self.gamma = self.add_param("gamma", ad.Tensor(np.ones(channels)))
         self.beta = self.add_param("beta", ad.Tensor(np.zeros(channels)))
-        self.stats = ad.RunningStats(channels)
+        self.running_mean = self.add_buffer("running_mean",
+                                            ad.Tensor(np.zeros(channels)))
+        self.running_var = self.add_buffer("running_var",
+                                           ad.Tensor(np.ones(channels)))
         self.eps = eps
         self.momentum = momentum
-        self.add_buffer("running_mean",
-                        lambda: self.stats.mean,
-                        lambda v: setattr(self.stats, "mean", v))
-        self.add_buffer("running_var",
-                        lambda: self.stats.var,
-                        lambda v: setattr(self.stats, "var", v))
 
     def __call__(self, x):
-        return ad.batchnorm(x, self.gamma, self.beta, self.stats,
-                            training=self.training, eps=self.eps,
-                            momentum=self.momentum)
+        return ad.batchnorm(x, self.gamma, self.beta, self.running_mean,
+                            self.running_var, training=self.training,
+                            eps=self.eps, momentum=self.momentum)
 
 
 class ConvBNReLU(Module):

@@ -43,10 +43,8 @@ class Detector(Module):
                                   num_classes, rng))
         # the init draws above are float64, so both dtypes start alike
         dtype = np.dtype(compute_dtype)
-        for p in self.parameters():
-            p.data = p.data.astype(dtype, copy=False)
-        for _name, getter, setter in self.named_buffers():
-            setter(getter().astype(dtype, copy=False))
+        for _key, t in self.named_state():
+            t.data = t.data.astype(dtype, copy=False)
 
     def extract(self, frame, vox_seed=0, stamp=_no_stamp):
         """Point cloud -> BEV feature map [1, C, h, w]."""

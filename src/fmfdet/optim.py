@@ -55,12 +55,6 @@ class AdamW:
             state["v." + name] = self.v[name].copy()
         return state
 
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        for name in self.m:
-            self.m[name] = np.asarray(state["m." + name]).copy()
-            self.v[name] = np.asarray(state["v." + name]).copy()
-
 
 def one_cycle_lr(step, total_steps, lr_init, momentum_range=(0.85, 0.95)):
     """Cosine one-cycle schedule: (lr, momentum) at an integer step.

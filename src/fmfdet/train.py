@@ -211,8 +211,9 @@ def save_checkpoint(path, model, cfg: TrainConfig, class_names, step=0,
 
 
 def load_checkpoint(path):
-    """Rebuild (model, cfg, class_names, step, opt_state) from an npz file;
-    a non-finite parameter or buffer raises FormatError."""
+    """Rebuild (model, cfg, class_names, step, opt_state) from an npz file.
+    A parameter or buffer array that is missing, misshapen, not in the
+    config's model (ShapeError) or non-finite (FormatError) is rejected."""
     with np.load(path, allow_pickle=False) as data:
         cfg = from_dict(TrainConfig, json.loads(str(data["meta.config"][()])))
         class_names = tuple(str(s) for s in data["meta.class_names"])
@@ -223,8 +224,8 @@ def load_checkpoint(path):
                      if k.startswith("opt.")}
     model = build_model(cfg, len(class_names))
     model.load_state_dict(state)
-    for key, val in model.state_dict().items():
-        if not np.isfinite(val).all():
+    for key, t in model.named_state():
+        if not np.isfinite(t.data).all():
             raise FormatError(f"non-finite values in {key}")
     model.eval()
     return model, cfg, class_names, step, opt_state or None

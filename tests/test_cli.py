@@ -297,6 +297,29 @@ class TestInferEval:
         err = capsys.readouterr().err
         assert str(bad) in err and key in err
 
+    @pytest.mark.parametrize("change", ["param.", "buffer.", "extra"])
+    def test_misfit_checkpoint_array_is_format_error(self, workspace, tmp_path,
+                                                     capsys, change):
+        """A cut-short parameter or buffer, or arrays the config's model does
+        not have (fusion state under fmf.enabled=false), exit 3 naming them."""
+        with np.load(workspace["ckpt"]) as data:
+            arrays = {k: data[k] for k in data.files}
+        if change == "extra":
+            cfg = json.loads(str(arrays["meta.config"][()]))
+            cfg["fmf"]["enabled"] = False
+            arrays["meta.config"] = np.array(json.dumps(cfg))
+            keys = [k for k in arrays if k.startswith(("param.fmf.", "buffer.fmf."))]
+        else:
+            keys = [next(k for k in arrays if k.startswith(change))]
+            arrays[keys[0]] = arrays[keys[0]][:-1]
+        bad = tmp_path / "misfit.npz"
+        np.savez(bad, **arrays)
+        assert main(["infer", "--ckpt", str(bad),
+                     "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "d.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert keys and str(bad) in err and all(k in err for k in keys)
+
     def test_non_finite_pose_is_format_error(self, workspace, tmp_path, capsys):
         bad = poisoned_copy(workspace["data"], tmp_path / "data", "pose",
                             float("nan"))

@@ -20,7 +20,7 @@ def selector_params(c, pick="current"):
     for ch in range(c):
         w[ch, ch + off, 1, 1] = 1.0
     params.conv.weight.data = w
-    params.bn.stats.var = np.full(c, 1.0 - params.bn.eps)  # exact identity BN
+    params.bn.running_var.data = np.full(c, 1.0 - params.bn.eps)  # exact identity BN
     params.eval()
     return params
 
