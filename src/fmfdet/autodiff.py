@@ -548,17 +548,18 @@ def segment_max(x, starts):
     """Per-segment max over contiguous row segments of x [M,C].
 
     Gradient routes to the first maximal row of each segment (per channel).
+    That row index is built in backward, so inference without grads skips it.
     """
     x = _wrap(x)
     m, c = x.data.shape
     starts, ends = _segment_bounds(starts, m)
     data = np.maximum.reduceat(x.data, starts, axis=0)
-    seg_ids = np.repeat(np.arange(len(starts)), ends - starts)
-    is_max = x.data == data[seg_ids]
-    order = np.where(is_max, np.arange(m)[:, None], m)
-    first_idx = np.minimum.reduceat(order, starts, axis=0)
 
     def bw(g):
+        seg_ids = np.repeat(np.arange(len(starts)), ends - starts)
+        is_max = x.data == data[seg_ids]
+        order = np.where(is_max, np.arange(m)[:, None], m)
+        first_idx = np.minimum.reduceat(order, starts, axis=0)
         gx = np.zeros_like(x.data)
         gx[first_idx, np.arange(c)[None, :]] += g
         return (gx,)

@@ -67,21 +67,17 @@ def decode(head: HeadOutput, geom: MapGeometry, cfg: MatchConfig):
     if scores.size > cfg.top_k:
         order = np.lexsort((ixs, iys, ks, -scores))[:cfg.top_k]
         ks, iys, ixs, scores = ks[order], iys[order], ixs[order], scores[order]
-    offs = head.offset.data[0]
-    heights = head.height.data[0]
-    sizes = head.size.data[0]
-    rots = head.rotation.data[0]
-    vels = head.velocity.data[0]
+    offs, sizes, rots, vels = (m.data[0][:, iys, ixs] for m in
+                               (head.offset, head.size, head.rotation, head.velocity))
+    cxs = (ixs + offs[0]) * geom.cell + geom.x_min
+    cys = (iys + offs[1]) * geom.cell + geom.y_min
+    dims = np.exp(sizes)
     dets = []
-    for k, iy, ix, score in zip(ks, iys, ixs, scores):
-        cx = (ix + offs[0, iy, ix]) * geom.cell + geom.x_min
-        cy = (iy + offs[1, iy, ix]) * geom.cell + geom.y_min
-        bw, bl, bh = np.exp(sizes[:, iy, ix])
-        yaw = math.atan2(rots[0, iy, ix], rots[1, iy, ix])
-        box = Box3D(float(cx), float(cy), float(heights[0, iy, ix]),
-                    float(bw), float(bl), float(bh), float(yaw),
-                    float(vels[0, iy, ix]), float(vels[1, iy, ix]),
-                    int(k))
-        dets.append(Detection(box, float(score), int(k)))
+    for k, score, cx, cy, cz, bw, bl, bh, r0, r1, vx, vy in zip(
+            ks.tolist(), scores.tolist(), cxs.tolist(), cys.tolist(),
+            head.height.data[0, 0, iys, ixs].tolist(), *dims.tolist(),
+            *rots.tolist(), *vels.tolist()):
+        box = Box3D(cx, cy, cz, bw, bl, bh, math.atan2(r0, r1), vx, vy, k)
+        dets.append(Detection(box, score, k))
     dets.sort(key=lambda d: (-d.score, d.class_id, d.box.cx, d.box.cy))
     return dets

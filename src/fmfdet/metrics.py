@@ -47,6 +47,60 @@ def _tp_errors(det: Box3D, gt: Box3D) -> dict:
     }
 
 
+def _group_by_frame(dets, gts):
+    """Per class with ground truth, in class order: (class_id, number of gt
+    boxes, one row per detection in greedy order). A row holds the frame
+    index, the detection, its frame's boxes of that class in input order, and
+    its center distance to each of them."""
+    gt_by_class = {}
+    for fi, g in gts:
+        gt_by_class.setdefault(g.class_id, {}).setdefault(fi, []).append(g)
+    groups = []
+    for cid, frame_gts in sorted(gt_by_class.items()):
+        class_dets = sorted((d for d in dets if d[1].class_id == cid),
+                            key=lambda fd: (-fd[1].score, fd[1].class_id,
+                                            fd[1].box.cx, fd[1].box.cy))
+        rows = []
+        for fi, det in class_dets:
+            boxes = frame_gts.get(fi, ())
+            rows.append((fi, det, boxes, [bev_distance(det.box, g) for g in boxes]))
+        groups.append((cid, sum(map(len, frame_gts.values())), rows))
+    return groups
+
+
+def _match_groups(groups, threshold):
+    """Greedy matching at one threshold over _group_by_frame's output: each
+    detection claims the first nearest unmatched box of its frame (strict
+    `<`) when that distance is <= threshold."""
+    ap = {}
+    errors = {}
+    for cid, num_gt, rows in groups:
+        matched = {}
+        tp_flags = []
+        pair_errors = []
+        for fi, det, boxes, dists in rows:
+            taken = matched.setdefault(fi, [False] * len(boxes))
+            best = -1
+            best_dist = float("inf")
+            for gi, dist in enumerate(dists):
+                if not taken[gi] and dist < best_dist:
+                    best = gi
+                    best_dist = dist
+            if best >= 0 and best_dist <= threshold:
+                taken[best] = True
+                tp_flags.append(True)
+                pair_errors.append(_tp_errors(det.box, boxes[best]))
+            else:
+                tp_flags.append(False)
+        ap[cid] = _ap_from_flags(tp_flags, num_gt)
+        if pair_errors:
+            errors[cid] = {k: float(np.mean([e[k] for e in pair_errors]))
+                           for k in TP_ERROR_NAMES}
+        else:
+            errors[cid] = {k: 1.0 for k in TP_ERROR_NAMES}
+    return ap, errors
+
+
 def match_and_ap(dets, gts, threshold):
     """Greedy center-distance matching and AP, per class.
 
@@ -55,41 +109,7 @@ def match_and_ap(dets, gts, threshold):
     class present in the ground truth. `errors` holds the mean ate/ase/aoe/
     ave over matched pairs, or 1.0 each when the class has no matches.
     """
-    gt_by_class = {}
-    for fi, g in gts:
-        gt_by_class.setdefault(g.class_id, []).append((fi, g))
-    ap = {}
-    errors = {}
-    for cid, class_gts in sorted(gt_by_class.items()):
-        class_dets = sorted((d for d in dets if d[1].class_id == cid),
-                            key=lambda fd: (-fd[1].score, fd[1].class_id,
-                                            fd[1].box.cx, fd[1].box.cy))
-        matched = [False] * len(class_gts)
-        tp_flags = []
-        pair_errors = []
-        for fi, det in class_dets:
-            best = -1
-            best_dist = float("inf")
-            for gi, (gfi, gt) in enumerate(class_gts):
-                if matched[gi] or gfi != fi:
-                    continue
-                dist = bev_distance(det.box, gt)
-                if dist < best_dist:
-                    best = gi
-                    best_dist = dist
-            if best >= 0 and best_dist <= threshold:
-                matched[best] = True
-                tp_flags.append(True)
-                pair_errors.append(_tp_errors(det.box, class_gts[best][1]))
-            else:
-                tp_flags.append(False)
-        ap[cid] = _ap_from_flags(tp_flags, len(class_gts))
-        if pair_errors:
-            errors[cid] = {k: float(np.mean([e[k] for e in pair_errors]))
-                           for k in TP_ERROR_NAMES}
-        else:
-            errors[cid] = {k: 1.0 for k in TP_ERROR_NAMES}
-    return ap, errors
+    return _match_groups(_group_by_frame(dets, gts), threshold)
 
 
 def _ap_from_flags(tp_flags, num_gt):
@@ -166,15 +186,16 @@ def evaluate(det_frames, gt_frames, class_names, cfg: MatchConfig) -> EvalResult
 
     classes_with_gt = sorted({g.class_id for _, g in gts})
     per_class_ap = {class_names[c]: {} for c in classes_with_gt}
+    groups = _group_by_frame(dets, gts)
     ap_values = []
     for thr in cfg.distance_thresholds:
-        ap, _ = match_and_ap(dets, gts, thr)
+        ap, _ = _match_groups(groups, thr)
         for c in classes_with_gt:
             per_class_ap[class_names[c]][float(thr)] = ap[c]
             ap_values.append(ap[c])
     mAP = float(np.mean(ap_values)) if ap_values else 0.0
 
-    _, errors = match_and_ap(dets, gts, _TP_THRESHOLD)
+    _, errors = _match_groups(groups, _TP_THRESHOLD)
     if classes_with_gt:
         means = {name: float(np.mean([errors[c][name] for c in classes_with_gt]))
                  for name in TP_ERROR_NAMES}

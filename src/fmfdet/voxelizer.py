@@ -3,10 +3,11 @@
 Cells are half-open along every axis: a point exactly on a max-range boundary
 is discarded, and a cell index floor((p - min)/cell) that rounds up to the
 cell count is clamped to the last cell, so every kept point lands in-grid.
-When a cell holds more points than the cap, or the frame more occupied cells
-than max_cells, survivors are drawn by seeded uniform sampling without
-replacement; cells are processed in ascending flat-key order so the result is
-a pure function of (frame, config, seed).
+A cell over max_points_per_cell keeps a uniform draw without replacement:
+one seeded permutation ranks the frame's points, one sort on (cell key, rank)
+groups them, and each cell keeps its lowest ranks. max_cells keeps one seeded
+draw over the cells. Kept points come out in ascending cell key, then input
+index, so the result is a pure function of (frame, config, seed).
 """
 from __future__ import annotations
 
@@ -104,7 +105,10 @@ class PillarTensor:
     order, so cell p owns rows starts[p]:starts[p] + point_counts[p] with
     starts the exclusive cumulative sum of point_counts;
     coords: [P, 2] (ix, iy) in pillar mode, [P, 3] (ix, iy, iz) in voxel mode;
-    grid_dims: (W, H) BEV extent; z_bins: number of z levels (1 for pillars).
+    grid_dims: (W, H) BEV extent; z_bins: number of z levels (1 for pillars);
+    points_in_range: points inside the grid's ranges; points_dropped_cap:
+    points over max_points_per_cell in their cell, counted before the cell
+    cut; cells_dropped: occupied cells cut by max_cells.
     """
 
     features: np.ndarray
@@ -112,18 +116,21 @@ class PillarTensor:
     point_counts: np.ndarray
     grid_dims: tuple
     z_bins: int = 1
+    points_in_range: int = 0
+    points_dropped_cap: int = 0
+    cells_dropped: int = 0
 
     @property
     def num_cells(self):
         return self.point_counts.shape[0]
 
 
-def _decorate(pts, coords_per_point, means_per_point, cfg):
+def _decorate(pts, ix, iy, means_per_point, cfg):
     """Per-point feature rows: raw point, offsets to cell mean, cell center."""
     out = [pts, pts[:, :3] - means_per_point]
     if cfg.mode == "pillar":
-        ccx = cfg.x_min + (coords_per_point[:, 0] + 0.5) * cfg.cell_size[0]
-        ccy = cfg.y_min + (coords_per_point[:, 1] + 0.5) * cfg.cell_size[1]
+        ccx = cfg.x_min + (ix + 0.5) * cfg.cell_size[0]
+        ccy = cfg.y_min + (iy + 0.5) * cfg.cell_size[1]
         out.append(np.stack([pts[:, 0] - ccx, pts[:, 1] - ccy], axis=1))
     return np.concatenate(out, axis=1)
 
@@ -131,47 +138,48 @@ def _decorate(pts, coords_per_point, means_per_point, cfg):
 def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTensor:
     w, h, z = cfg.dims
     n_max = cfg.max_points_per_cell
-    mins = np.array([cfg.x_range[0], cfg.y_range[0], cfg.z_range[0]])
-    maxs = np.array([cfg.x_range[1], cfg.y_range[1], cfg.z_range[1]])
+    ranges = (cfg.x_range, cfg.y_range, cfg.z_range)
     pts = frame.points
-    pts = pts[np.all((pts[:, :3] >= mins) & (pts[:, :3] < maxs), axis=1)]
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for axis, (lo, hi) in enumerate(ranges):
+        inside &= (pts[:, axis] >= lo) & (pts[:, axis] < hi)
+    pts = pts.compress(inside, axis=0)
+    n = pts.shape[0]
+    num_axes = 2 if cfg.mode == "pillar" else 3
+    cell = [np.minimum(np.floor((pts[:, a] - ranges[a][0]) / cfg.cell_size[a])
+                       .astype(np.int64), cfg.dims[a] - 1) for a in range(num_axes)]
+    keys = cell[1] * w + cell[0]
+    if num_axes == 3:
+        keys += cell[2] * (w * h)
 
-    cells = np.floor((pts[:, :3] - mins) / np.array(cfg.cell_size)).astype(np.int64)
-    cells = np.minimum(cells, np.array([w - 1, h - 1, z - 1]))
-    if cfg.mode == "pillar":
-        keys = cells[:, 1] * w + cells[:, 0]
-    else:
-        keys = (cells[:, 2] * h + cells[:, 1]) * w + cells[:, 0]
-
-    order = np.argsort(keys, kind="stable")
-    pts = pts[order]
-    cells = cells[order]
-    keys = keys[order]
-    uniq_keys, starts, counts = np.unique(keys, return_index=True,
-                                          return_counts=True)
+    # Point perm[j] gets random rank j; sorting key * n + rank groups the
+    # points by cell, in random order inside a cell. keys < W*H*Z <= 2^26 on
+    # the largest shipped grid (1024x1024x40), so the product stays below
+    # 2^63 for any frame under 2^37 points.
     rng = np.random.default_rng(seed)
-
-    keep = np.ones(pts.shape[0], dtype=bool)
-    for ci in np.nonzero(counts > n_max)[0]:
-        s, c = starts[ci], counts[ci]
-        keep[s:s + c] = False
-        chosen = np.sort(rng.choice(c, size=n_max, replace=False))
-        keep[s + chosen] = True
-
+    perm = rng.permutation(n)
+    ranked = np.sort(keys[perm] * n + np.arange(n))
+    starts = np.flatnonzero(np.diff(ranked // n, prepend=-1))
+    counts = np.diff(np.append(starts, n))
+    keep = np.arange(n) - np.repeat(starts, counts) < n_max
+    points_dropped_cap = n - int(np.count_nonzero(keep))
     capped_counts = np.minimum(counts, n_max)
-    if uniq_keys.size > cfg.max_cells:
-        kept_cells = np.sort(rng.choice(uniq_keys.size, size=cfg.max_cells,
-                                        replace=False))
-        cell_mask = np.zeros(uniq_keys.size, dtype=bool)
-        cell_mask[kept_cells] = True
+    cells_dropped = max(starts.size - cfg.max_cells, 0)
+    if cells_dropped:
+        cell_mask = np.zeros(starts.size, dtype=bool)
+        cell_mask[rng.choice(starts.size, size=cfg.max_cells, replace=False)] = True
         keep &= np.repeat(cell_mask, counts)
         capped_counts = capped_counts[cell_mask]
 
-    pts = pts[keep]
-    cells = cells[keep]
+    # Back to cell order with ascending input index inside each cell.
+    sel = perm[ranked[keep] % n]
+    kept = np.sort(keys[sel] * n + sel)
+    pts = pts.take(kept % n, axis=0)
+    kept_keys = kept // n
+    cols = [kept_keys % w, kept_keys // w % h, kept_keys // (w * h)][:num_axes]
     offsets = np.cumsum(capped_counts) - capped_counts
     means = np.add.reduceat(pts[:, :3], offsets, axis=0) / capped_counts[:, None]
-    features = _decorate(pts, cells, np.repeat(means, capped_counts, axis=0), cfg)
-    if cfg.mode == "pillar":
-        return PillarTensor(features, cells[offsets, :2], capped_counts, (w, h))
-    return PillarTensor(features, cells[offsets], capped_counts, (w, h), z)
+    features = _decorate(pts, *cols[:2], np.repeat(means, capped_counts, axis=0), cfg)
+    return PillarTensor(features, np.stack([c[offsets] for c in cols], axis=1),
+                        capped_counts, (w, h), z if num_axes == 3 else 1, points_in_range=n,
+                        points_dropped_cap=points_dropped_cap, cells_dropped=cells_dropped)

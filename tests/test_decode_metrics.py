@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmfdet.autodiff as ad
 from fmfdet.decode import Detection, MatchConfig, decode, find_peaks
 from fmfdet.errors import ConfigError, DataError
 from fmfdet.geometry import MapGeometry
 from fmfdet.heads import HeadOutput, render_targets
-from fmfdet.metrics import (EvalResult, aligned_size_iou, evaluate,
-                            match_and_ap, nds, read_detections,
+from fmfdet.metrics import (TP_ERROR_NAMES, EvalResult, _ap_from_flags,
+                            _tp_errors, aligned_size_iou, bev_distance,
+                            evaluate, match_and_ap, nds, read_detections,
                             write_detections)
 from fmfdet.scene import Box3D
 
@@ -193,6 +196,56 @@ class TestDecode:
             MatchConfig(top_k=0)
 
 
+def per_peak_decode(head, geom, cfg):
+    """Reference decode: one box per peak from NumPy scalars, in score order."""
+    hm = head.heatmap.data[0]
+    peaks = find_peaks(hm)
+    ks, iys, ixs = np.nonzero(peaks)
+    scores = hm[ks, iys, ixs]
+    keep = scores >= cfg.score_threshold
+    ks, iys, ixs, scores = ks[keep], iys[keep], ixs[keep], scores[keep]
+    if scores.size > cfg.top_k:
+        order = np.lexsort((ixs, iys, ks, -scores))[:cfg.top_k]
+        ks, iys, ixs, scores = ks[order], iys[order], ixs[order], scores[order]
+    offs = head.offset.data[0]
+    heights = head.height.data[0]
+    sizes = head.size.data[0]
+    rots = head.rotation.data[0]
+    vels = head.velocity.data[0]
+    dets = []
+    for k, iy, ix, score in zip(ks, iys, ixs, scores):
+        cx = (ix + offs[0, iy, ix]) * geom.cell + geom.x_min
+        cy = (iy + offs[1, iy, ix]) * geom.cell + geom.y_min
+        bw, bl, bh = np.exp(sizes[:, iy, ix])
+        yaw = math.atan2(rots[0, iy, ix], rots[1, iy, ix])
+        box = Box3D(float(cx), float(cy), float(heights[0, iy, ix]),
+                    float(bw), float(bl), float(bh), float(yaw),
+                    float(vels[0, iy, ix]), float(vels[1, iy, ix]),
+                    int(k))
+        dets.append(Detection(box, float(score), int(k)))
+    dets.sort(key=lambda d: (-d.score, d.class_id, d.box.cx, d.box.cy))
+    return dets
+
+
+class TestDecodeOracle:
+    @given(seed=st.integers(0, 2 ** 32 - 1), top_k=st.integers(1, 40),
+           level=st.integers(0, 4), dtype=st.sampled_from(["float32", "float64"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_peak_reference(self, seed, top_k, level, dtype):
+        # Heatmap values on a grid of eighths make plateaus and peaks exactly
+        # at the score threshold; small top_k values bind.
+        rng = np.random.default_rng(seed)
+        h, w = int(rng.integers(1, 14)), int(rng.integers(1, 14))
+        maps = {"heatmap": rng.integers(0, 9, size=(1, 2, h, w)) / 8.0}
+        for name, c in (("offset", 2), ("height", 1), ("size", 3),
+                        ("rotation", 2), ("velocity", 2)):
+            maps[name] = rng.normal(0.0, 2.0, size=(1, c, h, w))
+        head = HeadOutput(**{n: ad.Tensor(v.astype(dtype)) for n, v in maps.items()})
+        geom = MapGeometry(x_min=-3.2, y_min=-1.6, cell=0.32, h=h, w=w)
+        cfg = MatchConfig(score_threshold=level / 8.0, top_k=top_k)
+        assert decode(head, geom, cfg) == per_peak_decode(head, geom, cfg)
+
+
 class TestAP:
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2)
@@ -328,6 +381,98 @@ class TestEvaluate:
         assert row[0.5] == 0.0 and row[1.0] == 0.0
         assert row[2.0] == pytest.approx(1.0) and row[4.0] == pytest.approx(1.0)
         assert res.mAP == pytest.approx(0.5)
+
+
+def scan_all_match_and_ap(dets, gts, threshold):
+    """Reference matching: each detection scans every box of its class in
+    every frame and skips the other frames."""
+    gt_by_class = {}
+    for fi, g in gts:
+        gt_by_class.setdefault(g.class_id, []).append((fi, g))
+    ap = {}
+    errors = {}
+    for cid, class_gts in sorted(gt_by_class.items()):
+        class_dets = sorted((d for d in dets if d[1].class_id == cid),
+                            key=lambda fd: (-fd[1].score, fd[1].class_id,
+                                            fd[1].box.cx, fd[1].box.cy))
+        matched = [False] * len(class_gts)
+        tp_flags = []
+        pair_errors = []
+        for fi, det in class_dets:
+            best = -1
+            best_dist = float("inf")
+            for gi, (gfi, gt) in enumerate(class_gts):
+                if matched[gi] or gfi != fi:
+                    continue
+                dist = bev_distance(det.box, gt)
+                if dist < best_dist:
+                    best = gi
+                    best_dist = dist
+            if best >= 0 and best_dist <= threshold:
+                matched[best] = True
+                tp_flags.append(True)
+                pair_errors.append(_tp_errors(det.box, class_gts[best][1]))
+            else:
+                tp_flags.append(False)
+        ap[cid] = _ap_from_flags(tp_flags, len(class_gts))
+        if pair_errors:
+            errors[cid] = {k: float(np.mean([e[k] for e in pair_errors]))
+                           for k in TP_ERROR_NAMES}
+        else:
+            errors[cid] = {k: 1.0 for k in TP_ERROR_NAMES}
+    return ap, errors
+
+
+def scan_all_evaluate(det_frames, gt_frames, class_names, cfg):
+    """evaluate() composed from the reference matching."""
+    dets = [(i, d) for i, frame in enumerate(det_frames) for d in frame]
+    gts = [(i, g) for i, frame in enumerate(gt_frames) for g in frame]
+    classes_with_gt = sorted({g.class_id for _, g in gts})
+    per_class_ap = {class_names[c]: {} for c in classes_with_gt}
+    ap_values = []
+    for thr in cfg.distance_thresholds:
+        ap, _ = scan_all_match_and_ap(dets, gts, thr)
+        for c in classes_with_gt:
+            per_class_ap[class_names[c]][float(thr)] = ap[c]
+            ap_values.append(ap[c])
+    mAP = float(np.mean(ap_values)) if ap_values else 0.0
+    _, errors = scan_all_match_and_ap(dets, gts, 2.0)
+    means = {name: (float(np.mean([errors[c][name] for c in classes_with_gt]))
+                    if classes_with_gt else 1.0) for name in TP_ERROR_NAMES}
+    return EvalResult(mAP, means["ate"], means["ase"], means["aoe"], means["ave"],
+                      0.0, nds(mAP, means["ate"], means["ase"], means["aoe"],
+                               means["ave"], 0.0), per_class_ap)
+
+
+# Boxes on a coarse lattice with few scores: equal distances, equal scores
+# and equal sort keys all occur.
+_lattice_box = st.builds(
+    lambda x, y, w, yaw, c: Box3D(x * 0.5, y * 0.5, 0.8, w, 2 * w, 1.5, yaw,
+                                  0.5 * x, 0.0, c),
+    st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from([0.0, 1.0, -3.0]), st.integers(0, 2))
+_frame_pair = st.tuples(
+    st.lists(_lattice_box, max_size=5),
+    st.lists(st.tuples(_lattice_box, st.sampled_from([0.2, 0.5, 0.5, 0.9])),
+             max_size=7))
+
+
+class TestEvaluateOracle:
+    @given(frames=st.lists(_frame_pair, min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_scan_all_reference(self, frames):
+        gt_frames = [gt for gt, _ in frames]
+        det_frames = [[Detection(b, s, b.class_id) for b, s in dets]
+                      for _, dets in frames]
+        names = ("car", "pedestrian", "cyclist")
+        cfg = MatchConfig()
+        got = evaluate(det_frames, gt_frames, names, cfg).to_dict()
+        want = scan_all_evaluate(det_frames, gt_frames, names, cfg).to_dict()
+        assert json.dumps(got) == json.dumps(want)
+        dets = [(i, d) for i, frame in enumerate(det_frames) for d in frame]
+        gts = [(i, g) for i, frame in enumerate(gt_frames) for g in frame]
+        for thr in (*cfg.distance_thresholds, 0.7):
+            assert match_and_ap(dets, gts, thr) == scan_all_match_and_ap(dets, gts, thr)
 
 
 class TestDetectionFiles:

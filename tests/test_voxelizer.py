@@ -246,3 +246,89 @@ class TestCaps:
         a = voxelize(frame_of(pts), self.one_cell, seed=0)
         b = voxelize(frame_of(pts), self.one_cell, seed=1)
         assert a.features.tobytes() != b.features.tobytes()
+
+    def test_cap_survivors_are_uniform_over_seeds(self):
+        # 12 points in one cell, cap 5: each point survives 5/12 of the time.
+        # Over 3000 seeds the binomial standard deviation of a count is ~27,
+        # and the bound below is ~6 of them.
+        xs = np.linspace(-1.4, 1.4, 12)
+        pts = np.stack([xs, np.zeros(12), np.zeros(12), np.ones(12)], axis=1)
+        seeds = 3000
+        survived = np.zeros(12)
+        for seed in range(seeds):
+            out = voxelize(frame_of(pts), self.one_cell, seed=seed)
+            survived[np.searchsorted(xs, out.features[:, 0])] += 1
+        assert survived.sum() == 5 * seeds
+        assert np.abs(survived - seeds * 5 / 12).max() < 160
+
+
+def stable_sort_voxelize(points, cfg):
+    """Binning by one stable argsort of the flat cell keys, for frames where
+    no cap binds: cells in ascending key order, points in input order within
+    a cell."""
+    w, h, z = cfg.dims
+    mins = np.array([cfg.x_range[0], cfg.y_range[0], cfg.z_range[0]])
+    maxs = np.array([cfg.x_range[1], cfg.y_range[1], cfg.z_range[1]])
+    pts = points[np.all((points[:, :3] >= mins) & (points[:, :3] < maxs), axis=1)]
+    cells = np.floor((pts[:, :3] - mins) / np.array(cfg.cell_size)).astype(np.int64)
+    cells = np.minimum(cells, np.array([w - 1, h - 1, z - 1]))
+    if cfg.mode == "pillar":
+        keys = cells[:, 1] * w + cells[:, 0]
+    else:
+        keys = (cells[:, 2] * h + cells[:, 1]) * w + cells[:, 0]
+    order = np.argsort(keys, kind="stable")
+    pts, cells = pts[order], cells[order]
+    _, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    assert counts.max(initial=0) <= cfg.max_points_per_cell
+    assert counts.size <= cfg.max_cells
+    means = np.add.reduceat(pts[:, :3], starts, axis=0) / counts[:, None]
+    out = [pts, pts[:, :3] - np.repeat(means, counts, axis=0)]
+    if cfg.mode == "pillar":
+        ccx = cfg.x_min + (cells[:, 0] + 0.5) * cfg.cell_size[0]
+        ccy = cfg.y_min + (cells[:, 1] + 0.5) * cfg.cell_size[1]
+        out.append(np.stack([pts[:, 0] - ccx, pts[:, 1] - ccy], axis=1))
+    coords = cells[starts, :2] if cfg.mode == "pillar" else cells[starts]
+    return np.concatenate(out, axis=1), coords, counts
+
+
+class TestUncappedFrames:
+    @pytest.mark.parametrize("cfg",
+                             [desk_pillar_config(), desk_voxel_config()],
+                             ids=["pillar", "voxel"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_stable_sort_reference(self, cfg, seed):
+        # Clustered points, some out of range, with caps that cannot bind.
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-13.5, 13.5, size=(40, 3)) * [1, 1, 0.2] + [0, 0, 1]
+        pts = np.concatenate([centers[rng.integers(0, 40, 3000)]
+                              + rng.normal(0, 0.4, size=(3000, 3)),
+                              rng.uniform(0, 1, size=(3000, 1))], axis=1)
+        cfg = dataclasses.replace(cfg, max_points_per_cell=3000, max_cells=10 ** 6)
+        out = voxelize(frame_of(pts), cfg, seed=seed)
+        features, coords, counts = stable_sort_voxelize(pts, cfg)
+        assert out.features.tobytes() == features.tobytes()
+        assert out.coords.tobytes() == coords.tobytes()
+        assert out.point_counts.tobytes() == counts.tobytes()
+
+
+class TestCapCounts:
+    @given(pts=st.lists(st.tuples(
+        st.sampled_from([-13.0, -0.3, -0.1, 0.1, 0.5, 0.7, 12.7]),
+        st.sampled_from([-0.5, -0.2, 0.2, 12.9]),
+        st.floats(-2.5, 4.5), st.floats(0, 1)), min_size=0, max_size=60),
+        n_max=st.integers(1, 4), max_cells=st.integers(1, 6),
+        seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_brute_force(self, pts, n_max, max_cells, seed):
+        cfg = dataclasses.replace(desk_pillar_config(), max_points_per_cell=n_max,
+                                  max_cells=max_cells)
+        pts = np.array(pts).reshape(-1, 4)
+        bins = brute_bins(pts, cfg)
+        out = voxelize(frame_of(pts), cfg, seed=seed)
+        assert out.points_in_range == sum(map(len, bins.values()))
+        assert out.points_dropped_cap == sum(max(len(b) - n_max, 0)
+                                             for b in bins.values())
+        assert out.cells_dropped == max(len(bins) - max_cells, 0)
+        assert out.num_cells == len(bins) - out.cells_dropped
+        for key, count in zip(map(tuple, out.coords.tolist()), out.point_counts):
+            assert count == min(len(bins[key]), n_max)
