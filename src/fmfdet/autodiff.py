@@ -342,7 +342,9 @@ def _buffer(role, shape, dtype):
 
     Nothing may keep it past the call that asked for it: ops copy their
     results out of it, and backward functions rebuild what they need from
-    the graph rather than saving it."""
+    the graph rather than saving it. Backward functions use scratch too, for
+    arrays that never leave them (conv2d's padded output gradient and its
+    phase gradients); the gradients they return are fresh arrays."""
     size = math.prod(shape)
     buf = getattr(_scratch, role, None)
     if buf is None or buf.dtype != dtype or buf.size < size:
@@ -362,6 +364,11 @@ def _phase_runs(size, pad, s):
     return runs
 
 
+# conv2d's backward goes sparse when at most 1/16 of the output pixels carry
+# gradient, as in the regression branches, supervised at object centres only
+_SPARSE_GRAD_RATIO = 16
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """Cross-correlation of x [N,C,H,W] with weight [F,C,kh,kw].
 
@@ -376,6 +383,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     in this thread's scratch buffer: backward refills them from x, which the
     graph holds as a parent, and gathers the input gradient phase by phase
     with the same offsets.
+
+    Backward is sized to where the gradient is. When at most 1/16 of the
+    output pixels (``_SPARSE_GRAD_RATIO``) carry any gradient, in any batch
+    item or filter, each tap reads and writes its phase at
+    oy * wq + ox + off for those P pixels only, so the weight and phase
+    gradients are [F, P] GEMMs instead of [F, oh * wq] ones. Otherwise the
+    output gradient is laid out wq wide like the forward's rows.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -429,22 +443,37 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     out = out + bias.data.reshape(1, f, 1, 1) if bias is not None else out.copy()
 
     def bw(g):
-        # g_pad[far + q] is g at output position q, zero in the dropped
-        # columns, so phase position p collects wt^T @ g_pad[far + p - off]
         xq, wt = phases(), taps_weight()
-        far = taps[-1][3]
-        g_pad = np.zeros((n, f, far + hq * wq), dtype=dtype)
-        g_ext = g_pad[:, :, far:far + length]
-        g_ext.reshape(n, f, oh, wq)[..., :ow] = g
         gw = np.empty((f, cin, kh, kw), dtype=dtype)
         gw_n = np.empty((n, f, cin), dtype=dtype)
-        gq = np.zeros((s * s, n, cin, hq * wq), dtype=dtype)
-        gq_tap = np.empty((n, cin, hq * wq), dtype=dtype)
-        for i, j, ph, off in taps:
-            np.matmul(g_ext, xq[:, :, ph, off:off + length].transpose(0, 2, 1), out=gw_n)
-            gw[:, :, i, j] = gw_n.sum(axis=0)
-            np.matmul(wt[i, j].T, g_pad[:, :, far - off:far - off + hq * wq], out=gq_tap)
-            gq[ph] += gq_tap
+        gq = _buffer("grad_phases", (s * s, n, cin, hq * wq), dtype)
+        gq.fill(0)
+        live = np.flatnonzero(g.any(axis=(0, 1)))
+        if _SPARSE_GRAD_RATIO * live.size <= oh * ow:
+            # output (oy, ox) reads phase position oy * wq + ox + off; the
+            # positions are distinct within one tap, so += scatters exactly
+            oy, ox = np.divmod(live, ow)
+            at = oy * wq + ox
+            g_live = g.reshape(n, f, oh * ow)[:, :, live].astype(dtype, copy=False)
+            for i, j, ph, off in taps:
+                xs = xq[:, :, ph, at + off]
+                np.matmul(g_live, xs.transpose(0, 2, 1), out=gw_n)
+                gw[:, :, i, j] = gw_n.sum(axis=0)
+                gq[ph][:, :, at + off] += np.matmul(wt[i, j].T, g_live)
+        else:
+            # g_pad[far + q] is g at output position q, zero in the dropped
+            # columns, so phase position p collects wt^T @ g_pad[far + p - off]
+            far = taps[-1][3]
+            g_pad = _buffer("grad_out", (n, f, far + hq * wq), dtype)
+            g_pad.fill(0)
+            g_ext = g_pad[:, :, far:far + length]
+            g_ext.reshape(n, f, oh, wq)[..., :ow] = g
+            gq_tap = _buffer("grad_tap", (n, cin, hq * wq), dtype)
+            for i, j, ph, off in taps:
+                np.matmul(g_ext, xq[:, :, ph, off:off + length].transpose(0, 2, 1), out=gw_n)
+                gw[:, :, i, j] = gw_n.sum(axis=0)
+                np.matmul(wt[i, j].T, g_pad[:, :, far - off:far - off + hq * wq], out=gq_tap)
+                gq[ph] += gq_tap
         gq = gq.reshape(s, s, n, cin, hq, wq)
         gx = np.empty(x.data.shape, dtype=dtype)
         for a, ra, ha, na in rows:
@@ -487,6 +516,12 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
     statistics, two non-differentiated tensors, toward them by rebinding their
     ``data``; eval mode normalizes by the running statistics. Both backward
     passes recompute the normalized input from x rather than saving it.
+
+    Train mode is two-pass: the variance is the mean of the centred copy's
+    squares (float32 does not cancel), and that copy is scaled in place into
+    the output. Its backward recomputes x_hat into one array and takes two
+    per-channel sums, so with m values per channel
+    gx = gamma * inv_std * (g - sum(g) / m - x_hat * sum(g * x_hat) / m).
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     c = x.data.shape[1]
@@ -498,21 +533,25 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
 
     if training:
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        out = x.data - mu.reshape(shape)
+        var = np.mean(out * out, axis=axes)     # two-pass: no float32 cancellation
         running_mean.data = (1.0 - momentum) * running_mean.data + momentum * mu
         running_var.data = (1.0 - momentum) * running_var.data + momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu.reshape(shape)) * inv_std.reshape(shape)
-        out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+        out = out.astype(np.result_type(out, gamma.data, beta.data), copy=False)
+        out *= (gamma.data * inv_std).reshape(shape)
+        out += beta.data.reshape(shape)
 
         def bw(g):
-            xhat = (x.data - mu.reshape(shape)) * inv_std.reshape(shape)
-            gg = (g * xhat).sum(axis=axes)
+            xhat = x.data - mu.reshape(shape)
+            xhat *= inv_std.reshape(shape)
             gb = g.sum(axis=axes)
-            gxhat = g * gamma.data.reshape(shape)
-            gx = (gxhat - gxhat.mean(axis=axes).reshape(shape)
-                  - xhat * (gxhat * xhat).mean(axis=axes).reshape(shape))
-            gx *= inv_std.reshape(shape)
+            gx = g * xhat
+            gg = gx.sum(axis=axes)
+            xhat *= (gg / m).reshape(shape)
+            np.subtract(g, xhat, out=gx)
+            gx -= (gb / m).reshape(shape)
+            gx *= (gamma.data * inv_std).reshape(shape)
             return gx, gg, gb
 
         return _node(out, (x, gamma, beta), bw)
@@ -640,7 +679,9 @@ def bilinear_sample(feature_map, sample_grid):
     Grid entries are (x, y) source coordinates in pixel units; out-of-map
     samples read as zero. Coordinates within 1e-7 of an integer are snapped
     so integer translations degenerate to exact index shifts. Differentiable
-    in the map only; the grid is treated as a constant.
+    in the map only; the grid is treated as a constant. Backward is one
+    segment sum per batch item: the four corners' weighted gradient rows are
+    stably sorted by flat target pixel and summed with ``np.add.reduceat``.
     """
     feature_map = _wrap(feature_map)
     grid = sample_grid.data if isinstance(sample_grid, Tensor) else np.asarray(sample_grid, dtype=np.float64)
@@ -671,11 +712,16 @@ def bilinear_sample(feature_map, sample_grid):
             out[b] += feature_map.data[b][:, yy[b], xx[b]] * cw[b][None]
 
     def bw(g):
-        gm = np.zeros_like(feature_map.data)
-        for yy, xx, cw in corners:
-            for b in range(n):
-                np.add.at(gm[b].transpose(1, 2, 0), (yy[b], xx[b]), (g[b] * cw[b][None]).transpose(1, 2, 0))
-        return (gm,)
+        gm = np.zeros((n, c, h * w), dtype=dtype)
+        for b in range(n):
+            flat = np.concatenate([(yy[b] * w + xx[b]).ravel() for yy, xx, _ in corners])
+            rows = np.concatenate([(g[b] * cw[b]).reshape(c, -1).astype(dtype, copy=False)
+                                   for _, _, cw in corners], axis=1)
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+            starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+            gm[b][:, flat[starts]] = np.add.reduceat(rows[:, order], starts, axis=1)
+        return (gm.reshape(n, c, h, w),)
 
     return _node(out, (feature_map,), bw)
 

@@ -171,6 +171,17 @@ def _case_conv_k5_stride3(rng):
             lambda x, weight: ad.conv2d(x, weight, stride=3, padding=2))
 
 
+@_op_case("conv2d_sparse_grad", 45)
+def _case_conv_sparse_grad(rng):
+    # gradient on 2 of 6 x 6 output pixels, so backward takes its sparse path
+    mask = np.zeros((1, 1, 6, 6))
+    mask[0, 0, [0, 5], [4, 2]] = (0.7, -1.3)
+    return ((rng.normal(size=(1, 2, 9, 10)), rng.normal(size=(3, 2, 3, 3)) * 0.5,
+             rng.normal(size=(3,))),
+            lambda x, weight, bias: ad.mul(ad.conv2d(x, weight, bias, stride=2,
+                                                     padding=2), mask))
+
+
 def _bn_inputs(rng):
     return (rng.normal(size=(2, 3, 4, 4)), rng.uniform(0.5, 1.5, size=(3,)),
             rng.normal(size=(3,)))

@@ -8,7 +8,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmfdet import autodiff as ad
@@ -357,6 +357,56 @@ def _direct_conv(x, w, b, stride, pad):
     return out, grads
 
 
+def _batchnorm_train_reference(x, gamma, beta, running_mean, running_var,
+                               eps=1e-5, momentum=0.1):
+    """The one-pass train-mode batch norm this module had before its
+    two-pass rewrite: returns (out, new running mean, new running var,
+    grad_fn(g) -> (gx, ggamma, gbeta))."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    mu, var = x.mean(axis=axes), x.var(axis=axes)
+    new_mean = (1.0 - momentum) * running_mean + momentum * mu
+    new_var = (1.0 - momentum) * running_var + momentum * var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu.reshape(shape)) * inv_std.reshape(shape)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+
+    def grads(g):
+        gxhat = g * gamma.reshape(shape)
+        gx = (gxhat - gxhat.mean(axis=axes).reshape(shape)
+              - xhat * (gxhat * xhat).mean(axis=axes).reshape(shape))
+        gx *= inv_std.reshape(shape)
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    return out, new_mean, new_var, grads
+
+
+def _bilinear_backward_reference(map_shape, grid, g):
+    """bilinear_sample's map gradient as four np.add.at scatters, one per
+    corner, the way this module computed it before its segment-sum form."""
+    n, c, h, w = map_shape
+    gx, gy = grid[..., 0], grid[..., 1]
+    gx = np.where(np.abs(gx - np.round(gx)) < 1e-7, np.round(gx), gx)
+    gy = np.where(np.abs(gy - np.round(gy)) < 1e-7, np.round(gy), gy)
+    x0, y0 = np.floor(gx).astype(np.int64), np.floor(gy).astype(np.int64)
+    wx, wy = gx - x0, gy - y0
+    gm = np.zeros(map_shape)
+    for dy, dx, cw in ((0, 0, (1 - wy) * (1 - wx)), (0, 1, (1 - wy) * wx),
+                       (1, 0, wy * (1 - wx)), (1, 1, wy * wx)):
+        yy, xx = y0 + dy, x0 + dx
+        cw = cw * ((yy >= 0) & (yy < h) & (xx >= 0) & (xx < w))
+        yy, xx = np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)
+        for b in range(n):
+            np.add.at(gm[b].transpose(1, 2, 0), (yy[b], xx[b]),
+                      (g[b] * cw[b][None]).transpose(1, 2, 0))
+    return gm
+
+
+def _close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 class TestProperties:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -395,17 +445,32 @@ class TestProperties:
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
            st.sampled_from([1, 3, 5]), st.sampled_from([1, 2, 3]),
-           st.sampled_from([0, 1, 2]), st.integers(5, 8), st.integers(5, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_conv_matches_nested_loop_convolution(self, seed, n, k, stride, pad, h, w):
+           st.sampled_from([0, 1, 2]), st.integers(5, 8), st.integers(5, 8),
+           st.sampled_from([0, 1, 2, 3]))
+    @example(seed=1, n=2, k=3, stride=2, pad=2, h=5, w=7, live=2)
+    # 6 x 8 output pixels, 3 live: exactly at the 1/16 rule
+    @example(seed=2, n=1, k=5, stride=1, pad=0, h=5, w=6, live=3)
+    @settings(max_examples=80, deadline=None)
+    def test_conv_matches_nested_loop_convolution(self, seed, n, k, stride, pad, h, w,
+                                                  live):
+        """`live` > 0 puts the gradient on that many output pixels of a map
+        2 * stride times larger, so backward takes its sparse path."""
         if h == w:
             w += 1      # non-square, so row and column offsets cannot be swapped
+        if live:
+            h, w = 2 * stride * h, 2 * stride * w
         rng = np.random.default_rng(seed)
         x, weight, bias = (leaf(rng.normal(size=shape))
                            for shape in ((n, 3, h, w), (4, 3, k, k), (4,)))
         out = ad.conv2d(x, weight, bias, stride=stride, padding=pad)
         ref, ref_grads = _direct_conv(x.data, weight.data, bias.data, stride, pad)
         g = rng.normal(size=ref.shape)
+        if live:
+            oh, ow = ref.shape[2:]
+            assert ad._SPARSE_GRAD_RATIO * live <= oh * ow
+            mask = np.zeros(oh * ow)
+            mask[rng.choice(oh * ow, size=live, replace=False)] = 1.0
+            g *= mask.reshape(oh, ow)
         ad.backward(ad.sum(ad.mul(out, g)))
         pairs = zip((out.data, x.grad, weight.grad, bias.grad),
                     (ref,) + ref_grads(g))
@@ -434,3 +499,39 @@ class TestProperties:
         out = ad.bilinear_sample(ad.Tensor(m), grid).data
         expect = m[0, :, ys[0], xs[0]].transpose(2, 0, 1)[None]
         assert np.array_equal(out, expect)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([(1, 3, 4, 5), (2, 3, 4, 5), (2, 4, 1, 7), (9, 3)]))
+    @settings(max_examples=25, deadline=None)
+    def test_batchnorm_train_matches_one_pass_reference(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        c = shape[1]
+        x = leaf(rng.normal(loc=1.5, scale=2.0, size=shape))
+        gamma, beta = leaf(rng.uniform(0.5, 1.5, size=c)), leaf(rng.normal(size=c))
+        mean = ad.Tensor(rng.normal(size=c))
+        var = ad.Tensor(rng.uniform(0.5, 2.0, size=c))
+        ref, ref_mean, ref_var, ref_grads = _batchnorm_train_reference(
+            x.data, gamma.data, beta.data, mean.data, var.data)
+        out = ad.batchnorm(x, gamma, beta, mean, var, training=True)
+        g = rng.normal(size=shape)
+        ad.backward(ad.sum(ad.mul(out, g)))
+        pairs = zip((out.data, mean.data, var.data, x.grad, gamma.grad, beta.grad),
+                    (ref, ref_mean, ref_var) + ref_grads(g))
+        for got, want in pairs:
+            _close(got, want, 1e-12)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
+           st.integers(2, 6), st.integers(2, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_bilinear_backward_matches_add_at_reference(self, seed, n, h, w):
+        """Quarter-pixel grids over and beyond the map: many samples share a
+        target corner, some sit on integers, and some read outside."""
+        rng = np.random.default_rng(seed)
+        m = leaf(rng.normal(size=(n, 3, h, w)))
+        hg, wg = rng.integers(1, 8, size=2)
+        grid = np.stack([rng.integers(-6, 4 * w + 2, size=(n, hg, wg)),
+                         rng.integers(-6, 4 * h + 2, size=(n, hg, wg))], axis=-1) / 4.0
+        out = ad.bilinear_sample(m, grid)
+        g = rng.normal(size=out.data.shape)
+        ad.backward(ad.sum(ad.mul(out, g)))
+        _close(m.grad, _bilinear_backward_reference(m.data.shape, grid, g), 1e-12)
