@@ -342,9 +342,8 @@ def _buffer(role, shape, dtype):
 
     Nothing may keep it past the call that asked for it: ops copy their
     results out of it, and backward functions rebuild what they need from
-    the graph rather than saving it. Backward functions use scratch too, for
-    arrays that never leave them (conv2d's padded output gradient and its
-    phase gradients); the gradients they return are fresh arrays."""
+    the graph rather than saving it. Backward functions use it too, for
+    arrays that never leave them; the gradients they return are fresh."""
     size = math.prod(shape)
     buf = getattr(_scratch, role, None)
     if buf is None or buf.dtype != dtype or buf.size < size:
@@ -364,9 +363,7 @@ def _phase_runs(size, pad, s):
     return runs
 
 
-# conv2d's backward goes sparse when at most 1/16 of the output pixels carry
-# gradient, as in the regression branches, supervised at object centres only
-_SPARSE_GRAD_RATIO = 16
+_SPARSE_GRAD_RATIO = 16     # see conv2d: backward's gradient-support rule
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -384,12 +381,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     graph holds as a parent, and gathers the input gradient phase by phase
     with the same offsets.
 
-    Backward is sized to where the gradient is. When at most 1/16 of the
-    output pixels (``_SPARSE_GRAD_RATIO``) carry any gradient, in any batch
-    item or filter, each tap reads and writes its phase at
-    oy * wq + ox + off for those P pixels only, so the weight and phase
-    gradients are [F, P] GEMMs instead of [F, oh * wq] ones. Otherwise the
-    output gradient is laid out wq wide like the forward's rows.
+    Backward is sized to where the gradient is: when at most 1/16 of the
+    output pixels carry any (regression branches supervised at object
+    centres), each tap reads and writes its phase at oy * wq + ox + off for
+    those P pixels only, as [F, P] GEMMs.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -517,10 +512,8 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
     ``data``; eval mode normalizes by the running statistics. Both backward
     passes recompute the normalized input from x rather than saving it.
 
-    Train mode is two-pass: the variance is the mean of the centred copy's
-    squares (float32 does not cancel), and that copy is scaled in place into
-    the output. Its backward recomputes x_hat into one array and takes two
-    per-channel sums, so with m values per channel
+    Train mode takes the variance of one centred copy (two-pass, so float32
+    does not cancel) and scales that copy into the output; its backward is
     gx = gamma * inv_std * (g - sum(g) / m - x_hat * sum(g * x_hat) / m).
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
@@ -715,8 +708,8 @@ def bilinear_sample(feature_map, sample_grid):
         gm = np.zeros((n, c, h * w), dtype=dtype)
         for b in range(n):
             flat = np.concatenate([(yy[b] * w + xx[b]).ravel() for yy, xx, _ in corners])
-            rows = np.concatenate([(g[b] * cw[b]).reshape(c, -1).astype(dtype, copy=False)
-                                   for _, _, cw in corners], axis=1)
+            rows = np.concatenate([(g[b] * cw[b]).reshape(c, -1) for _, _, cw in corners],
+                                  axis=1).astype(dtype, copy=False)
             order = np.argsort(flat, kind="stable")
             flat = flat[order]
             starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
