@@ -383,8 +383,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
 
     Backward is sized to where the gradient is: when at most 1/16 of the
     output pixels carry any (regression branches supervised at object
-    centres), each tap reads and writes its phase at oy * wq + ox + off for
-    those P pixels only, as [F, P] GEMMs.
+    centres), it gathers every tap's phase positions oy * wq + ox + off of
+    those P pixels, so both gradients are GEMMs of inner size F or P.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -438,23 +438,23 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     out = out + bias.data.reshape(1, f, 1, 1) if bias is not None else out.copy()
 
     def bw(g):
-        xq, wt = phases(), taps_weight()
-        gw = np.empty((f, cin, kh, kw), dtype=dtype)
-        gw_n = np.empty((n, f, cin), dtype=dtype)
+        xq = phases()
         gq = _buffer("grad_phases", (s * s, n, cin, hq * wq), dtype)
         gq.fill(0)
         live = np.flatnonzero(g.any(axis=(0, 1)))
         if _SPARSE_GRAD_RATIO * live.size <= oh * ow:
-            # output (oy, ox) reads phase position oy * wq + ox + off; the
-            # positions are distinct within one tap, so += scatters exactly
+            # every tap at once: tap t at live output (oy, ox) reads phase
+            # ph[t] at off[t] + oy * wq + ox; taps overlap, hence add.at
             oy, ox = np.divmod(live, ow)
-            at = oy * wq + ox
-            g_live = g.reshape(n, f, oh * ow)[:, :, live].astype(dtype, copy=False)
-            for i, j, ph, off in taps:
-                xs = xq[:, :, ph, at + off]
-                np.matmul(g_live, xs.transpose(0, 2, 1), out=gw_n)
-                gw[:, :, i, j] = gw_n.sum(axis=0)
-                gq[ph][:, :, at + off] += np.matmul(wt[i, j].T, g_live)
+            ph, at = np.array([(t[2], t[3]) for t in taps]).T[:, :, None]
+            at = at + oy * wq + ox
+            g_live = g.reshape(n, f, oh * ow)[:, :, live].transpose(1, 0, 2).reshape(f, -1)
+            g_live = g_live.astype(dtype, copy=False)
+            x_live = xq[:, :, ph, at].transpose(1, 2, 0, 3).reshape(cin * kh * kw, -1)
+            gw = (g_live @ x_live.T).reshape(f, cin, kh, kw)
+            g_cols = weight.data.reshape(f, -1).T.astype(dtype, copy=False) @ g_live
+            np.add.at(gq, (ph, slice(None), slice(None), at),
+                      g_cols.reshape(cin, kh * kw, n, -1).transpose(1, 3, 2, 0))
         else:
             # g_pad[far + q] is g at output position q, zero in the dropped
             # columns, so phase position p collects wt^T @ g_pad[far + p - off]
@@ -463,7 +463,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
             g_pad.fill(0)
             g_ext = g_pad[:, :, far:far + length]
             g_ext.reshape(n, f, oh, wq)[..., :ow] = g
+            gw = np.empty((f, cin, kh, kw), dtype=dtype)
+            gw_n = np.empty((n, f, cin), dtype=dtype)
             gq_tap = _buffer("grad_tap", (n, cin, hq * wq), dtype)
+            wt = taps_weight()
             for i, j, ph, off in taps:
                 np.matmul(g_ext, xq[:, :, ph, off:off + length].transpose(0, 2, 1), out=gw_n)
                 gw[:, :, i, j] = gw_n.sum(axis=0)
