@@ -6,8 +6,8 @@
 BASE and CHANGE are two checkout directories. Pair i runs
 `perfbench/run.py --workload W --seed S+i --seconds T --trace 0` in each,
 one after the other: BASE first in even pairs, CHANGE first in odd ones.
-T defaults to BENCHMARK.json's run_seconds. The script only calls
-perfbench's command line and reads BASE's BENCHMARK.json.
+T is BENCHMARK.json's run_seconds. The script only calls perfbench's
+command line and reads BASE's BENCHMARK.json.
 
 It prints each pair's end-to-end values, each side's median and quartiles,
 how many pairs the change wins on the claimed metric (--metric; a tie
@@ -60,8 +60,6 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True, help="first pair's seed")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--metric", default="latency_p50_ms",
                         help="the claimed end-to-end metric")
     args = parser.parse_args(argv)
@@ -73,7 +71,7 @@ def main(argv=None):
         parser.error(f"unknown workload {args.workload!r}")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     timeout = 20 * seconds + 600
 
     sides = {"base": args.base, "change": args.change}
