@@ -9,11 +9,13 @@ one after the other: BASE first in even pairs, CHANGE first in odd ones.
 T is BENCHMARK.json's run_seconds. The script only calls perfbench's
 command line and reads BASE's BENCHMARK.json.
 
-It prints each pair's end-to-end values, each side's median and quartiles,
-how many pairs the change wins on the claimed metric (--metric; a tie
-counts for neither side), whether the medians differ by more than BASE's
-interquartile range, and every metric's median change against its bound.
-The last line is one JSON object with every run.
+It prints each pair's end-to-end values; each side's commit and
+`wc -l src/fmfdet/*.py` total (`env.git_commit` and `env.src_lines` of the
+detail line perfbench prints before its result); each side's median and
+quartiles; how many pairs the change wins on the claimed metric (--metric;
+a tie counts for neither side); whether the medians differ by more than
+BASE's interquartile range; and every metric's median change against its
+bound. The last line is one JSON object with both sides' env and every run.
 """
 from __future__ import annotations
 
@@ -26,17 +28,20 @@ import sys
 
 
 def run_perfbench(checkout, workload, seed, seconds, timeout):
-    """One `--trace 0` run; returns (result dict or None, note)."""
+    """One `--trace 0` run; returns (result dict or None, note). The result
+    carries the detail line's `git_commit` and `src_lines` under "env"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=timeout)
     lines = done.stdout.strip().splitlines()
     try:
+        env = json.loads(lines[-2])["detail"]["env"]
         result = json.loads(lines[-1])
         result["metrics"]
-    except (IndexError, ValueError, KeyError):
+    except (IndexError, ValueError, KeyError, TypeError):
         return None, f"exit {done.returncode}: {done.stderr[-500:]}"
+    result["env"] = {key: env.get(key) for key in ("git_commit", "src_lines")}
     return result, f"exit {done.returncode}"
 
 
@@ -92,11 +97,14 @@ def main(argv=None):
 
     print(f"\n{args.workload}, {args.pairs} pairs, seeds {args.seed}-"
           f"{args.seed + args.pairs - 1}, {seconds:g} s runs")
+    envs = {}
     for side in ("base", "change"):
         ok = [r for r in runs[side] if r is not None]
         failed_ops = sum(r.get("failed", 0) for r in ok)
         attempted = sum(r.get("attempted", 0) for r in ok)
-        print(f"{side}: {len(ok)}/{args.pairs} runs reported, "
+        envs[side] = ok[0]["env"] if ok else {}
+        print(f"{side}: commit {envs[side].get('git_commit')}, "
+              f"src_lines {envs[side].get('src_lines')}; {len(ok)}/{args.pairs} runs reported, "
               f"{sum(bool(r.get('correct')) for r in ok)} correct, "
               f"failed operations {failed_ops}/{attempted}")
     summary = {}
@@ -131,7 +139,7 @@ def main(argv=None):
               f"{'gap exceeds IQR' if gap > iqr else 'gap within IQR'}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                       "seconds": seconds, "metric": args.metric, "wins": wins,
-                      "summary": summary, "runs": runs}))
+                      "env": envs, "summary": summary, "runs": runs}))
     return 0
 
 

@@ -280,20 +280,6 @@ def concat_channels(*maps):
     return _node(data, tuple(maps), bw)
 
 
-def index_rows(a, idx):
-    """Gather rows of a 2D tensor; duplicate indices accumulate in backward."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    data = a.data[idx]
-
-    def bw(g):
-        gx = np.zeros_like(a.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _node(data, (a,), bw)
-
-
 # --------------------------------------------------------------------------
 # matmul
 # --------------------------------------------------------------------------

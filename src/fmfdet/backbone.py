@@ -53,7 +53,8 @@ class BackboneConfig:
 
 class PillarFeatureNet(Module):
     """Per-point linear -> BN -> ReLU, max per cell, scatter to grid. The
-    float64 point rows are cast to the weights' dtype, the compute dtype."""
+    float64 point rows are cast to the weights' dtype, the compute dtype. Voxel
+    mode averages the maxima over each BEV column, whose voxels arrive adjacent."""
 
     def __init__(self, in_dim, channels, rng):
         super().__init__()
@@ -77,13 +78,9 @@ class PillarFeatureNet(Module):
         coords = pillars.coords
         if coords.shape[1] == 3:
             # voxel mode: average the per-voxel features over each BEV column
-            col_keys = coords[:, 1].astype(np.int64) * w + coords[:, 0]
-            order = np.argsort(col_keys, kind="stable")
-            sorted_keys = col_keys[order]
-            cell_feats = ad.index_rows(cell_feats, order)
-            uniq, col_starts = np.unique(sorted_keys, return_index=True)
+            col_starts = np.flatnonzero(np.diff(coords[:, 1] * w + coords[:, 0], prepend=-1))
             cell_feats = ad.segment_mean(cell_feats, col_starts)
-            coords = np.stack([uniq % w, uniq // w], axis=1)
+            coords = coords[col_starts, :2]
         return ad.scatter_to_grid(cell_feats, coords, (w, h))
 
 

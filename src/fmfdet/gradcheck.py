@@ -129,11 +129,6 @@ def _case_concat_channels(rng):
     return (rng.normal(size=(1, 2, 3, 3)), rng.normal(size=(1, 3, 3, 3))), ad.concat_channels
 
 
-@_op_case("index_rows", 28)
-def _case_index_rows(rng):
-    return (rng.normal(size=(4, 3)),), lambda a: ad.index_rows(a, [0, 2, 1, 2, 0])
-
-
 @_op_case("matmul", 29)
 def _case_matmul(rng):
     return (rng.normal(size=(3, 4)), rng.normal(size=(4, 2))), ad.matmul
@@ -238,21 +233,21 @@ def _case_resample_down(rng):
     return (rng.normal(size=(1, 2, 6, 8)),), lambda x: ad.resample_nearest(x, (3, 4))
 
 
-def _fd_error(tensor, analytic, indices, forward, h=_H):
+def _fd_error(tensor, analytic, indices, forward):
     """Worst relative error of `analytic` against the central difference
-    (f(x + h e_i) - f(x - h e_i)) / 2h over coordinates i of `tensor`; each
-    coordinate is restored after it is perturbed."""
+    (f(x + h e_i) - f(x - h e_i)) / 2h, h = _H, over coordinates i of
+    `tensor`; each coordinate is restored after it is perturbed."""
     worst = 0.0
     for idx in indices:
         orig = tensor.data[idx]
-        tensor.data[idx] = orig + h
+        tensor.data[idx] = orig + _H
         with ad.no_grad():
             fp = forward().item()
-        tensor.data[idx] = orig - h
+        tensor.data[idx] = orig - _H
         with ad.no_grad():
             fm = forward().item()
         tensor.data[idx] = orig
-        worst = max(worst, _rel_err(analytic[idx], (fp - fm) / (2.0 * h)))
+        worst = max(worst, _rel_err(analytic[idx], (fp - fm) / (2.0 * _H)))
     return worst
 
 
@@ -303,12 +298,12 @@ def tiny_scene_spec(seed=7):
                      class_names=("pedestrian", "cyclist"))
 
 
-def check_pipeline(full=False, seed=0, h=_H):
+def check_pipeline(full=False):
     """Finite-difference check of d(total loss)/d(parameter) through the whole
     frame-pair pipeline on a small model. Checks two coordinates per
     parameter tensor, or every coordinate with full=True."""
     t_start = time.perf_counter()
-    cfg = tiny_train_config(seed)
+    cfg = tiny_train_config(0)
     seq = generate_scene(tiny_scene_spec())
     prev, cur = seq.frames[0], seq.frames[1]
     model = build_model(cfg, len(seq.class_names))
@@ -338,7 +333,7 @@ def check_pipeline(full=False, seed=0, h=_H):
             flat_indices = rng.choice(size, size=2, replace=False)
         indices = (np.unravel_index(int(flat), p.data.shape)
                    for flat in flat_indices)
-        per_param[name] = _fd_error(p, analytic[name], indices, forward, h)
+        per_param[name] = _fd_error(p, analytic[name], indices, forward)
 
     return {"param_count": model.param_count(),
             "loss": loss.item(),

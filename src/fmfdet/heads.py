@@ -25,6 +25,9 @@ from .layers import Conv2d, Module
 
 REG_BRANCHES = (("offset", 2), ("height", 1), ("size", 3), ("rotation", 2),
                 ("velocity", 2))
+# The one order of the regression losses: regression_losses returns them in
+# it, train's trace columns L_l..L_v follow it, and total_loss weights them in it.
+LOSS_TERMS = ("offset", "size", "height", "rotation", "velocity")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +154,7 @@ def render_targets(gt_boxes, geom: MapGeometry, num_classes, min_overlap=0.1):
     h, w = geom.h, geom.w
     heatmap = np.zeros((num_classes, h, w))
     center_mask = []
-    rows = {name: [] for name, _ in REG_BRANCHES}
+    rows = {name: [] for name in LOSS_TERMS}
     gy, gx = np.mgrid[0:h, 0:w]
     for obj_idx, box in enumerate(gt_boxes):
         if not (0 <= box.class_id < num_classes):
@@ -172,15 +175,10 @@ def render_targets(gt_boxes, geom: MapGeometry, num_classes, min_overlap=0.1):
         rows["rotation"].append((math.sin(box.yaw), math.cos(box.yaw)))
         rows["velocity"].append((box.vx, box.vy))
     n = len(center_mask)
-
-    def arr(name, width):
-        return (np.asarray(rows[name], dtype=np.float64) if n
-                else np.zeros((0, width)))
-
-    return TargetMaps(heatmap=heatmap, center_mask=center_mask,
-                      offset=arr("offset", 2), height=arr("height", 1),
-                      size=arr("size", 3), rotation=arr("rotation", 2),
-                      velocity=arr("velocity", 2), num_objects=n)
+    arrays = {name: np.asarray(rows[name], dtype=np.float64).reshape(n, width)
+              for name, width in REG_BRANCHES}
+    return TargetMaps(heatmap=heatmap, center_mask=center_mask, num_objects=n,
+                      **arrays)
 
 
 def focal_loss(pred_heatmap, target: TargetMaps, fp: FocalParams):
@@ -204,39 +202,27 @@ def focal_loss(pred_heatmap, target: TargetMaps, fp: FocalParams):
     return ad.mul(total, -1.0 / max(target.num_objects, 1))
 
 
-def _gather_centers(maps, target: TargetMaps):
-    ys = np.array([c[0][0] for c in target.center_mask], dtype=np.int64)
-    xs = np.array([c[0][1] for c in target.center_mask], dtype=np.int64)
-    return ad.gather_pixels(maps, ys, xs)
-
-
 def regression_losses(head: HeadOutput, target: TargetMaps):
     """Mean absolute error at center cells for each regression branch.
 
-    Returns (L_offset, L_size, L_height, L_rotation, L_velocity); all zero
-    when the frame has no annotated centers. The target rows are float64, so
-    the losses are too; the gather back into the maps keeps their dtype.
+    Returns one loss per LOSS_TERMS entry, in that order; all zero when the
+    frame has no annotated centers. The target rows are float64, so the
+    losses are too; the gather back into the maps keeps their dtype.
     """
     if target.num_objects == 0:
-        zero = ad.Tensor(0.0)
-        return zero, zero, zero, zero, zero
-
-    def l1(maps, rows):
-        return ad.mean(ad.abs(_gather_centers(maps, target) - ad.Tensor(rows)))
-
-    return (l1(head.offset, target.offset),
-            l1(head.size, target.size),
-            l1(head.height, target.height),
-            l1(head.rotation, target.rotation),
-            l1(head.velocity, target.velocity))
+        return (ad.Tensor(0.0),) * len(LOSS_TERMS)
+    ys, xs = np.array([c[0] for c in target.center_mask], dtype=np.int64).T
+    return tuple(ad.mean(ad.abs(ad.gather_pixels(getattr(head, name), ys, xs)
+                                - ad.Tensor(getattr(target, name))))
+                 for name in LOSS_TERMS)
 
 
 def total_loss(l_hm, l_offset, l_size, l_height, l_rotation, l_velocity,
                weights: LossWeights):
-    """Weighted sum of the six loss components."""
+    """Weighted sum of the six loss components: the heatmap loss, then the
+    regression losses in LOSS_TERMS order."""
     out = l_hm
-    for term, w in ((l_offset, weights.offset), (l_size, weights.size),
-                    (l_height, weights.height), (l_rotation, weights.rotation),
-                    (l_velocity, weights.velocity)):
-        out = ad.add(out, ad.mul(term, w))
+    terms = (l_offset, l_size, l_height, l_rotation, l_velocity)
+    for term, name in zip(terms, LOSS_TERMS):
+        out = ad.add(out, ad.mul(term, getattr(weights, name)))
     return out

@@ -6,8 +6,10 @@ cell count is clamped to the last cell, so every kept point lands in-grid.
 A cell over max_points_per_cell keeps a uniform draw without replacement:
 one seeded permutation ranks the frame's points, one sort on (cell key, rank)
 groups them, and each cell keeps its lowest ranks. max_cells keeps one seeded
-draw over the cells. Kept points come out in ascending cell key, then input
-index, so the result is a pure function of (frame, config, seed).
+draw over the cells. A cell's key is iy*W + ix for a pillar and
+(iy*W + ix)*Z + iz for a voxel, so the voxels of one BEV column sit together in
+ascending z. Kept points come out in ascending cell key, then input index, so
+the result is a pure function of (frame, config, seed).
 """
 from __future__ import annotations
 
@@ -104,9 +106,10 @@ class PillarTensor:
     features: [M, D] decorated rows of the kept points, cell by cell in cell
     order, so cell p owns rows starts[p]:starts[p] + point_counts[p] with
     starts the exclusive cumulative sum of point_counts;
-    coords: [P, 2] (ix, iy) in pillar mode, [P, 3] (ix, iy, iz) in voxel mode;
-    grid_dims: (W, H) BEV extent; z_bins: number of z levels (1 for pillars);
-    points_in_range: points inside the grid's ranges; points_dropped_cap:
+    coords: [P, 2] (ix, iy) in pillar mode, [P, 3] (ix, iy, iz) in voxel mode,
+    in ascending cell key: pillars row-major over the BEV grid, voxels grouped
+    by BEV column (columns row-major, ascending iz inside a column);
+    grid_dims: (W, H) BEV extent; points_in_range: points inside the grid's ranges; points_dropped_cap:
     points over max_points_per_cell in their cell, counted before the cell
     cut; cells_dropped: occupied cells cut by max_cells.
     """
@@ -115,7 +118,6 @@ class PillarTensor:
     coords: np.ndarray
     point_counts: np.ndarray
     grid_dims: tuple
-    z_bins: int = 1
     points_in_range: int = 0
     points_dropped_cap: int = 0
     cells_dropped: int = 0
@@ -150,7 +152,7 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
                        .astype(np.int64), cfg.dims[a] - 1) for a in range(num_axes)]
     keys = cell[1] * w + cell[0]
     if num_axes == 3:
-        keys += cell[2] * (w * h)
+        keys = keys * z + cell[2]
 
     # Point perm[j] gets random rank j; sorting key * n + rank groups the
     # points by cell, in random order inside a cell. keys < W*H*Z <= 2^26 on
@@ -175,11 +177,11 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
     sel = perm[ranked[keep] % n]
     kept = np.sort(keys[sel] * n + sel)
     pts = pts.take(kept % n, axis=0)
-    kept_keys = kept // n
-    cols = [kept_keys % w, kept_keys // w % h, kept_keys // (w * h)][:num_axes]
+    col_keys, iz = (kept // n, None) if num_axes == 2 else divmod(kept // n, z)
+    cols = [col_keys % w, col_keys // w, iz][:num_axes]
     offsets = np.cumsum(capped_counts) - capped_counts
     means = np.add.reduceat(pts[:, :3], offsets, axis=0) / capped_counts[:, None]
     features = _decorate(pts, *cols[:2], np.repeat(means, capped_counts, axis=0), cfg)
     return PillarTensor(features, np.stack([c[offsets] for c in cols], axis=1),
-                        capped_counts, (w, h), z if num_axes == 3 else 1, points_in_range=n,
+                        capped_counts, (w, h), points_in_range=n,
                         points_dropped_cap=points_dropped_cap, cells_dropped=cells_dropped)

@@ -278,12 +278,6 @@ class TestBackwardMechanics:
             thread.join(timeout=30)
         assert not thread.is_alive()
 
-    def test_index_rows_accumulates_duplicates(self):
-        x = leaf(np.zeros((3, 2)))
-        out = ad.index_rows(x, np.array([1, 1, 0]))
-        ad.backward(ad.sum(out))
-        assert np.array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
-
     def test_unbroadcast_sums_over_expanded_axes(self):
         a = leaf(np.zeros((2, 3)))
         b = leaf(np.zeros(3))

@@ -1,6 +1,8 @@
 """PFN and BEV neck: masking, scatter layout, shapes, locality, equivariance."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmfdet.autodiff as ad
 from fmfdet.backbone import BackboneConfig, Neck, PillarFeatureNet
@@ -16,6 +18,27 @@ def frame_of(rows):
 def tiny_grid():
     return GridConfig(x_range=(-1.28, 1.28), y_range=(-1.28, 1.28),
                       cell_size=(0.32, 0.32, 6.0))
+
+
+def brute_voxel_map(pfn, pillars):
+    """Eval-mode PFN map by a dict over BEV columns: each voxel's max over its
+    embedded rows, averaged over its column in ascending z. The sum is
+    np.add.reduceat over the column's stacked rows, whose association order
+    (first row plus the sum of the rest) segment_mean shares, so the maps
+    compare bitwise."""
+    with ad.no_grad():
+        embedded = ad.relu(pfn.bn(pfn.linear(ad.Tensor(pillars.features)))).data
+    columns, start = {}, 0
+    for (ix, iy, iz), count in zip(pillars.coords.tolist(),
+                                   pillars.point_counts.tolist()):
+        columns.setdefault((ix, iy), {})[iz] = embedded[start:start + count].max(axis=0)
+        start += count
+    w, h = pillars.grid_dims
+    out = np.zeros((1, pfn.channels, h, w))
+    for (ix, iy), voxels in columns.items():
+        stacked = np.stack([voxels[iz] for iz in sorted(voxels)])
+        out[0, :, iy, ix] = np.add.reduceat(stacked, [0])[0] / len(voxels)
+    return out
 
 
 class TestBackboneConfig:
@@ -67,6 +90,20 @@ class TestPillarFeatureNet:
         out_hi = pfn(voxelize(frame_of([hi]), cfg)).data
         out_both = pfn(voxelize(frame_of([lo, hi]), cfg)).data
         assert np.allclose(out_both, (out_lo + out_hi) / 2, atol=1e-12)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120))
+    @settings(max_examples=40, deadline=None)
+    def test_voxel_map_matches_column_brute_force(self, seed, n):
+        cfg = GridConfig(x_range=(-0.64, 0.64), y_range=(-0.64, 0.64),
+                         cell_size=(0.32, 0.32, 1.0), max_points_per_cell=120,
+                         mode="voxel")
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform([-0.7, -0.7, -2.2, 0.0], [0.7, 0.7, 4.2, 1.0], size=(n, 4))
+        pillars = voxelize(frame_of(pts), cfg)
+        pfn = PillarFeatureNet(7, 6, np.random.default_rng(8)).eval()
+        with ad.no_grad():
+            got = pfn(pillars).data
+        assert got.tobytes() == brute_voxel_map(pfn, pillars).tobytes()
 
     def test_analytic_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(5)

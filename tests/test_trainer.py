@@ -70,6 +70,17 @@ class TestTrainLoop:
         assert all(len(row) == len(TRACE_COLUMNS) for row in trace)
         assert all(np.isfinite(row[2:]).all() for row in trace)
 
+    def test_voxel_grid_step_reaches_every_pfn_parameter(self):
+        grid = GridConfig(x_range=(-3.2, 3.2), y_range=(-3.2, 3.2),
+                          cell_size=(0.32, 0.32, 1.5), mode="voxel")
+        assert grid.dims[2] == 4
+        model, opt, trace = train(tiny_cfg(grid=grid, max_steps=1), [tiny_scene()])
+        assert np.isfinite(trace[0][2:]).all()
+        # one AdamW step leaves m = (1 - beta1) * grad
+        pfn = [name for name, _ in model.named_parameters() if name.startswith("pfn.")]
+        assert len(pfn) == 4
+        assert all(opt.m[name].any() for name in pfn)
+
     def test_deterministic_reruns(self):
         scenes = [tiny_scene()]
         _, _, a = train(tiny_cfg(max_steps=10, epochs=8), scenes)

@@ -136,7 +136,6 @@ class TestBinning:
         assert out.point_counts.shape == (0,)
         assert out.num_cells == 0
         assert out.grid_dims == (80, 80)
-        assert out.z_bins == 1
 
     def test_all_points_out_of_range_gives_empty_tensor(self):
         cfg = desk_pillar_config()
@@ -163,7 +162,6 @@ class TestBinning:
         cfg = desk_voxel_config()
         out = voxelize(frame_of([[0.0, 0.0, -2.0, 0.1],
                                  [0.0, 0.0, 0.0, 0.2]]), cfg)
-        assert out.z_bins == 40
         assert sorted(out.coords.tolist()) == [[128, 128, 0], [128, 128, 13]]
         assert out.features.shape == (2, 7)
 
@@ -262,6 +260,25 @@ class TestCaps:
         assert np.abs(survived - seeds * 5 / 12).max() < 160
 
 
+class TestVoxelOrder:
+    @given(pts=st.lists(st.tuples(
+        st.sampled_from([-12.8, -0.15, -0.05, 0.05, 0.25, 12.75]),
+        st.sampled_from([-0.15, 0.05, 0.15, 12.75]),
+        st.floats(-2.0, 3.99), st.floats(0, 1)), min_size=0, max_size=60),
+        n_max=st.integers(1, 4), max_cells=st.integers(1, 40),
+        seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_voxels_of_a_column_are_adjacent_in_ascending_z(self, pts, n_max,
+                                                             max_cells, seed):
+        cfg = dataclasses.replace(desk_voxel_config(), max_points_per_cell=n_max,
+                                  max_cells=max_cells)
+        out = voxelize(frame_of(np.array(pts).reshape(-1, 4)), cfg, seed=seed)
+        bev = out.coords[:, 1] * cfg.dims[0] + out.coords[:, 0]
+        step = np.diff(bev)
+        assert (step >= 0).all()
+        assert (np.diff(out.coords[:, 2])[step == 0] > 0).all()
+
+
 def stable_sort_voxelize(points, cfg):
     """Binning by one stable argsort of the flat cell keys, for frames where
     no cap binds: cells in ascending key order, points in input order within
@@ -275,7 +292,7 @@ def stable_sort_voxelize(points, cfg):
     if cfg.mode == "pillar":
         keys = cells[:, 1] * w + cells[:, 0]
     else:
-        keys = (cells[:, 2] * h + cells[:, 1]) * w + cells[:, 0]
+        keys = (cells[:, 1] * w + cells[:, 0]) * z + cells[:, 2]
     order = np.argsort(keys, kind="stable")
     pts, cells = pts[order], cells[order]
     _, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
