@@ -154,7 +154,7 @@ def render_targets(gt_boxes, geom: MapGeometry, num_classes, min_overlap=0.1):
     h, w = geom.h, geom.w
     heatmap = np.zeros((num_classes, h, w))
     center_mask = []
-    rows = {name: [] for name in LOSS_TERMS}
+    rows = {name: [] for name, _ in REG_BRANCHES}
     gy, gx = np.mgrid[0:h, 0:w]
     for obj_idx, box in enumerate(gt_boxes):
         if not (0 <= box.class_id < num_classes):
