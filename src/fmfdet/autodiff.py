@@ -349,13 +349,6 @@ def _phase_runs(size, pad, s):
     return runs
 
 
-# see conv2d: backward's gradient-support rule. Warm float32 backwards at
-# 40x40 on one thread: 24->24 3x3 takes 0.11-0.18 ms sparse against
-# 0.85-1.01 ms dense with 3 live pixels, 0.40-0.72 against 0.93-1.04 ms with
-# 100 (= 1/16); 24->2 1x1 breaks even up to 10 and is 0.05 ms slower at 100.
-_SPARSE_GRAD_RATIO = 16
-
-
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """Cross-correlation of x [N,C,H,W] with weight [F,C,kh,kw].
 
@@ -370,11 +363,6 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     in this thread's scratch buffer: backward refills them from x, which the
     graph holds as a parent, and gathers the input gradient phase by phase
     with the same offsets.
-
-    Backward is sized to where the gradient is: when at most 1/16 of the
-    output pixels carry any (regression branches supervised at object
-    centres), it gathers every tap's phase positions oy * wq + ox + off of
-    those P pixels, so both gradients are GEMMs of inner size F or P.
     """
     x, weight = _wrap(x), _wrap(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -431,37 +419,22 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         xq = phases()
         gq = _buffer("grad_phases", (s * s, n, cin, hq * wq), dtype)
         gq.fill(0)
-        live = np.flatnonzero(g.any(axis=(0, 1)))
-        if _SPARSE_GRAD_RATIO * live.size <= oh * ow:
-            # every tap at once: tap t at live output (oy, ox) reads phase
-            # ph[t] at off[t] + oy * wq + ox; taps overlap, hence add.at
-            oy, ox = np.divmod(live, ow)
-            ph, at = np.array([(t[2], t[3]) for t in taps]).T[:, :, None]
-            at = at + oy * wq + ox
-            g_live = g.reshape(n, f, oh * ow)[:, :, live].transpose(1, 0, 2).reshape(f, -1)
-            g_live = g_live.astype(dtype, copy=False)
-            x_live = xq[:, :, ph, at].transpose(1, 2, 0, 3).reshape(cin * kh * kw, -1)
-            gw = (g_live @ x_live.T).reshape(f, cin, kh, kw)
-            g_cols = weight.data.reshape(f, -1).T.astype(dtype, copy=False) @ g_live
-            np.add.at(gq, (ph, slice(None), slice(None), at),
-                      g_cols.reshape(cin, kh * kw, n, -1).transpose(1, 3, 2, 0))
-        else:
-            # g_pad[far + q] is g at output position q, zero in the dropped
-            # columns, so phase position p collects wt^T @ g_pad[far + p - off]
-            far = taps[-1][3]
-            g_pad = _buffer("grad_out", (n, f, far + hq * wq), dtype)
-            g_pad.fill(0)
-            g_ext = g_pad[:, :, far:far + length]
-            g_ext.reshape(n, f, oh, wq)[..., :ow] = g
-            gw = np.empty((f, cin, kh, kw), dtype=dtype)
-            gw_n = np.empty((n, f, cin), dtype=dtype)
-            gq_tap = _buffer("grad_tap", (n, cin, hq * wq), dtype)
-            wt = taps_weight()
-            for i, j, ph, off in taps:
-                np.matmul(g_ext, xq[:, :, ph, off:off + length].transpose(0, 2, 1), out=gw_n)
-                gw[:, :, i, j] = gw_n.sum(axis=0)
-                np.matmul(wt[i, j].T, g_pad[:, :, far - off:far - off + hq * wq], out=gq_tap)
-                gq[ph] += gq_tap
+        # g_pad[far + q] is g at output position q, zero in the dropped
+        # columns, so phase position p collects wt^T @ g_pad[far + p - off]
+        far = taps[-1][3]
+        g_pad = _buffer("grad_out", (n, f, far + hq * wq), dtype)
+        g_pad.fill(0)
+        g_ext = g_pad[:, :, far:far + length]
+        g_ext.reshape(n, f, oh, wq)[..., :ow] = g
+        gw = np.empty((f, cin, kh, kw), dtype=dtype)
+        gw_n = np.empty((n, f, cin), dtype=dtype)
+        gq_tap = _buffer("grad_tap", (n, cin, hq * wq), dtype)
+        wt = taps_weight()
+        for i, j, ph, off in taps:
+            np.matmul(g_ext, xq[:, :, ph, off:off + length].transpose(0, 2, 1), out=gw_n)
+            gw[:, :, i, j] = gw_n.sum(axis=0)
+            np.matmul(wt[i, j].T, g_pad[:, :, far - off:far - off + hq * wq], out=gq_tap)
+            gq[ph] += gq_tap
         gq = gq.reshape(s, s, n, cin, hq, wq)
         gx = np.empty(x.data.shape, dtype=dtype)
         for a, ra, ha, na in rows:
@@ -627,33 +600,57 @@ def scatter_to_grid(features, coords, dims):
         if np.unique(flat).size != p:
             raise IndexError("scatter coords must be unique")
     out = np.zeros((1, c, h, w), dtype=features.data.dtype)
-    if p:
-        out[0, :, coords[:, 1], coords[:, 0]] = features.data
+    out[0, :, coords[:, 1], coords[:, 0]] = features.data
 
     def bw(g):
-        if not p:
-            return (np.zeros_like(features.data),)
         return (g[0, :, coords[:, 1], coords[:, 0]],)
 
     return _node(out, (features,), bw)
 
 
-def gather_pixels(x, ys, xs):
-    """Gather per-pixel vectors from x [1,C,h,w] at (ys, xs) -> [M,C].
-
-    Duplicate pixels are allowed; backward accumulates.
-    """
+def gather_pixels(x, ys, xs, k=1):
+    """Rows [M, C*k*k] of the k x k windows of x [1,C,h,w] centred at (ys, xs),
+    k odd: channel-major, then taps row-major, as in a conv weight reshaped to
+    [F, C*k*k]. Taps outside the map read zero; k = 1 gives each pixel's
+    vector. Duplicate pixels are allowed; backward accumulates."""
     x = _wrap(x)
     ys = np.asarray(ys, dtype=np.int64)
     xs = np.asarray(xs, dtype=np.int64)
-    data = x.data[0, :, ys, xs]
+    _, c, h, w = x.data.shape
+    m, r = ys.size, k // 2
+    ty = ys[:, None] + (np.arange(k * k) // k - r)
+    tx = xs[:, None] + (np.arange(k * k) % k - r)
+    inside = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+    flat = np.where(inside, ty * w + tx, 0)
+    data = x.data[0].reshape(c, h * w)[:, flat]
+    data[:, ~inside] = 0
+    data = data.transpose(1, 0, 2).reshape(m, c * k * k)
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx[0].transpose(1, 2, 0), (ys, xs), g)
+        g = g.reshape(m, c, k * k).transpose(1, 0, 2)
+        np.add.at(gx[0].reshape(c, h * w), (slice(None), flat[inside]), g[:, inside])
         return (gx,)
 
     return _node(data, (x,), bw)
+
+
+def conv_rows(rows, weight, bias):
+    """rows [M, C*kh*kw] @ weight.reshape(F, -1).T + bias -> [M, F]: a conv
+    weight [F,C,kh,kw] at gather_pixels' windows, or a 1x1 one at pixel rows."""
+    rows, weight, bias = _wrap(rows), _wrap(weight), _wrap(bias)
+    f = weight.data.shape[0]
+    if rows.data.ndim != 2 or rows.data.shape[1] != weight.data[0].size:
+        raise ShapeError(f"conv_rows: rows {rows.data.shape} do not fit {weight.data.shape}")
+    data = rows.data @ weight.data.reshape(f, -1).T + bias.data
+    dtype = data.dtype
+
+    def bw(g):
+        g = g.astype(dtype, copy=False)
+        return (g @ weight.data.reshape(f, -1),
+                (g.T @ rows.data).reshape(weight.data.shape), g.sum(axis=0))
+
+    return _node(data, (rows, weight, bias), bw)
 
 
 _SNAP_TOL = 1e-7

@@ -56,17 +56,24 @@ def find_peaks(heatmap):
     return peaks
 
 
-def decode(head: HeadOutput, geom: MapGeometry, cfg: MatchConfig):
-    """Extract up to top_k scored detections from one frame's head output."""
-    hm = head.heatmap.data[0]
-    peaks = find_peaks(hm)
-    ks, iys, ixs = np.nonzero(peaks)
-    scores = hm[ks, iys, ixs]
+def select_peaks(heatmap, cfg: MatchConfig):
+    """(ks, iys, ixs, scores) of decode's peaks in heatmap [K,h,w]: find_peaks,
+    the score threshold, then top_k (by score, ties by class, row, column)."""
+    ks, iys, ixs = np.nonzero(find_peaks(heatmap))
+    scores = heatmap[ks, iys, ixs]
     keep = scores >= cfg.score_threshold
     ks, iys, ixs, scores = ks[keep], iys[keep], ixs[keep], scores[keep]
     if scores.size > cfg.top_k:
         order = np.lexsort((ixs, iys, ks, -scores))[:cfg.top_k]
         ks, iys, ixs, scores = ks[order], iys[order], ixs[order], scores[order]
+    return ks, iys, ixs, scores
+
+
+def decode(head: HeadOutput, geom: MapGeometry, cfg: MatchConfig):
+    """Extract up to top_k scored detections from one frame's head output, at
+    select_peaks of its heatmap, or at `head.peaks` if selected under cfg."""
+    made_under, chosen = head.peaks or (None, None)
+    ks, iys, ixs, scores = chosen if made_under == cfg else select_peaks(head.heatmap.data[0], cfg)
     offs, sizes, rots, vels = (m.data[0][:, iys, ixs] for m in
                                (head.offset, head.size, head.rotation, head.velocity))
     cxs = (ixs + offs[0]) * geom.cell + geom.x_min

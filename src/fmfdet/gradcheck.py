@@ -166,17 +166,6 @@ def _case_conv_k5_stride3(rng):
             lambda x, weight: ad.conv2d(x, weight, stride=3, padding=2))
 
 
-@_op_case("conv2d_sparse_grad", 45)
-def _case_conv_sparse_grad(rng):
-    # gradient on 2 of 6 x 6 output pixels, so backward takes its sparse path
-    mask = np.zeros((1, 1, 6, 6))
-    mask[0, 0, [0, 5], [4, 2]] = (0.7, -1.3)
-    return ((rng.normal(size=(1, 2, 9, 10)), rng.normal(size=(3, 2, 3, 3)) * 0.5,
-             rng.normal(size=(3,))),
-            lambda x, weight, bias: ad.mul(ad.conv2d(x, weight, bias, stride=2,
-                                                     padding=2), mask))
-
-
 def _bn_inputs(rng):
     return (rng.normal(size=(2, 3, 4, 4)), rng.uniform(0.5, 1.5, size=(3,)),
             rng.normal(size=(3,)))
@@ -218,6 +207,19 @@ def _case_scatter(rng):
 def _case_gather(rng):
     return (rng.normal(size=(1, 3, 4, 5)),), lambda x: ad.gather_pixels(
         x, [0, 3, 3, 1], [4, 2, 2, 0])
+
+
+@_op_case("gather_pixels_3x3", 45)
+def _case_gather_windows(rng):
+    # corner and edge windows reach outside the map; (3, 4) comes twice
+    return (rng.normal(size=(1, 2, 4, 5)),), lambda x: ad.gather_pixels(
+        x, [0, 3, 1, 3, 2], [0, 4, 2, 4, 0], k=3)
+
+
+@_op_case("conv_rows", 46)
+def _case_conv_rows(rng):
+    return ((rng.normal(size=(5, 12)), rng.normal(size=(3, 2, 2, 3)) * 0.5,
+             rng.normal(size=(3,))), ad.conv_rows)
 
 
 @_op_case("bilinear_sample", 39)
@@ -281,11 +283,11 @@ def tiny_grid_config():
                       max_points_per_cell=8, max_cells=4000, mode="pillar")
 
 
-def tiny_train_config(seed=0):
+def tiny_train_config():
     backbone = BackboneConfig(pfn_channels=6, neck_channels=(6,),
                               neck_strides=(2,), out_channels=6)
     return TrainConfig(grid=tiny_grid_config(), backbone=backbone,
-                       head_channels=4, seed=seed,
+                       head_channels=4, seed=0,
                        fmf=FMFConfig(enabled=True, use_odometry=True),
                        augment=AugmentConfig(enabled=False),
                        compute_dtype="float64")
@@ -303,7 +305,7 @@ def check_pipeline(full=False):
     frame-pair pipeline on a small model. Checks two coordinates per
     parameter tensor, or every coordinate with full=True."""
     t_start = time.perf_counter()
-    cfg = tiny_train_config(0)
+    cfg = tiny_train_config()
     seq = generate_scene(tiny_scene_spec())
     prev, cur = seq.frames[0], seq.frames[1]
     model = build_model(cfg, len(seq.class_names))
@@ -312,7 +314,8 @@ def check_pipeline(full=False):
                             cfg.min_overlap)
 
     def forward():
-        out = model.forward_pair(prev, cur, vox_seeds=(11, 12))
+        out = model.forward_pair(prev, cur, vox_seeds=(11, 12),
+                                 cells=lambda _: target.centers())
         l_hm = focal_loss(out.heatmap, target, cfg.focal)
         return total_loss(l_hm, *regression_losses(out, target),
                           cfg.loss_weights)

@@ -1,7 +1,10 @@
 """Center-based multi-task head, Gaussian heatmap targets, and losses.
 
 The head predicts, per BEV cell: a per-class center heatmap plus offset,
-height, log-size, (sin, cos) rotation, and velocity regression maps. Targets
+height, log-size, (sin, cos) rotation, and velocity regression maps. The
+regression maps hold values at the cells the head evaluated (object centres
+in training, decoded peaks in inference) and are zero elsewhere; `decode`
+and `regression_losses` read only those cells. Targets
 render one Gaussian per object onto the class channel (max-combined), with
 regression supervised only at the integer center cells.
 
@@ -55,12 +58,17 @@ class LossWeights:
 
 @dataclasses.dataclass
 class HeadOutput:
+    """One frame's head maps; the regression maps are zero outside the cells
+    the head evaluated. `peaks`, not a field, is (MatchConfig, select_peaks
+    result) when run_inference chose those cells, for decode to reuse."""
+
     heatmap: object   # [1,K,h,w], post-sigmoid
     offset: object    # [1,2,h,w], cells (dx, dy)
     height: object    # [1,1,h,w], meters
     size: object      # [1,3,h,w], (log w, log l, log h)
     rotation: object  # [1,2,h,w], (sin yaw, cos yaw)
     velocity: object  # [1,2,h,w], m/s
+    peaks = None
 
 
 @dataclasses.dataclass
@@ -80,13 +88,18 @@ class TargetMaps:
     velocity: np.ndarray       # [N,2]
     num_objects: int
 
+    def centers(self):
+        """(ys, xs) of the center cells, in center_mask order."""
+        return np.array([c[0] for c in self.center_mask], np.int64).reshape(-1, 2).T
+
 
 class DetectionHead(Module):
     """Per-branch conv(C->Ch,3x3) -> ReLU -> conv(Ch->out,1x1).
 
     The heatmap branch ends in a sigmoid; its final conv starts at zero
     weights with bias -log((1-p)/p), p=0.1, so a fresh model predicts 0.1
-    everywhere.
+    everywhere. Regression branches are row GEMMs on the 3x3 windows at the
+    (ys, xs) = cells(sigmoid heatmap [K,h,w]), every cell if cells is None.
     """
 
     def __init__(self, in_channels, head_channels, num_classes, rng):
@@ -105,12 +118,22 @@ class DetectionHead(Module):
                 final.bias.data[:] = -math.log((1.0 - 0.1) / 0.1)
             self.branches[name] = (hidden, final)
 
-    def __call__(self, bev):
+    def __call__(self, bev, cells=None):
         if bev.data.ndim != 4:
             raise ShapeError("head expects a [1,C,h,w] map")
-        maps = {name: final(ad.relu(hidden(bev)))
-                for name, (hidden, final) in self.branches.items()}
-        maps["heatmap"] = ad.sigmoid(maps["heatmap"])
+        hidden, final = self.branches["heatmap"]
+        maps = {"heatmap": ad.sigmoid(final(ad.relu(hidden(bev))))}
+        h, w = bev.data.shape[2:]
+        ys, xs = np.indices((h, w)) if cells is None else cells(maps["heatmap"].data[0])
+        # scatter_to_grid needs unique cells; two boxes may share a centre
+        ys, xs = np.divmod(np.unique(np.asarray(ys, np.int64) * w + xs), w)
+        windows = ad.gather_pixels(bev, ys, xs, k=3)
+        coords = np.stack([xs, ys], axis=1)
+        for name, _ in REG_BRANCHES:
+            hidden, final = self.branches[name]
+            rows = ad.relu(ad.conv_rows(windows, hidden.weight, hidden.bias))
+            rows = ad.conv_rows(rows, final.weight, final.bias)
+            maps[name] = ad.scatter_to_grid(rows, coords, (w, h))
         return HeadOutput(**maps)
 
 
@@ -211,7 +234,7 @@ def regression_losses(head: HeadOutput, target: TargetMaps):
     """
     if target.num_objects == 0:
         return (ad.Tensor(0.0),) * len(LOSS_TERMS)
-    ys, xs = np.array([c[0] for c in target.center_mask], dtype=np.int64).T
+    ys, xs = target.centers()
     return tuple(ad.mean(ad.abs(ad.gather_pixels(getattr(head, name), ys, xs)
                                 - ad.Tensor(getattr(target, name))))
                  for name in LOSS_TERMS)

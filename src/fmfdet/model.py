@@ -57,38 +57,47 @@ class Detector(Module):
         return bev
 
     def forward_frame(self, frame, state: FMFState = None, vox_seed=0,
-                      stamp=_no_stamp):
+                      stamp=_no_stamp, cells=None):
         """One sequence step: returns (HeadOutput, new state). `stamp(stage)`
         is called as voxelize, backbone, neck, fmf and head each finish. With
-        fusion disabled the map passes to the head unchanged."""
+        fusion disabled the map passes to the head unchanged. `cells` is the
+        head's (see DetectionHead)."""
         bev = self.extract(frame, vox_seed, stamp)
         if self.fmf is not None:
             pose = frame.ego_pose if self.fmf_cfg.use_odometry else None
             bev, state = fmf_step(bev, state, self.fmf, pose, self.geometry)
         stamp("fmf")
-        out = self.head(bev)
+        out = self.head(bev, cells)
         stamp("head")
         return out, state
 
-    def forward_pair(self, prev_frame, cur_frame, vox_seeds=(0, 0)):
+    def forward_pair(self, prev_frame, cur_frame, vox_seeds=(0, 0), cells=None):
         """Training-style pair forward: features of both frames stay in the
         gradient graph; the head runs on the current frame only."""
         state = FMFState(prev_map=self.extract(prev_frame, vox_seeds[0]),
                          prev_pose=prev_frame.ego_pose)
-        return self.forward_frame(cur_frame, state, vox_seeds[1])[0]
+        return self.forward_frame(cur_frame, state, vox_seeds[1], cells=cells)[0]
 
 
 def run_inference(model: Detector, sequence, match_cfg, stamp=_no_stamp):
     """Frame-ordered inference over one sequence; returns per-frame detections.
-    `stamp(stage)` is called as in Detector.forward_frame, then after decode."""
-    from .decode import decode
+    `stamp(stage)` is called as in Detector.forward_frame, then after decode.
+    The head evaluates its regression maps at the peaks decode then reads."""
+    from .decode import decode, select_peaks
 
     model.eval()
     det_frames = []
     state = None
+    chosen = []
+
+    def peak_cells(heatmap):
+        chosen.append(select_peaks(heatmap, match_cfg))
+        return chosen[-1][1:3]
+
     with ad.no_grad():
         for frame in sequence.frames:
-            out, state = model.forward_frame(frame, state, stamp=stamp)
+            out, state = model.forward_frame(frame, state, stamp=stamp, cells=peak_cells)
+            out.peaks = match_cfg, chosen.pop()
             det_frames.append(decode(out, model.geometry, match_cfg))
             stamp("decode")
     return det_frames

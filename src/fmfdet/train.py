@@ -141,11 +141,12 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
                                       cfg.augment)
                 prev = apply_transform(prev, tf)
                 cur = apply_transform(cur, tf)
-            out = model.forward_pair(prev, cur,
-                                     vox_seeds=(int(seeds[1]),
-                                                int(seeds[2])))
             target = render_targets(cur.gt_boxes, model.geometry,
                                     len(class_names), cfg.min_overlap)
+            out = model.forward_pair(prev, cur,
+                                     vox_seeds=(int(seeds[1]),
+                                                int(seeds[2])),
+                                     cells=lambda _: target.centers())
             l_hm = focal_loss(out.heatmap, target, cfg.focal)
             comps = (l_hm,) + regression_losses(out, target)
             sums = comps if sums is None else tuple(

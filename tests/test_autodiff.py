@@ -248,6 +248,26 @@ class TestBackwardMechanics:
         assert saved
         assert not any(isinstance(v, np.ndarray) for v in saved)
 
+    @pytest.mark.parametrize("op", ["gather_pixels", "conv_rows"])
+    def test_row_ops_save_only_parents_and_index_arrays(self, op):
+        """gather_pixels' backward keeps its index arrays, conv_rows' none;
+        neither closes over a float array, such as a reshaped weight."""
+        rng = np.random.default_rng(5)
+        x = leaf(rng.normal(size=(1, 3, 6, 6)))
+        rows = ad.gather_pixels(x, [0, 5, 2], [1, 5, 0], k=3)
+        if op == "conv_rows":
+            rows = ad.conv_rows(rows, leaf(rng.normal(size=(4, 3, 3, 3))),
+                                leaf(rng.normal(size=4)))
+        fns, saved = [rows._backward_fn], []
+        while fns:
+            for cell in fns.pop().__closure__ or ():
+                saved.append(cell.cell_contents)
+                if isinstance(saved[-1], types.FunctionType):
+                    fns.append(saved[-1])
+        arrays = [v for v in saved if isinstance(v, np.ndarray)]
+        assert not any(a.dtype.kind == "f" for a in arrays)
+        assert (op == "conv_rows") == (not arrays)
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError):
             ad.backward(leaf([1.0, 2.0]))
@@ -442,35 +462,76 @@ class TestProperties:
            st.sampled_from([0, 1, 2]), st.integers(5, 8), st.integers(5, 8),
            st.integers(1, 3))
     @example(seed=1, n=2, k=3, stride=2, pad=2, h=5, w=7, live=2)
-    # 6 x 8 output pixels, 3 live: exactly at the 1/16 rule
     @example(seed=2, n=1, k=5, stride=1, pad=0, h=5, w=6, live=3)
     @settings(max_examples=60, deadline=None)
     def test_conv_matches_nested_loop_convolution(self, seed, n, k, stride, pad, h, w,
                                                   live):
-        """Each draw checks the dense backward (gradient on every pixel) on an
-        h x w map, then the sparse one with the gradient on `live` output
-        pixels of a map 2 * stride times larger."""
+        """Each draw checks conv2d with the gradient on every pixel of an
+        h x w map, then the row path at `live` output pixels of its first
+        map: gather_pixels' k x k windows there, through conv_rows, with the
+        gradient on those pixels only. Output pixel (oy, ox) reads the window
+        centred at (oy, ox) * stride - pad + k // 2."""
         if h == w:
             w += 1      # non-square, so row and column offsets cannot be swapped
         rng = np.random.default_rng(seed)
-        for size, n_live in (((h, w), 0), ((2 * stride * h, 2 * stride * w), live)):
-            x, weight, bias = (leaf(rng.normal(size=shape))
-                               for shape in ((n, 3) + size, (4, 3, k, k), (4,)))
-            out = ad.conv2d(x, weight, bias, stride=stride, padding=pad)
-            ref, ref_grads = _direct_conv(x.data, weight.data, bias.data, stride, pad)
-            g = rng.normal(size=ref.shape)
-            oh, ow = ref.shape[2:]
-            if n_live:
-                assert ad._SPARSE_GRAD_RATIO * n_live <= oh * ow
-                mask = np.zeros(oh * ow)
-                mask[rng.choice(oh * ow, size=n_live, replace=False)] = 1.0
-                g *= mask.reshape(oh, ow)
-            ad.backward(ad.sum(ad.mul(out, g)))
-            pairs = zip((out.data, x.grad, weight.grad, bias.grad),
-                        (ref,) + ref_grads(g))
+
+        def check(pairs):
             for got, want in pairs:
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        x, weight, bias = (leaf(rng.normal(size=shape))
+                           for shape in ((n, 3, h, w), (4, 3, k, k), (4,)))
+        out = ad.conv2d(x, weight, bias, stride=stride, padding=pad)
+        ref, ref_grads = _direct_conv(x.data, weight.data, bias.data, stride, pad)
+        g = rng.normal(size=ref.shape)
+        ad.backward(ad.sum(ad.mul(out, g)))
+        check(zip((out.data, x.grad, weight.grad, bias.grad), (ref,) + ref_grads(g)))
+
+        x, weight, bias = (leaf(t.data) for t in (x, weight, bias))
+        x.data = x.data[:1]
+        ref, ref_grads = _direct_conv(x.data, weight.data, bias.data, stride, pad)
+        oh, ow = ref.shape[2:]
+        oy, ox = np.divmod(rng.choice(oh * ow, size=min(live, oh * ow), replace=False), ow)
+        centre = k // 2 - pad
+        rows = ad.conv_rows(ad.gather_pixels(x, oy * stride + centre,
+                                             ox * stride + centre, k=k), weight, bias)
+        g_rows = rng.normal(size=rows.data.shape)
+        ad.backward(ad.sum(ad.mul(rows, g_rows)))
+        g = np.zeros_like(ref)
+        g[0, :, oy, ox] = g_rows
+        check(zip((rows.data, x.grad, weight.grad, bias.grad),
+                  (ref[0, :, oy, ox],) + ref_grads(g)))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3, 5]),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_gather_windows_match_padded_brute_force(self, seed, k, pixels):
+        """Rows are the zero-padded k x k windows, channel-major then taps
+        row-major; backward adds each row back onto its window."""
+        rng = np.random.default_rng(seed)
+        x = leaf(rng.normal(size=(1, 3, 5, 6)))
+        ys, xs = np.array(pixels, dtype=np.int64).reshape(-1, 2).T
+        rows = ad.gather_pixels(x, ys, xs, k=k)
+        g = rng.normal(size=(ys.size, 3 * k * k))
+        ad.backward(ad.sum(ad.mul(rows, g)))
+        r = k // 2
+        padded = np.pad(x.data[0], ((0, 0), (r, r), (r, r)))
+        g_padded = np.zeros_like(padded)
+        for m, (y, x_) in enumerate(zip(ys, xs)):
+            assert np.array_equal(rows.data[m],
+                                  padded[:, y:y + k, x_:x_ + k].reshape(-1))
+            g_padded[:, y:y + k, x_:x_ + k] += g[m].reshape(3, k, k)
+        assert rows.data.shape == g.shape
+        assert np.allclose(x.grad[0], g_padded[:, r:r + 5, r:r + 6], rtol=0, atol=1e-12)
+
+    def test_gather_single_pixels_is_plain_indexing(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1, 4, 5, 6)).astype(np.float32)
+        ys, xs = [0, 4, 4, 2], [5, 0, 0, 3]
+        rows = ad.gather_pixels(ad.Tensor(x), ys, xs).data
+        assert rows.dtype == np.float32
+        assert np.array_equal(rows, x[0, :, ys, xs])
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)

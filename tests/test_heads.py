@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmfdet.autodiff as ad
 from fmfdet.errors import ConfigError
 from fmfdet.geometry import MapGeometry
-from fmfdet.heads import (DetectionHead, FocalParams, HeadOutput, LossWeights,
-                          TargetMaps, focal_loss, gaussian_radius,
+from fmfdet.heads import (REG_BRANCHES, DetectionHead, FocalParams, HeadOutput,
+                          LossWeights, TargetMaps, focal_loss, gaussian_radius,
                           regression_losses, render_targets, total_loss)
 from fmfdet.scene import Box3D
 
@@ -295,3 +297,59 @@ class TestDetectionHead:
         _, final = head.branches["heatmap"]
         assert np.allclose(final.bias.data, -math.log(9.0))
         assert not final.weight.data.any()
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_regression_at_cells_equals_dense_chain(self, seed, cells):
+        """Regression maps equal final(relu(hidden(bev))) at the cells (map
+        borders, duplicates and no cells included) and are 0 elsewhere; under
+        a loss that reads only those cells, bev and every regression branch
+        parameter get the dense chain's gradients. Float64 throughout."""
+        rng = np.random.default_rng(seed)
+        head = DetectionHead(3, 4, 2, rng)
+        for key, p in head.named_parameters():
+            if key.endswith(".bias"):
+                p.data = rng.normal(size=p.data.shape)
+        bev_data = rng.normal(size=(1, 3, 5, 7))
+        ys, xs = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+        weights = {name: rng.normal(size=(ys.size, out)) for name, out in REG_BRANCHES}
+        at_cells = np.zeros((5, 7), dtype=bool)
+        at_cells[ys, xs] = True
+
+        def heatmap_only(hm):
+            assert hm.shape == (2, 5, 7)
+            return ys, xs
+
+        def run(maps_of):
+            head.zero_grad()
+            bev = ad.Tensor(bev_data, requires_grad=True)
+            maps = maps_of(bev)
+            loss = ad.Tensor(0.0)
+            for name, _ in REG_BRANCHES:
+                loss = ad.add(loss, ad.sum(ad.mul(
+                    ad.gather_pixels(maps[name], ys, xs), weights[name])))
+            ad.backward(loss)
+            grads = {key: p.grad for key, p in head.named_parameters()
+                     if not key.startswith("heatmap.")}
+            return maps, bev.grad, grads
+
+        def dense(bev):
+            return {name: final(ad.relu(hidden(bev)))
+                    for name, (hidden, final) in head.branches.items()}
+
+        def close(got, want):
+            assert np.max(np.abs(got - want), initial=0.0) <= (
+                1e-12 * np.max(np.abs(want), initial=1.0))
+
+        got, got_bev, got_params = run(
+            lambda bev: vars(head(bev, heatmap_only)))
+        want, want_bev, want_params = run(dense)
+        for name, _ in REG_BRANCHES:
+            got_map, want_map = got[name].data[0], want[name].data[0]
+            close(got_map[:, at_cells], want_map[:, at_cells])
+            assert not got_map[:, ~at_cells].any()
+        close(got_bev, want_bev)
+        assert got_params.keys() == want_params.keys()
+        for key in want_params:
+            close(got_params[key], want_params[key])

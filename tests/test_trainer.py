@@ -11,8 +11,10 @@ from fmfdet.ablate import ablation_run
 from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
 from fmfdet.config import apply_overrides, from_dict, load_config, to_dict
+from fmfdet.decode import MatchConfig, decode
 from fmfdet.errors import ConfigError, DivergenceError
 from fmfdet.fmf import FMFConfig, FMFParams
+from fmfdet.model import run_inference
 from fmfdet.scene import SceneSpec, generate_scene
 from fmfdet.train import (TRACE_COLUMNS, TrainConfig, build_model,
                           load_checkpoint, read_trace, save_checkpoint,
@@ -182,6 +184,29 @@ class TestForwardPath:
         for field in dataclasses.fields(pair):
             assert np.array_equal(getattr(pair, field.name).data,
                                   getattr(stream, field.name).data), field.name
+
+    @pytest.mark.parametrize("match", [MatchConfig(score_threshold=0.05),
+                                       MatchConfig(score_threshold=0.0, top_k=7)],
+                             ids=["threshold", "top_k"])
+    def test_inference_at_peaks_equals_decoding_every_cell(self, match):
+        """run_inference evaluates the regression maps at the selected peaks
+        only; decoding a head output evaluated at every cell gives the same
+        classes, order and scores, and boxes within perfbench's tolerances."""
+        model, _, _ = train(tiny_cfg(), [tiny_scene()])
+        seq = tiny_scene(seed=9)
+        got = run_inference(model, seq, match)
+        want, state = [], None
+        with ad.no_grad():
+            for frame in seq.frames:
+                out, state = model.forward_frame(frame, state)
+                want.append(decode(out, model.geometry, match))
+        assert sum(map(len, want)) > len(seq.frames)
+        for got_frame, want_frame in zip(got, want, strict=True):
+            assert ([(d.class_id, d.score) for d in got_frame]
+                    == [(d.class_id, d.score) for d in want_frame])
+            for g, w in zip(got_frame, want_frame):
+                assert np.allclose(dataclasses.astuple(g.box),
+                                   dataclasses.astuple(w.box), rtol=1e-5, atol=1e-5)
 
 
 class TestTraceFiles:
