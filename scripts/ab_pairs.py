@@ -14,8 +14,10 @@ It prints each pair's end-to-end values; each side's commit and
 detail line perfbench prints before its result); each side's median and
 quartiles; how many pairs the change wins on the claimed metric (--metric;
 a tie counts for neither side); whether the medians differ by more than
-BASE's interquartile range; and every metric's median change against its
-bound. The last line is one JSON object with both sides' env and every run.
+BASE's interquartile range; every metric's median change against its bound;
+and every metric's largest relative change within one pair, which for the
+per-seed deterministic quality_loss is the change's own effect. The last
+line is one JSON object with both sides' env and every run.
 """
 from __future__ import annotations
 
@@ -56,6 +58,14 @@ def quartiles(values):
 def values_of(runs, name):
     return [r["metrics"][name]["value"] for r in runs
             if r is not None and name in r["metrics"]]
+
+
+def pair_values(runs, name):
+    """(base, change) values of `name` for every pair where both sides reported it."""
+    return [(b["metrics"][name]["value"], c["metrics"][name]["value"])
+            for b, c in zip(runs["base"], runs["change"])
+            if b is not None and c is not None
+            and name in b["metrics"] and name in c["metrics"]]
 
 
 def main(argv=None):
@@ -117,18 +127,20 @@ def main(argv=None):
         sign = 1.0 if m["better"] == "lower" else -1.0
         worse = sign * (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
         verdict = "WORSE than bound" if worse > m["bound"] else "within bound"
+        pair_changes = [(cv - bv) / bv for bv, cv in pair_values(runs, name) if bv]
+        largest = max(pair_changes, key=abs, default=None)
         summary[name] = {"base": bq, "change": cq, "relative_change": (cq[1] - bq[1]) / bq[1]
-                         if bq[1] else None, "bound": m["bound"]}
+                         if bq[1] else None, "largest_pair_relative_change": largest,
+                         "bound": m["bound"]}
         print(f"{name} [{m['unit']}]: base {bq[1]:.4g} [{bq[0]:.4g}, {bq[2]:.4g}]  "
               f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  "
               f"median {100 * (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0:+.1f}% "
-              f"(bound {100 * m['bound']:.0f}% worse: {verdict})")
+              f"(bound {100 * m['bound']:.0f}% worse: {verdict}); largest pair change "
+              f"{'n/a' if largest is None else format(largest, '+.3e')}")
 
     m = metrics[args.metric]
     sign = 1.0 if m["better"] == "lower" else -1.0
-    pairs = [(b["metrics"][args.metric]["value"], c["metrics"][args.metric]["value"])
-             for b, c in zip(runs["base"], runs["change"])
-             if b is not None and c is not None]
+    pairs = pair_values(runs, args.metric)
     wins = sum(sign * (b - c) > 0 for b, c in pairs)
     losses = sum(sign * (b - c) < 0 for b, c in pairs)
     if args.metric in summary:

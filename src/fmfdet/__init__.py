@@ -11,7 +11,7 @@ from .backbone import BackboneConfig, Neck, PillarFeatureNet
 from .decode import Detection, MatchConfig, decode, find_peaks
 from .errors import (ConfigError, DataError, DivergenceError, FormatError,
                      ShapeError, StateError)
-from .fmf import FMFConfig, FMFParams, FMFState, fmf_base, fmf_step, warp_feature_map
+from .fmf import FMFConfig, FMFState, fmf_step, warp_feature_map
 from .frameio import read_frame, read_sequence, write_frame, write_sequence
 from .geometry import MapGeometry, Pose2D, relative_pose, rot2d, wrap_angle
 from .heads import (DetectionHead, FocalParams, HeadOutput, LossWeights,
@@ -30,13 +30,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamW", "AugTransform", "AugmentConfig", "BackboneConfig", "Box3D",
     "ConfigError", "DataError", "Detection", "DetectionHead", "Detector",
-    "DivergenceError", "EvalResult", "FMFConfig", "FMFParams", "FMFState",
+    "DivergenceError", "EvalResult", "FMFConfig", "FMFState",
     "FocalParams", "FormatError", "GridConfig", "HeadOutput", "LossWeights",
     "MapGeometry", "MatchConfig", "Neck", "PillarFeatureNet", "PillarTensor",
     "PointCloudFrame", "Pose2D", "SceneSequence", "SceneSpec", "ShapeError",
     "StateError", "TargetMaps", "TrainConfig", "apply_transform",
     "build_model", "decode", "desk_pillar_config", "desk_voxel_config",
-    "evaluate", "find_peaks", "fmf_base", "fmf_step", "focal_loss",
+    "evaluate", "find_peaks", "fmf_step", "focal_loss",
     "gaussian_radius", "generate_scene", "load_checkpoint", "match_and_ap",
     "nds", "one_cycle_lr", "read_detections", "read_frame", "read_sequence",
     "regression_losses", "relative_pose", "render_targets", "rot2d",

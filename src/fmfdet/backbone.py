@@ -8,12 +8,13 @@ concatenates them once, and fuses to the final channel width.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, ConvBNReLU, Linear, Module
+from .layers import BatchNorm, ConvBNReLU, Module
 from .voxelizer import PillarTensor
 
 
@@ -52,20 +53,23 @@ class BackboneConfig:
 
 
 class PillarFeatureNet(Module):
-    """Per-point linear -> BN -> ReLU, max per cell, scatter to grid. The
-    float64 point rows are cast to the weights' dtype, the compute dtype. Voxel
-    mode averages the maxima over each BEV column, whose voxels arrive adjacent."""
+    """Per-point projection (no bias: BN would cancel it) -> BN -> ReLU, max
+    per cell, scatter to grid. The float64 point rows are cast to the weight's
+    dtype, the compute dtype. Voxel mode averages the maxima over each BEV
+    column, whose voxels arrive adjacent."""
 
     def __init__(self, in_dim, channels, rng):
         super().__init__()
         self.in_dim = in_dim
         self.channels = channels
-        self.linear = self.add_child("linear", Linear(in_dim, channels, rng))
+        std = math.sqrt(2.0 / in_dim)  # Kaiming-normal for a ReLU net
+        self.weight = self.add_param(
+            "weight", ad.Tensor(rng.normal(0.0, std, size=(in_dim, channels))))
         self.bn = self.add_child("bn", BatchNorm(channels))
 
     def __call__(self, pillars: PillarTensor):
         w, h = pillars.grid_dims
-        dtype = self.linear.weight.data.dtype
+        dtype = self.weight.data.dtype
         if pillars.num_cells == 0:
             return ad.Tensor(np.zeros((1, self.channels, h, w), dtype))
         if pillars.features.shape[1] != self.in_dim:
@@ -73,7 +77,7 @@ class PillarFeatureNet(Module):
                              f"!= configured {self.in_dim}")
         counts = pillars.point_counts
         rows = ad.Tensor(pillars.features, dtype=dtype)
-        embedded = ad.relu(self.bn(self.linear(rows)))
+        embedded = ad.relu(self.bn(ad.matmul(rows, self.weight)))
         cell_feats = ad.segment_max(embedded, np.cumsum(counts) - counts)
         coords = pillars.coords
         if coords.shape[1] == 3:
@@ -112,9 +116,6 @@ class Neck(Module):
         cfg = self.cfg
         if h % cfg.s_out or w % cfg.s_out:
             raise ShapeError(f"input {h}x{w} not divisible by output stride {cfg.s_out}")
-        for s in cfg.neck_strides:
-            if h % s or w % s:
-                raise ShapeError(f"input {h}x{w} not divisible by stage stride {s}")
         oh, ow = h // cfg.s_out, w // cfg.s_out
         outs = []
         cur = x

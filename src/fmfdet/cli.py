@@ -10,7 +10,6 @@ import dataclasses
 import json
 import pathlib
 import sys
-import zipfile
 
 from .ablate import ablation_run, format_ablation
 from .bench import bench
@@ -45,10 +44,7 @@ def _load_checkpoint_file(path):
     p = pathlib.Path(path)
     if not p.is_file():
         raise DataError(f"checkpoint not found: {path}")
-    try:
-        return load_checkpoint(p)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
-        raise FormatError(f"invalid checkpoint {path}: {e}") from e
+    return load_checkpoint(p)
 
 
 def cmd_gen_data(args):

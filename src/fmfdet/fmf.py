@@ -1,8 +1,9 @@
 """Temporal aggregation of BEV feature maps across consecutive frames.
 
-Each step fuses the current map with the previous step's map through a shared
-concat -> conv -> BN -> ReLU block. The carried state (`FMFState`) always holds
-the raw pre-aggregation map and the ego pose it was taken at, so the temporal
+Each step concatenates the current map with the previous step's map along
+channels and passes them through one shared block, the model's 2C -> C
+ConvBNReLU. The carried state (`FMFState`) always holds the raw
+pre-aggregation map and the ego pose it was taken at, so the temporal
 receptive field is exactly two frames.
 
 Pose and geometry contract: `fmf_step` receives the current frame's ego pose
@@ -18,12 +19,10 @@ import dataclasses
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, StateError
 from .geometry import Pose2D, relative_pose, rot2d
-from .layers import BatchNorm, Conv2d, Module
 
-__all__ = ["FMFConfig", "FMFState", "FMFParams", "fmf_base",
-           "warp_feature_map", "fmf_step"]
+__all__ = ["FMFConfig", "FMFState", "warp_feature_map", "fmf_step"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,29 +42,6 @@ class FMFState:
 
     prev_map: object = None
     prev_pose: Pose2D = None
-
-
-class FMFParams(Module):
-    """Shared fusion block: conv(2C -> C, k x k, same) + bias, BN."""
-
-    def __init__(self, channels, kernel_size, rng):
-        super().__init__()
-        self.channels = channels
-        self.conv = self.add_child(
-            "conv", Conv2d(2 * channels, channels, kernel_size, rng, bias=True))
-        self.bn = self.add_child("bn", BatchNorm(channels))
-
-
-def fmf_base(current, previous, params: FMFParams):
-    """concat(current, previous) -> conv -> BN -> ReLU; shape-preserving."""
-    if current.data.shape != previous.data.shape:
-        raise ShapeError(f"fmf_base shape mismatch: {current.data.shape} "
-                         f"vs {previous.data.shape}")
-    if current.data.shape[1] != params.channels:
-        raise ShapeError(f"fmf_base expects {params.channels} channels, "
-                         f"got {current.data.shape[1]}")
-    x = ad.concat_channels(current, previous)
-    return ad.relu(params.bn(params.conv(x)))
 
 
 def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
@@ -94,8 +70,8 @@ def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
     return ad.bilinear_sample(feature_map, grid)
 
 
-def fmf_step(current, state: FMFState, params: FMFParams, pose=None, geom=None):
-    """One recurrence step; returns (fused map, new state).
+def fmf_step(current, state: FMFState, block, pose=None, geom=None):
+    """One recurrence step; returns (block(concat(current, previous)), new state).
 
     `pose` is this frame's ego pose, or None when it is unknown or odometry
     is off. With no state, or a state with no map, the map self-aggregates
@@ -116,5 +92,5 @@ def fmf_step(current, state: FMFState, params: FMFParams, pose=None, geom=None):
                 raise ConfigError("warping by odometry needs the map geometry")
             previous = warp_feature_map(previous, relative_pose(state.prev_pose, pose),
                                         geom.cell, (geom.x_min, geom.y_min))
-    out = fmf_base(current, previous, params)
+    out = block(ad.concat_channels(current, previous))
     return out, FMFState(prev_map=current, prev_pose=pose)

@@ -101,17 +101,17 @@ def read_frame(path) -> PointCloudFrame:
     elif has_pose != 0:
         raise FormatError(f"{path}: invalid pose flag {has_pose}")
     (num_points,) = r.unpack("<I")
-    pts = np.frombuffer(r.take(num_points * 16), dtype=_POINT_DTYPE)
-    points = pts.reshape(num_points, 4).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    # finiteness is checked on the float32 payloads: a cast warns on a signalling NaN
+    pts = np.frombuffer(r.take(num_points * 16), dtype=_POINT_DTYPE).reshape(num_points, 4)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}: point {bad[0]}: non-finite values "
-                          f"{points[bad[0]].tolist()}")
+                          f"{pts[bad[0]].tolist()}")
     (num_boxes,) = r.unpack("<I")
     rec = np.frombuffer(r.take(num_boxes * _BOX_DTYPE.itemsize), dtype=_BOX_DTYPE)
     boxes = []
     for i in range(num_boxes):
-        fields = rec["fields"][i].astype(np.float64)
+        fields = rec["fields"][i]
         if not np.isfinite(fields).all():
             raise FormatError(f"{path}: box {i}: non-finite fields {fields.tolist()}")
         try:
@@ -120,7 +120,7 @@ def read_frame(path) -> PointCloudFrame:
             raise FormatError(f"{path}: box {i}: {e}") from e
     if r.off != len(data):
         raise FormatError(f"{path}: {len(data) - r.off} trailing bytes")
-    return PointCloudFrame(points, timestamp, pose, boxes)
+    return PointCloudFrame(pts.astype(np.float64), timestamp, pose, boxes)
 
 
 def frame_file_name(index: int) -> str:

@@ -88,20 +88,6 @@ class Module:
             t.data = val.astype(t.data.dtype)
 
 
-class Linear(Module):
-    """x [M, in] @ W [in, out] + b, Kaiming-normal init for ReLU nets."""
-
-    def __init__(self, in_features, out_features, rng):
-        super().__init__()
-        std = math.sqrt(2.0 / in_features)
-        self.weight = self.add_param(
-            "weight", ad.Tensor(rng.normal(0.0, std, size=(in_features, out_features))))
-        self.bias = self.add_param("bias", ad.Tensor(np.zeros(out_features)))
-
-    def __call__(self, x):
-        return ad.add(ad.matmul(x, self.weight), self.bias)
-
-
 class Conv2d(Module):
     """Odd-kernel conv padded by kernel // 2, so stride 1 keeps the map size."""
 
@@ -130,7 +116,7 @@ class Conv2d(Module):
 class BatchNorm(Module):
     """Channel-axis-1 batch norm for [M, C] or [N, C, H, W] inputs."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         super().__init__()
         self.gamma = self.add_param("gamma", ad.Tensor(np.ones(channels)))
         self.beta = self.add_param("beta", ad.Tensor(np.zeros(channels)))
@@ -138,13 +124,10 @@ class BatchNorm(Module):
                                             ad.Tensor(np.zeros(channels)))
         self.running_var = self.add_buffer("running_var",
                                            ad.Tensor(np.ones(channels)))
-        self.eps = eps
-        self.momentum = momentum
 
     def __call__(self, x):
         return ad.batchnorm(x, self.gamma, self.beta, self.running_mean,
-                            self.running_var, training=self.training,
-                            eps=self.eps, momentum=self.momentum)
+                            self.running_var, training=self.training)
 
 
 class ConvBNReLU(Module):

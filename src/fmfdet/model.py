@@ -9,10 +9,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import BackboneConfig, Neck, PillarFeatureNet
-from .fmf import FMFConfig, FMFParams, FMFState, fmf_step
+from .fmf import FMFConfig, FMFState, fmf_step
 from .geometry import MapGeometry
 from .heads import DetectionHead
-from .layers import Module
+from .layers import ConvBNReLU, Module
 from .voxelizer import GridConfig, voxelize
 
 
@@ -36,8 +36,8 @@ class Detector(Module):
         self.neck = self.add_child("neck", Neck(backbone, rng))
         self.fmf = None
         if fmf_cfg.enabled:
-            self.fmf = self.add_child(
-                "fmf", FMFParams(backbone.out_channels, fmf_cfg.kernel_size, rng))
+            self.fmf = self.add_child("fmf", ConvBNReLU(
+                2 * backbone.out_channels, backbone.out_channels, fmf_cfg.kernel_size, rng))
         self.head = self.add_child(
             "head", DetectionHead(backbone.out_channels, head_channels,
                                   num_classes, rng))

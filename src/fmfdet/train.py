@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import math
+import zipfile
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .augment import AugmentConfig, apply_transform, sample_transform
 from .backbone import BackboneConfig
 from .config import from_dict, to_dict
 from .decode import MatchConfig
-from .errors import ConfigError, DivergenceError, FormatError
+from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .fmf import FMFConfig
 from .heads import (FocalParams, LossWeights, focal_loss, regression_losses,
                     render_targets, total_loss)
@@ -213,20 +214,32 @@ def save_checkpoint(path, model, cfg: TrainConfig, class_names, step=0,
 
 def load_checkpoint(path):
     """Rebuild (model, cfg, class_names, step, opt_state) from an npz file.
-    A parameter or buffer array that is missing, misshapen, not in the
-    config's model (ShapeError) or non-finite (FormatError) is rejected."""
-    with np.load(path, allow_pickle=False) as data:
-        cfg = from_dict(TrainConfig, json.loads(str(data["meta.config"][()])))
-        class_names = tuple(str(s) for s in data["meta.class_names"])
-        step = int(data["meta.step"][()])
-        state = {k: data[k] for k in data.files
-                 if k.startswith(("param.", "buffer."))}
-        opt_state = {k[len("opt."):]: data[k] for k in data.files
-                     if k.startswith("opt.")}
-    model = build_model(cfg, len(class_names))
-    model.load_state_dict(state)
+    Anything but such a checkpoint is a FormatError naming `path`: a bad
+    archive, a missing or malformed meta.* entry or stored config, or
+    parameter and buffer arrays that do not fit the config's model (named)
+    or are non-finite. A missing file is open's FileNotFoundError."""
+    with open(path, "rb") as f:
+        try:
+            arrays = dict(np.load(f, allow_pickle=False))
+        except (EOFError, NotImplementedError, OSError, TypeError, ValueError,
+                zipfile.BadZipFile) as e:
+            raise FormatError(f"invalid checkpoint {path}: not an npz archive ({e})") from e
+    try:
+        cfg = from_dict(TrainConfig, json.loads(str(arrays["meta.config"][()])))
+        class_names = tuple(str(s) for s in arrays["meta.class_names"])
+        step = int(arrays["meta.step"][()])
+    except (IndexError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"invalid checkpoint {path}: bad meta entry "
+                          f"({type(e).__name__}: {e})") from e
+    state = {k: v for k, v in arrays.items() if k.startswith(("param.", "buffer."))}
+    opt_state = {k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")}
+    try:
+        model = build_model(cfg, len(class_names))
+        model.load_state_dict(state)
+    except (ConfigError, ShapeError) as e:
+        raise FormatError(f"invalid checkpoint {path}: {e}") from e
     for key, t in model.named_state():
         if not np.isfinite(t.data).all():
-            raise FormatError(f"non-finite values in {key}")
+            raise FormatError(f"invalid checkpoint {path}: non-finite values in {key}")
     model.eval()
     return model, cfg, class_names, step, opt_state or None

@@ -318,6 +318,28 @@ class TestBackwardMechanics:
         # normalized output has near-zero mean per channel
         assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(37, 5), (1, 3, 8, 8), (2, 4, 6, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batchnorm_train_cancels_a_per_channel_shift(self, seed, shape):
+        """Train-mode BN subtracts the batch mean, so a per-channel bias just
+        before it changes neither the output nor, to round-off, the loss.
+        That is why the PFN projection and every conv feeding a BN have no
+        bias (Ioffe & Szegedy, arXiv 1502.03167, sec. 3.2)."""
+        rng = np.random.default_rng(seed)
+        c = shape[1]
+        x = leaf(rng.normal(1.5, 2.0, size=shape))
+        b = leaf(rng.normal(0.0, 3.0, size=(1, c) + (1,) * (len(shape) - 2)))
+        gamma, beta = leaf(rng.uniform(0.5, 2.0, c)), leaf(rng.normal(size=c))
+
+        def bn(inp):
+            return ad.batchnorm(inp, gamma, beta, ad.Tensor(np.zeros(c)),
+                                ad.Tensor(np.ones(c)), training=True)
+
+        plain, shifted = bn(x), bn(ad.add(x, b))
+        assert np.allclose(shifted.data, plain.data, rtol=0.0, atol=1e-12)
+        ad.backward(ad.sum(shifted * ad.Tensor(rng.normal(size=shape))))
+        assert np.abs(b.grad).max() <= 1e-12 * np.abs(x.grad).max()
+
     def test_batchnorm_eval_is_deterministic_affine(self):
         x = leaf(np.ones((1, 2, 2, 2)))
         mean, var = ad.Tensor([1.0, 0.0]), ad.Tensor([1.0, 4.0])

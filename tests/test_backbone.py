@@ -27,7 +27,7 @@ def brute_voxel_map(pfn, pillars):
     (first row plus the sum of the rest) segment_mean shares, so the maps
     compare bitwise."""
     with ad.no_grad():
-        embedded = ad.relu(pfn.bn(pfn.linear(ad.Tensor(pillars.features)))).data
+        embedded = ad.relu(pfn.bn(ad.matmul(ad.Tensor(pillars.features), pfn.weight))).data
     columns, start = {}, 0
     for (ix, iy, iz), count in zip(pillars.coords.tolist(),
                                    pillars.point_counts.tolist()):
@@ -119,7 +119,7 @@ class TestPillarFeatureNet:
 
         out = loss()
         ad.backward(out)
-        w = pfn.linear.weight
+        w = pfn.weight
         analytic = w.grad[0, 0]
         h = 1e-6
         with ad.no_grad():
@@ -194,4 +194,4 @@ class TestNeck:
                        + block(8, 8) + block(12, 12)   # resample convs
                        + block(20, 10))                # fuse
         assert neck.param_count() == expect_neck
-        assert pfn.param_count() == 9 * 8 + 8 + 2 * 8
+        assert pfn.param_count() == 9 * 8 + 2 * 8

@@ -71,9 +71,7 @@ def record_maps(model, monkeypatch):
     monkeypatch.setattr(ad, "_node", recording_node)
     monkeypatch.setattr(fmf_mod, "warp_feature_map",
                         recorder("warp", fmf_mod.warp_feature_map))
-    monkeypatch.setattr(fmf_mod, "fmf_base",
-                        recorder("fmf", fmf_mod.fmf_base))
-    for stage in ("pfn", "neck", "head"):
+    for stage in ("pfn", "neck", "fmf", "head"):
         setattr(model, stage, recorder(stage, getattr(model, stage)))
     return seen
 

@@ -1,26 +1,36 @@
 """Temporal fusion: selector oracle, ego-motion warp, state semantics."""
+import inspect
+
 import numpy as np
 import pytest
 
 import fmfdet.autodiff as ad
-from fmfdet.errors import ConfigError, StateError
-from fmfdet.fmf import (FMFConfig, FMFParams, FMFState, fmf_base, fmf_step,
-                        warp_feature_map)
+from fmfdet.errors import ConfigError, ShapeError, StateError
+from fmfdet.fmf import FMFConfig, FMFState, fmf_step, warp_feature_map
 from fmfdet.geometry import MapGeometry, Pose2D, relative_pose
+from fmfdet.layers import ConvBNReLU
 
 CELL = 0.32
 GEOM = MapGeometry(x_min=-3 * CELL, y_min=-3 * CELL, cell=CELL, h=6, w=6)
 
 
+BN_EPS = inspect.signature(ad.batchnorm).parameters["eps"].default
+
+
+def fusion_block(c, seed):
+    """The model's fusion block for c-channel maps: ConvBNReLU(2c -> c, 3x3)."""
+    return ConvBNReLU(2 * c, c, 3, np.random.default_rng(seed))
+
+
 def selector_params(c, pick="current"):
     """Fusion block rigged to pass one concat half through unchanged."""
-    params = FMFParams(c, 3, np.random.default_rng(0))
+    params = fusion_block(c, 0)
     w = np.zeros_like(params.conv.weight.data)
     off = 0 if pick == "current" else c
     for ch in range(c):
         w[ch, ch + off, 1, 1] = 1.0
     params.conv.weight.data = w
-    params.bn.running_var.data = np.full(c, 1.0 - params.bn.eps)  # exact identity BN
+    params.bn.running_var.data = np.full(c, 1.0 - BN_EPS)  # exact identity BN
     params.eval()
     return params
 
@@ -32,17 +42,20 @@ def rand_map(seed, c=3, h=6, w=6):
 class TestFusionBlock:
     def test_selector_on_current_gives_relu_of_current(self):
         cur, prev = rand_map(1), rand_map(2)
-        out = fmf_base(cur, prev, selector_params(3, "current"))
+        out, _ = fmf_step(cur, FMFState(prev_map=prev), selector_params(3, "current"))
         assert np.allclose(out.data, np.maximum(cur.data, 0.0), atol=1e-12)
 
     def test_selector_on_previous_gives_relu_of_previous(self):
         cur, prev = rand_map(3), rand_map(4)
-        out = fmf_base(cur, prev, selector_params(3, "previous"))
+        out, _ = fmf_step(cur, FMFState(prev_map=prev), selector_params(3, "previous"))
         assert np.allclose(out.data, np.maximum(prev.data, 0.0), atol=1e-12)
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(Exception):
-            fmf_base(rand_map(0, h=6), rand_map(1, h=8), selector_params(3))
+        block = selector_params(3)
+        with pytest.raises(ShapeError):
+            block(ad.concat_channels(rand_map(0, h=6), rand_map(1, h=8)))
+        with pytest.raises(ShapeError):
+            fmf_step(rand_map(2, c=4), None, block)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
@@ -112,7 +125,7 @@ class TestStep:
         assert np.allclose(out2.data, np.maximum(a.data, 0.0), atol=1e-12)
 
     def test_temporal_receptive_field_is_two_frames(self):
-        params = FMFParams(3, 3, np.random.default_rng(2))
+        params = fusion_block(3, 2)
         b, c = rand_map(14), rand_map(15)
         outs = []
         for first in (rand_map(16), rand_map(17)):
@@ -123,7 +136,7 @@ class TestStep:
         assert np.array_equal(outs[0], outs[1])
 
     def test_static_scene_is_a_fixed_point(self):
-        params = FMFParams(3, 3, np.random.default_rng(3))
+        params = fusion_block(3, 3)
         cur = rand_map(18)
         pose = Pose2D(0.5, 0.5, 0.1)
         state = None
@@ -145,14 +158,14 @@ class TestStep:
         assert not out.data[:, :, :, -2:].any()
 
     def test_shape_change_mid_sequence_raises(self):
-        params = FMFParams(3, 3, np.random.default_rng(4))
+        params = fusion_block(3, 4)
         _, state = fmf_step(rand_map(21), None, params)
         with pytest.raises(StateError):
             fmf_step(rand_map(22, h=8, w=8), state, params)
 
     def test_warp_without_cell_size_raises(self):
         """A pose pair with no map geometry (which holds the cell size)."""
-        params = FMFParams(3, 3, np.random.default_rng(5))
+        params = fusion_block(3, 5)
         _, state = fmf_step(rand_map(23), None, params, Pose2D(0, 0, 0))
         assert state.prev_pose == Pose2D(0, 0, 0)
         with pytest.raises(ConfigError):
@@ -174,7 +187,7 @@ class TestGradients:
         assert abs(analytic - numeric) / max(1.0, abs(numeric)) < 1e-4
 
     def test_gradient_through_plain_step(self):
-        params = FMFParams(3, 3, np.random.default_rng(6))
+        params = fusion_block(3, 6)
         cur = rand_map(25)
         prev = rand_map(26)
         prev.requires_grad = True
@@ -191,7 +204,7 @@ class TestGradients:
         self._fd(loss, prev, (0, 0, 2, 2))
 
     def test_gradient_through_warp_branch(self):
-        params = FMFParams(3, 3, np.random.default_rng(7))
+        params = fusion_block(3, 7)
         cur = rand_map(27)
         prev = rand_map(28)
         prev.requires_grad = True

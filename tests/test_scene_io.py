@@ -129,6 +129,25 @@ class TestFrameFormat:
         elif field not in ("timestamp", "pose"):
             assert "box 1" in str(err.value)
 
+    @pytest.mark.parametrize("field", ["point", "box"])
+    def test_signalling_nan_is_format_error(self, tmp_path, field):
+        """A float32 signalling NaN (bits 0x7f800001) is caught before the
+        float64 cast, which would warn under the RuntimeWarning filter."""
+        snan = struct.pack("<I", 0x7F800001)
+        points = [struct.pack("<4f", 0.5, -0.5, 1.0, 0.25)] * 3
+        boxes = [struct.pack("<9fI", 0, 0, 0, 1, 1, 1, 0, 0, 0, 0)] * 2
+        if field == "point":
+            points[1] = snan + points[1][4:]
+        else:
+            boxes[1] = boxes[1][:24] + snan + boxes[1][28:]  # the yaw field
+        raw = (MAGIC + struct.pack("<IdB", 1, 0.5, 0)
+               + struct.pack("<I", len(points)) + b"".join(points)
+               + struct.pack("<I", len(boxes)) + b"".join(boxes))
+        path = tmp_path / "f.bin"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"{field} 1: non-finite"):
+            read_frame(path)
+
     def test_magic_is_the_documented_constant(self):
         assert MAGIC == b"FMFPC1\x00\x00"
         assert frame_file_name(7) == "frame_000007.bin"

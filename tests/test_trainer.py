@@ -12,8 +12,9 @@ from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
 from fmfdet.config import apply_overrides, from_dict, load_config, to_dict
 from fmfdet.decode import MatchConfig, decode
-from fmfdet.errors import ConfigError, DivergenceError
-from fmfdet.fmf import FMFConfig, FMFParams
+from fmfdet.errors import ConfigError, DivergenceError, FormatError
+from fmfdet.fmf import FMFConfig
+from fmfdet.layers import ConvBNReLU
 from fmfdet.model import run_inference
 from fmfdet.scene import SceneSpec, generate_scene
 from fmfdet.train import (TRACE_COLUMNS, TrainConfig, build_model,
@@ -80,7 +81,7 @@ class TestTrainLoop:
         assert np.isfinite(trace[0][2:]).all()
         # one AdamW step leaves m = (1 - beta1) * grad
         pfn = [name for name, _ in model.named_parameters() if name.startswith("pfn.")]
-        assert len(pfn) == 4
+        assert pfn == ["pfn.weight", "pfn.bn.gamma", "pfn.bn.beta"]
         assert all(opt.m[name].any() for name in pfn)
 
     def test_deterministic_reruns(self):
@@ -154,8 +155,8 @@ class TestTrainLoop:
         n_off = sum(p.data.size for _, p in
                     build_model(tiny_cfg(fmf=FMFConfig(enabled=False)),
                                 2).named_parameters())
-        block = FMFParams(TINY_BACKBONE.out_channels, cfg.fmf.kernel_size,
-                          np.random.default_rng(0))
+        c = TINY_BACKBONE.out_channels
+        block = ConvBNReLU(2 * c, c, cfg.fmf.kernel_size, np.random.default_rng(0))
         n_block = sum(p.data.size for _, p in block.named_parameters())
         assert n_on - n_off == n_block
 
@@ -265,6 +266,47 @@ class TestCheckpoints:
         a = model.forward_pair(frame, frame)
         b = model2.forward_pair(frame, frame)
         assert np.array_equal(a.heatmap.data, b.heatmap.data)
+
+
+    @pytest.mark.parametrize("case", ["garbage", "half_file", "no_meta_config",
+                                      "bad_json", "bad_config", "parent_format"])
+    def test_corrupt_checkpoint_is_format_error(self, tmp_path, case):
+        """load_checkpoint itself maps every way a file fails to be a
+        checkpoint to FormatError naming the path, and for misfit arrays
+        the keys. A checkpoint from before the PFN projection and the fusion
+        conv lost their biases has no loader of its own."""
+        cfg = tiny_cfg()
+        good = tmp_path / "good.npz"
+        save_checkpoint(good, build_model(cfg, 2), cfg, ("car", "pedestrian"))
+        with np.load(good) as data:
+            arrays = {k: data[k] for k in data.files}
+        bad = tmp_path / "bad.npz"
+        keys = []
+        if case == "garbage":
+            bad.write_bytes(b"not an npz")
+        elif case == "half_file":
+            raw = good.read_bytes()
+            bad.write_bytes(raw[:len(raw) // 2])
+        else:
+            if case == "no_meta_config":
+                del arrays["meta.config"]
+            elif case == "bad_json":
+                arrays["meta.config"] = np.array("{not json")
+            elif case == "bad_config":
+                stored = json.loads(str(arrays["meta.config"][()]))
+                arrays["meta.config"] = np.array(json.dumps(dict(stored, lr_init=0.0)))
+            else:
+                c = TINY_BACKBONE.out_channels
+                arrays["param.pfn.linear.weight"] = arrays.pop("param.pfn.weight")
+                arrays["param.pfn.linear.bias"] = np.zeros(TINY_BACKBONE.pfn_channels)
+                arrays["param.fmf.conv.bias"] = np.zeros(c)
+                keys = ["param.pfn.linear.weight", "param.pfn.linear.bias",
+                        "param.fmf.conv.bias"]
+            np.savez(bad, **arrays)
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(bad)
+        assert str(bad) in str(err.value)
+        assert all(k in str(err.value) for k in keys)
 
 
 class TestConfigIO:
