@@ -1,26 +1,29 @@
 """Reverse-mode autodiff on numpy arrays, covering the pipeline's operator set.
 
-Dense elementwise math, whole-tensor sum and mean, matmul, 2D convolution /
-batch norm / max pooling, the sparse scatter/gather ops used to build
-pseudo-images, and bilinear map sampling. Each op records its parents and a
-backward function; `backward` walks the graph once in reverse topological
-order and accumulates gradients on every tensor created with
-``requires_grad=True``.
+Dense elementwise math, whole-tensor sum, the focal and L1 detection losses,
+matmul, 2D convolution / batch norm / max pooling, the sparse scatter/gather
+ops used to build pseudo-images, and bilinear map sampling. Each op records
+its parents and a backward function; `backward` walks the graph once in
+reverse topological order and accumulates gradients on every tensor created
+with ``requires_grad=True``.
 
 Memory contract: an op's backward function saves only what the graph already
 holds (its parents and its own output, plus per-channel or index arrays) and
-recomputes anything map-sized from them. So the inputs of an op must not be
-mutated between its forward and the backward through it. `backward` frees the
-graph as it walks it, like PyTorch's ``retain_graph=False``: one backward per
-graph, and a second one through a freed node raises StateError.
+recomputes anything map-sized from them; a loss op also keeps the target
+array it was given and recomputes its masks and weights from it. So the
+inputs of an op must not be mutated between its forward and the backward
+through it. `backward` frees the graph as it walks it, like PyTorch's
+``retain_graph=False``: one backward per graph, and a second one through a
+freed node raises StateError.
 
 Dtypes: ops take float32 or float64 arrays (anything else is wrapped as
 float64), and a result has the dtype ``np.result_type`` gives the operands it
 is computed from; `bilinear_sample`'s follows the map alone, since its grid
-is coordinates. So float32 data stays float32 only while every operand it
-meets is float32 or a Python scalar: a float64 array upcasts the result, and
-so does a NumPy float64 scalar or 0-d array under NumPy 2's promotion rules
-(NumPy 1.x keeps float32 for those two).
+is coordinates, and the two loss ops compute in float64 on every NumPy
+version. So float32 data stays float32 only while every operand it meets is
+float32 or a Python scalar: a float64 array upcasts the result, and so does a
+NumPy float64 scalar or 0-d array under NumPy 2's promotion rules (NumPy 1.x
+keeps float32 for those two).
 
 Forward results are plain numpy and bit-deterministic for fixed inputs.
 """
@@ -111,12 +114,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -176,55 +173,6 @@ def mul(a, b):
     return _node(data, (a, b), bw)
 
 
-def neg(a):
-    a = _wrap(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
-
-
-def pow(a, exponent):
-    a = _wrap(a)
-    p = float(exponent)
-    data = a.data ** p
-
-    def bw(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _node(data, (a,), bw)
-
-
-def log(a):
-    """Natural log; the caller guarantees strictly positive input (clip first)."""
-    a = _wrap(a)
-    data = np.log(a.data)
-
-    def bw(g):
-        return (g / a.data,)
-
-    return _node(data, (a,), bw)
-
-
-def abs(a):
-    a = _wrap(a)
-    data = np.abs(a.data)
-
-    def bw(g):
-        return (g * np.sign(a.data),)
-
-    return _node(data, (a,), bw)
-
-
-def clip(a, lo, hi):
-    """Clamp values; gradient passes only where the input was inside [lo, hi]."""
-    a = _wrap(a)
-    data = np.clip(a.data, lo, hi)
-    mask = (a.data >= lo) & (a.data <= hi)
-
-    def bw(g):
-        return (g * mask,)
-
-    return _node(data, (a,), bw)
-
-
 def relu(a):
     a = _wrap(a)
     data = np.maximum(a.data, 0)
@@ -255,10 +203,48 @@ def sum(a):
                  lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
-def mean(a):
-    """Mean of all elements, as a 0-d tensor."""
-    a = _wrap(a)
-    return mul(sum(a), 1.0 / a.data.size)
+# --------------------------------------------------------------------------
+# losses: one float64 node each, whatever the input's dtype
+# --------------------------------------------------------------------------
+
+def focal(pred, target, alpha, beta):
+    """Sum over pixels of the penalty-reduced focal term: with z = pred
+    clipped to [1e-6, 1 - 1e-6], (1-z)^alpha log z where target == 1 and
+    (1-target)^beta z^alpha log(1-z) elsewhere. The gradient reaches pred
+    only where the clip leaves it as it is."""
+    pred, target = _wrap(pred), np.asarray(target)
+
+    def terms():
+        x = pred.data.astype(np.float64, copy=False)
+        z, y = np.clip(x, 1e-6, 1.0 - 1e-6), target.astype(np.float64, copy=False)
+        return x, z, y == 1.0, (1.0 - y) ** beta
+
+    _, z, pos, neg_w = terms()
+    data = np.where(pos, (1.0 - z) ** alpha * np.log(z),
+                    neg_w * z ** alpha * np.log(1.0 - z)).sum()
+
+    def bw(g):
+        x, z, pos, neg_w = terms()
+        d_pos = (1.0 - z) ** alpha / z - alpha * (1.0 - z) ** (alpha - 1.0) * np.log(z)
+        d_neg = neg_w * (alpha * z ** (alpha - 1.0) * np.log(1.0 - z)
+                         - z ** alpha / (1.0 - z))
+        return (g * np.where(pos, d_pos, d_neg) * (z == x),)
+
+    return _node(data, (pred,), bw)
+
+
+def l1_mean(a, target):
+    """Mean of |a - target| over all elements, in float64; the gradient is
+    sign(a - target) / n."""
+    a, target = _wrap(a), np.asarray(target)
+    if a.data.shape != target.shape:
+        raise ShapeError(f"l1_mean: {a.data.shape} vs target {target.shape}")
+
+    def diff():
+        return np.subtract(a.data, target, dtype=np.float64)
+
+    return _node(np.abs(diff()).mean(), (a,),
+                 lambda g: (g * np.sign(diff()) / target.size,))
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Two layers: a per-op suite where every operator's inputs are checked against
 central differences, and an end-to-end check that differentiates the full
 training loss of a small model through every parameter tensor. Inputs are
-constructed to stay away from kinks and ties (relu/abs at zero, clip edges,
-max ties), where one-sided derivatives make the comparison meaningless.
+constructed to stay away from kinks and ties (relu and L1 at zero, the focal
+clip edges, max ties), where one-sided derivatives make the comparison
+meaningless.
 Both layers run in float64, whatever the training default: the tolerances
 are float64 numbers, so the pipeline model sets compute_dtype="float64".
 """
@@ -70,34 +71,6 @@ def _case_mul(rng):
     return (rng.normal(size=(3, 4)), rng.normal(size=(4,))), ad.mul
 
 
-@_op_case("neg", 12)
-def _case_neg(rng):
-    return (rng.normal(size=(5,)),), ad.neg
-
-
-@_op_case("pow", 13)
-def _case_pow(rng):
-    return (rng.uniform(0.5, 2.0, size=(3, 3)),), lambda a: ad.pow(a, 1.7)
-
-
-@_op_case("log", 15)
-def _case_log(rng):
-    return (rng.uniform(0.5, 3.0, size=(4,)),), ad.log
-
-
-@_op_case("abs", 17)
-def _case_abs(rng):
-    return (_away_from_zero(rng, (3, 4)),), ad.abs
-
-
-@_op_case("clip", 18)
-def _case_clip(rng):
-    vals = np.concatenate([np.linspace(-1.0, -0.6, 8),
-                           np.linspace(-0.4, 0.4, 8),
-                           np.linspace(0.6, 1.0, 8)])
-    return (rng.permutation(vals).reshape(4, 6),), lambda a: ad.clip(a, -0.5, 0.5)
-
-
 @_op_case("relu", 19)
 def _case_relu(rng):
     return (_away_from_zero(rng, (4, 5)),), ad.relu
@@ -113,9 +86,19 @@ def _case_sum(rng):
     return (rng.normal(size=(3, 4, 2)),), ad.sum
 
 
-@_op_case("mean", 22)
-def _case_mean(rng):
-    return (rng.normal(size=(3, 4)),), ad.mean
+@_op_case("focal", 22)
+def _case_focal(rng):
+    shape = (1, 2, 4, 5)    # a [1,K,h,w] heatmap
+    target = np.where(rng.random(shape) < 0.3, 1.0, rng.uniform(0.0, 0.9, size=shape))
+    return ((rng.uniform(0.2, 0.8, size=shape),),
+            lambda pred: ad.focal(pred, target, 2.0, 4.0))
+
+
+@_op_case("l1_mean", 23)
+def _case_l1_mean(rng):
+    target = rng.normal(size=(3, 4))
+    return ((target + _away_from_zero(rng, (3, 4)),),
+            lambda a: ad.l1_mean(a, target))
 
 
 @_op_case("concat_channels_3", 26)

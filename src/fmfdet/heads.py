@@ -8,11 +8,12 @@ and `regression_losses` read only those cells. Targets
 render one Gaussian per object onto the class channel (max-combined), with
 regression supervised only at the integer center cells.
 
-The head runs in the model's compute dtype; the loss tail stays float64.
-Targets, focal masks and regression rows are float64, so every loss is
-float64. Of the gradients that flow back, only the K-channel heatmap one is
-float64 in a float32 model, up to the heatmap's final conv, whose backward
-works in the compute dtype.
+The head runs in the model's compute dtype; the loss tail is float64 on
+every NumPy version. Targets are float64, and each loss is one autodiff op
+(`ad.focal`, `ad.l1_mean`) that casts its input to float64, so a float32
+head and its float64 cast give the same losses. Of the gradients that flow
+back, only the K-channel heatmap one is float64 in a float32 model, up to the
+heatmap's final conv, whose backward works in the compute dtype.
 """
 from __future__ import annotations
 
@@ -209,34 +210,28 @@ def focal_loss(pred_heatmap, target: TargetMaps, fp: FocalParams):
 
     Center pixels (y = 1) contribute (1-z)^alpha log z; all others contribute
     (1-y)^beta z^alpha log(1-z). Predictions are clamped away from {0, 1}.
-    The masks are float64, so the loss is float64 for a float32 heatmap too.
+    `ad.focal` computes it in float64, whatever the heatmap's dtype.
     """
     y = target.heatmap[None]
     if pred_heatmap.data.shape != y.shape:
         raise ShapeError(f"heatmap shape {pred_heatmap.data.shape} != target "
                          f"{y.shape}")
-    z = ad.clip(pred_heatmap, 1e-6, 1.0 - 1e-6)
-    pos = (y == 1.0).astype(np.float64)
-    neg_w = (1.0 - y) ** fp.beta
-    pos_term = ad.mul(ad.mul(ad.pow(1.0 - z, fp.alpha), ad.log(z)), pos)
-    neg_term = ad.mul(ad.mul(ad.pow(z, fp.alpha), ad.log(1.0 - z)),
-                      (1.0 - pos) * neg_w)
-    total = ad.sum(ad.add(pos_term, neg_term))
-    return ad.mul(total, -1.0 / max(target.num_objects, 1))
+    return ad.mul(ad.focal(pred_heatmap, y, fp.alpha, fp.beta),
+                  -1.0 / max(target.num_objects, 1))
 
 
 def regression_losses(head: HeadOutput, target: TargetMaps):
     """Mean absolute error at center cells for each regression branch.
 
     Returns one loss per LOSS_TERMS entry, in that order; all zero when the
-    frame has no annotated centers. The target rows are float64, so the
-    losses are too; the gather back into the maps keeps their dtype.
+    frame has no annotated centers. `ad.l1_mean` computes each in float64;
+    the gather back into the maps keeps their dtype.
     """
     if target.num_objects == 0:
         return (ad.Tensor(0.0),) * len(LOSS_TERMS)
     ys, xs = target.centers()
-    return tuple(ad.mean(ad.abs(ad.gather_pixels(getattr(head, name), ys, xs)
-                                - ad.Tensor(getattr(target, name))))
+    return tuple(ad.l1_mean(ad.gather_pixels(getattr(head, name), ys, xs),
+                            getattr(target, name))
                  for name in LOSS_TERMS)
 
 

@@ -74,18 +74,18 @@ class Module:
 
     def load_state_dict(self, state):
         """Every array loads under one rule: its key is in `named_state`, is
-        present, has the tensor's shape, and is cast to the tensor's dtype."""
+        present, has the tensor's shape, and is cast to the tensor's dtype.
+        A misfit state loads nothing: one ShapeError names every bad key."""
         table = dict(self.named_state())
-        extra = [key for key in state if key not in table]
-        if extra:
-            raise ShapeError(f"arrays this model does not have: {', '.join(extra)}")
+        shapes = {key: np.shape(val) for key, val in state.items()}
+        misfit = ([f"{k} (not in this model)" for k in state if k not in table]
+                  + [f"{k} (missing)" for k in table if k not in state]
+                  + [f"{k} (shape {shapes[k]} != {t.data.shape})" for k, t in table.items()
+                     if k in shapes and shapes[k] != t.data.shape])
+        if misfit:
+            raise ShapeError(f"state does not fit the model: {', '.join(misfit)}")
         for key, t in table.items():
-            if key not in state:
-                raise ShapeError(f"missing {key} in state")
-            val = np.asarray(state[key])
-            if val.shape != t.data.shape:
-                raise ShapeError(f"{key}: shape {val.shape} != {t.data.shape}")
-            t.data = val.astype(t.data.dtype)
+            t.data = np.asarray(state[key]).astype(t.data.dtype)
 
 
 class Conv2d(Module):

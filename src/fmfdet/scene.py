@@ -241,8 +241,6 @@ def _sample_box_points(rng, spec, center_xy, cz, size_wlh, yaw):
         pts = pts[keep]
         inten = rng.uniform(0.1, 1.0, size=(pts.shape[0], 1))
         chunks.append(np.concatenate([pts, inten], axis=1))
-    if not chunks:
-        return np.zeros((0, 4))
     return np.concatenate(chunks, axis=0)
 
 

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import math
+import tokenize
 import zipfile
 
 import numpy as np
@@ -221,8 +222,9 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         try:
             arrays = dict(np.load(f, allow_pickle=False))
-        except (EOFError, NotImplementedError, OSError, TypeError, ValueError,
-                zipfile.BadZipFile) as e:
+        # RuntimeError: a member flagged encrypted; Syntax/TokenError: a garbled .npy header
+        except (EOFError, NotImplementedError, OSError, RuntimeError, SyntaxError,
+                TypeError, ValueError, tokenize.TokenError, zipfile.BadZipFile) as e:
             raise FormatError(f"invalid checkpoint {path}: not an npz archive ({e})") from e
     try:
         cfg = from_dict(TrainConfig, json.loads(str(arrays["meta.config"][()])))

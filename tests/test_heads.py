@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import fmfdet.autodiff as ad
 from fmfdet.errors import ConfigError
 from fmfdet.geometry import MapGeometry
-from fmfdet.heads import (REG_BRANCHES, DetectionHead, FocalParams, HeadOutput,
-                          LossWeights, TargetMaps, focal_loss, gaussian_radius,
+from fmfdet.heads import (LOSS_TERMS, REG_BRANCHES, DetectionHead, FocalParams,
+                          HeadOutput, LossWeights, TargetMaps, focal_loss, gaussian_radius,
                           regression_losses, render_targets, total_loss)
 from fmfdet.scene import Box3D
 
@@ -255,6 +255,48 @@ class TestRegressionLosses:
         tgt.velocity = vel + np.array([[1.0, 3.0], [0.0, 0.0]])
         l_vel = regression_losses(head, tgt)[4]
         assert l_vel.data == pytest.approx(4.0 / 4.0, rel=1e-12)
+
+
+class TestLossTail:
+    """The focal and regression losses of one supervised frame."""
+
+    @staticmethod
+    def frame(dtype, requires_grad=False):
+        boxes = [box_at(0.5, -3.1, yaw=0.4, vx=1.5), box_at(4.0, 6.0, class_id=1)]
+        tgt = render_targets(boxes, GEOM, 2)
+        rng = np.random.default_rng(3)
+        hm = rng.uniform(0.0, 1.0, size=(1, 2, GEOM.h, GEOM.w)).astype(np.float32)
+        hm[0, 0, 0, :2] = (0.0, 1.0)
+        maps = {"heatmap": hm}
+        for name, out in REG_BRANCHES:
+            maps[name] = rng.normal(size=(1, out, GEOM.h, GEOM.w)).astype(np.float32)
+        head = HeadOutput(**{name: ad.Tensor(m, requires_grad=requires_grad, dtype=dtype)
+                             for name, m in maps.items()})
+        return head, tgt
+
+    @staticmethod
+    def losses(head, tgt):
+        return (focal_loss(head.heatmap, tgt, FocalParams()),) + regression_losses(head, tgt)
+
+    def test_float32_head_gives_the_float64_cast_losses(self):
+        single = self.losses(*self.frame(np.float32))
+        double = self.losses(*self.frame(np.float64))
+        for a, b in zip(single, double):
+            assert a.data.dtype == np.float64
+            assert a.data == b.data
+
+    def test_one_frame_builds_twelve_graph_nodes(self):
+        head, tgt = self.frame(np.float64, requires_grad=True)
+        counts = []
+        for loss in self.losses(head, tgt):
+            nodes, stack = set(), [loss]
+            while stack:
+                node = stack.pop()
+                if node._backward_fn is not None and id(node) not in nodes:
+                    nodes.add(id(node))
+                    stack.extend(node._parents)
+            counts.append(len(nodes))
+        assert counts == [2] + [2] * len(LOSS_TERMS)    # focal and mul; gather and l1
 
 
 class TestTotalLoss:

@@ -12,7 +12,7 @@ from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
 from fmfdet.config import apply_overrides, from_dict, load_config, to_dict
 from fmfdet.decode import MatchConfig, decode
-from fmfdet.errors import ConfigError, DivergenceError, FormatError
+from fmfdet.errors import ConfigError, DivergenceError, FormatError, ShapeError
 from fmfdet.fmf import FMFConfig
 from fmfdet.layers import ConvBNReLU
 from fmfdet.model import run_inference
@@ -268,13 +268,27 @@ class TestCheckpoints:
         assert np.array_equal(a.heatmap.data, b.heatmap.data)
 
 
+    def test_misfit_state_names_every_key_and_loads_nothing(self):
+        model = build_model(tiny_cfg(), 2)
+        before = model.state_dict()
+        state = dict(before, **{"param.extra": np.zeros(2)})
+        del state["param.pfn.weight"]
+        state["param.fmf.conv.weight"] = np.zeros(3)
+        with pytest.raises(ShapeError) as err:
+            model.load_state_dict(state)
+        for key in ("param.extra (not in this model)", "param.pfn.weight (missing)",
+                    "param.fmf.conv.weight (shape (3,)"):
+            assert key in str(err.value)
+        assert all(np.array_equal(v, before[k]) for k, v in model.state_dict().items())
+
     @pytest.mark.parametrize("case", ["garbage", "half_file", "no_meta_config",
                                       "bad_json", "bad_config", "parent_format"])
     def test_corrupt_checkpoint_is_format_error(self, tmp_path, case):
         """load_checkpoint itself maps every way a file fails to be a
         checkpoint to FormatError naming the path, and for misfit arrays
-        the keys. A checkpoint from before the PFN projection and the fusion
-        conv lost their biases has no loader of its own."""
+        every extra and missing key. A checkpoint from before the PFN
+        projection and the fusion conv lost their biases has no loader of
+        its own."""
         cfg = tiny_cfg()
         good = tmp_path / "good.npz"
         save_checkpoint(good, build_model(cfg, 2), cfg, ("car", "pedestrian"))
@@ -301,7 +315,7 @@ class TestCheckpoints:
                 arrays["param.pfn.linear.bias"] = np.zeros(TINY_BACKBONE.pfn_channels)
                 arrays["param.fmf.conv.bias"] = np.zeros(c)
                 keys = ["param.pfn.linear.weight", "param.pfn.linear.bias",
-                        "param.fmf.conv.bias"]
+                        "param.fmf.conv.bias", "param.pfn.weight"]
             np.savez(bad, **arrays)
         with pytest.raises(FormatError) as err:
             load_checkpoint(bad)
