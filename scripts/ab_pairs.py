@@ -18,6 +18,10 @@ BASE's interquartile range; every metric's median change against its bound;
 and every metric's largest relative change within one pair, which for the
 per-seed deterministic quality_loss is the change's own effect. The last
 line is one JSON object with both sides' env and every run.
+
+Medians and pair counts use good runs only: a run that reported, is
+correct and had no failed operations. The exit status is 1 when any run
+is not good, so a broken run cannot hide behind the others' medians.
 """
 from __future__ import annotations
 
@@ -55,17 +59,22 @@ def quartiles(values):
     return q1, med, q3
 
 
+def good(result):
+    """Whether a run reported, is correct and had no failed operations."""
+    return result is not None and bool(result.get("correct")) and not result.get("failed")
+
+
 def values_of(runs, name):
     return [r["metrics"][name]["value"] for r in runs
-            if r is not None and name in r["metrics"]]
+            if good(r) and name in r["metrics"]]
 
 
 def pair_values(runs, name):
-    """(base, change) values of `name` for every pair where both sides reported it."""
+    """(base, change) values of `name` for every pair where both sides are
+    good runs that reported it."""
     return [(b["metrics"][name]["value"], c["metrics"][name]["value"])
             for b, c in zip(runs["base"], runs["change"])
-            if b is not None and c is not None
-            and name in b["metrics"] and name in c["metrics"]]
+            if good(b) and good(c) and name in b["metrics"] and name in c["metrics"]]
 
 
 def main(argv=None):
@@ -98,7 +107,7 @@ def main(argv=None):
             result, note = run_perfbench(sides[side], args.workload, seed, seconds,
                                          timeout)
             runs[side].append(result)
-            if result is None or not result.get("correct") or result.get("failed"):
+            if not good(result):
                 print(f"pair {i} seed {seed} {side}: {note}, result {result}")
         row = "  ".join(
             f"{name} {_fmt(runs['base'][-1], name)} -> {_fmt(runs['change'][-1], name)}"
@@ -152,6 +161,11 @@ def main(argv=None):
     print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                       "seconds": seconds, "metric": args.metric, "wins": wins,
                       "env": envs, "summary": summary, "runs": runs}))
+    bad = sum(not good(r) for side in runs.values() for r in side)
+    if bad:
+        print(f"{bad} of {2 * args.pairs} runs missing, incorrect or with failed "
+              f"operations; medians leave them out", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -40,13 +40,6 @@ def load_dataset(path):
     return [read_sequence(d) for d in subs]
 
 
-def _load_checkpoint_file(path):
-    p = pathlib.Path(path)
-    if not p.is_file():
-        raise DataError(f"checkpoint not found: {path}")
-    return load_checkpoint(p)
-
-
 def cmd_gen_data(args):
     data = read_json_object(args.spec)
     count = coerce(1, data.pop("count", 1), "count")
@@ -83,7 +76,7 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    model, cfg, class_names, _step, _opt = _load_checkpoint_file(args.ckpt)
+    model, cfg, class_names, _step, _opt = load_checkpoint(args.ckpt)
     scenes = load_dataset(args.data)
     if _shared_class_names(scenes) != class_names:
         raise ConfigError(f"data classes {scenes[0].class_names} do not "
@@ -101,10 +94,7 @@ def cmd_eval(args):
     scenes = load_dataset(args.data)
     class_names = _shared_class_names(scenes)
     gt_frames = [list(frame.gt_boxes) for seq in scenes for frame in seq.frames]
-    dets_path = pathlib.Path(args.dets)
-    if not dets_path.is_file():
-        raise DataError(f"detections file not found: {args.dets}")
-    det_frames = read_detections(dets_path, class_names, len(gt_frames))
+    det_frames = read_detections(args.dets, class_names, len(gt_frames))
     result = evaluate(det_frames, gt_frames, class_names, MatchConfig())
     report = result.to_dict()
     if args.out:
@@ -146,7 +136,7 @@ def cmd_grad_check(args):
 
 
 def cmd_bench(args):
-    model, cfg, _names, _step, _opt = _load_checkpoint_file(args.ckpt)
+    model, cfg, _names, _step, _opt = load_checkpoint(args.ckpt)
     scenes = load_dataset(args.data)
     report, _ = bench(model, scenes, cfg.match, min_frames=args.min_frames)
     print(json.dumps(report, indent=2))

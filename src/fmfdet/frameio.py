@@ -148,7 +148,7 @@ def read_sequence(data_dir) -> SceneSequence:
         raise DataError(f"{data_dir}: not a sequence directory (missing {MANIFEST_NAME})")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also bytes that are not UTF-8
         raise FormatError(f"{mpath}: invalid JSON manifest: {e}") from e
     if not isinstance(manifest, dict):
         raise FormatError(f"{mpath}: manifest is not a JSON object")
@@ -165,7 +165,7 @@ def read_sequence(data_dir) -> SceneSequence:
     for name in manifest["frames"]:
         fpath = root / name
         rel = pathlib.PurePath(name)
-        if (rel.is_absolute() or ".." in rel.parts
+        if ("\0" in name or rel.is_absolute() or ".." in rel.parts
                 or not fpath.resolve().is_relative_to(resolved_root)):
             raise FormatError(f"{mpath}: frame entry {name!r} lies outside "
                               f"the sequence directory")

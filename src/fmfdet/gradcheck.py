@@ -2,7 +2,8 @@
 
 Two layers: a per-op suite where every operator's inputs are checked against
 central differences, and an end-to-end check that differentiates the full
-training loss of a small model through every parameter tensor. Inputs are
+training loss of a small model, the `total_loss` of `train.pair_losses` as
+training builds it, through every parameter tensor. Inputs are
 constructed to stay away from kinks and ties (relu and L1 at zero, the focal
 clip edges, max ties), where one-sided derivatives make the comparison
 meaningless.
@@ -19,9 +20,9 @@ from . import autodiff as ad
 from .augment import AugmentConfig
 from .backbone import BackboneConfig
 from .fmf import FMFConfig
-from .heads import focal_loss, regression_losses, render_targets, total_loss
+from .heads import total_loss
 from .scene import SceneSpec, generate_scene
-from .train import TrainConfig, build_model
+from .train import TrainConfig, build_model, pair_losses
 from .voxelizer import GridConfig
 
 OP_TOLERANCE = 1e-5
@@ -285,23 +286,17 @@ def tiny_scene_spec(seed=7):
 
 def check_pipeline(full=False):
     """Finite-difference check of d(total loss)/d(parameter) through the whole
-    frame-pair pipeline on a small model. Checks two coordinates per
-    parameter tensor, or every coordinate with full=True."""
+    frame-pair pipeline, `train.pair_losses`, on a small model. Checks two
+    coordinates per parameter tensor, or every coordinate with full=True."""
     t_start = time.perf_counter()
     cfg = tiny_train_config()
     seq = generate_scene(tiny_scene_spec())
     prev, cur = seq.frames[0], seq.frames[1]
     model = build_model(cfg, len(seq.class_names))
     model.train()
-    target = render_targets(cur.gt_boxes, model.geometry, len(seq.class_names),
-                            cfg.min_overlap)
 
     def forward():
-        out = model.forward_pair(prev, cur, vox_seeds=(11, 12),
-                                 cells=lambda _: target.centers())
-        l_hm = focal_loss(out.heatmap, target, cfg.focal)
-        return total_loss(l_hm, *regression_losses(out, target),
-                          cfg.loss_weights)
+        return total_loss(*pair_losses(model, prev, cur, cfg, (11, 12)), cfg.loss_weights)
 
     loss = forward()
     ad.backward(loss)

@@ -232,8 +232,12 @@ def write_detections(det_frames, class_names, path):
 
 
 def read_detections(path, class_names, num_frames):
-    """Read a detections file back into per-frame lists."""
-    text = pathlib.Path(path).read_text(encoding="utf-8")
+    """Read a detections file back into per-frame lists. A file that cannot
+    be read, or a malformed record, is a DataError naming `path`."""
+    try:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as e:  # ValueError: bytes that are not UTF-8
+        raise DataError(f"cannot read detections {path}: {e}") from e
     name_to_id = {name: i for i, name in enumerate(class_names)}
     frames = [[] for _ in range(num_frames)]
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -241,7 +245,7 @@ def read_detections(path, class_names, num_frames):
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise DataError(f"{path}:{ln}: invalid JSON record: {e}") from e
         try:
             fi = rec["frame"]

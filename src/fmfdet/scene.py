@@ -98,6 +98,8 @@ class SceneSequence:
         class_names = tuple(class_names)
         if len(class_names) < 1:
             raise ConfigError("a sequence needs at least one class name")
+        if len(set(class_names)) < len(class_names):
+            raise DataError(f"class names repeat: {class_names}")
         ts = [f.timestamp for f in frames]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DataError("frame timestamps must be strictly increasing")
@@ -146,6 +148,8 @@ class SceneSpec:
             raise ConfigError("num_objects must be >= 0")
         if len(self.class_names) < 1:
             raise ConfigError("need at least one class")
+        if len(set(self.class_names)) < len(self.class_names):
+            raise ConfigError(f"class names repeat: {self.class_names}")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.margin >= self.range:

@@ -17,7 +17,7 @@ from .augment import AugmentConfig, apply_transform, sample_transform
 from .backbone import BackboneConfig
 from .config import from_dict, to_dict
 from .decode import MatchConfig
-from .errors import ConfigError, DivergenceError, FormatError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, FormatError, ShapeError
 from .fmf import FMFConfig
 from .heads import (FocalParams, LossWeights, focal_loss, regression_losses,
                     render_targets, total_loss)
@@ -101,12 +101,27 @@ def _frame_pairs(scenes):
     return pairs
 
 
+def pair_losses(model, prev, cur, cfg: TrainConfig, vox_seeds):
+    """The one supervised pass, which training and the gradient check both
+    differentiate: render `cur`'s targets, run the pair forward with the
+    regression branches at the target centres, and return the float64
+    scalars (L_hm,) + regression_losses in LOSS_TERMS order."""
+    target = render_targets(cur.gt_boxes, model.geometry, model.num_classes,
+                            cfg.min_overlap)
+    out = model.forward_pair(prev, cur, vox_seeds=vox_seeds,
+                             cells=lambda _: target.centers())
+    return (focal_loss(out.heatmap, target, cfg.focal),) + regression_losses(out, target)
+
+
 def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     """Train a detector on scene sequences. Returns (model, opt, trace rows).
 
     Every batch draws temporally adjacent frame pairs, applies one shared
-    augmentation per pair, and supervises the current frame only. The
-    learning rate and beta1 follow a one-cycle schedule over the whole run.
+    augmentation per pair, and supervises the current frame only. Each pair's
+    `pair_losses` total, times 1/batch size, is backpropagated before the next
+    pair is built, so gradients sum in `.grad` and one pair's graph is alive
+    at a time; the trace row holds the batch means. The learning rate and
+    beta1 follow a one-cycle schedule over the whole run.
     """
     class_names = _shared_class_names(scenes)
     model = build_model(cfg, len(class_names))
@@ -126,56 +141,40 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
         b = step % n_batches
         if b == 0:
             order = rng.permutation(len(pairs))
-        batch = [pairs[i] for i in order[b * cfg.batch_size:
-                                         (b + 1) * cfg.batch_size]]
-        lr, momentum = one_cycle_lr(step, total_steps, cfg.lr_init,
-                                    cfg.momentum_range)
+        batch = [pairs[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
+        lr, momentum = one_cycle_lr(step, total_steps, cfg.lr_init, cfg.momentum_range)
         opt.lr = lr
         opt.beta1 = momentum
 
+        scale = 1.0 / len(batch)
         sums = None
         for si, tp, tc in batch:
             seeds = rng.integers(0, 2 ** 31 - 1, size=3)
-            prev = scenes[si].frames[tp]
-            cur = scenes[si].frames[tc]
+            prev, cur = scenes[si].frames[tp], scenes[si].frames[tc]
             if cfg.augment.enabled:
-                tf = sample_transform(np.random.default_rng(seeds[0]),
-                                      cfg.augment)
+                tf = sample_transform(np.random.default_rng(seeds[0]), cfg.augment)
                 prev = apply_transform(prev, tf)
                 cur = apply_transform(cur, tf)
-            target = render_targets(cur.gt_boxes, model.geometry,
-                                    len(class_names), cfg.min_overlap)
-            out = model.forward_pair(prev, cur,
-                                     vox_seeds=(int(seeds[1]),
-                                                int(seeds[2])),
-                                     cells=lambda _: target.centers())
-            l_hm = focal_loss(out.heatmap, target, cfg.focal)
-            comps = (l_hm,) + regression_losses(out, target)
-            sums = comps if sums is None else tuple(
-                ad.add(a, c) for a, c in zip(sums, comps))
+            parts = pair_losses(model, prev, cur, cfg, (int(seeds[1]), int(seeds[2])))
+            loss = total_loss(*parts, cfg.loss_weights)
+            values = [t.item() for t in parts + (loss,)]
+            if not all(np.isfinite(values)):
+                raise DivergenceError(f"non-finite loss at step {step}: {values}")
+            ad.backward(ad.mul(loss, scale))
+            sums = values[:-1] if sums is None else [a + v for a, v in zip(sums, values)]
 
-        scale = 1.0 / len(batch)
-        means = tuple(ad.mul(s, scale) for s in sums)
-        loss = total_loss(*means, cfg.loss_weights)
-
-        values = [m.item() for m in means] + [loss.item()]
-        if not all(np.isfinite(values)):
-            raise DivergenceError(f"non-finite loss at step {step}: "
-                                  f"{values}")
-        ad.backward(loss)
+        means = [s * scale for s in sums]
+        values = means + [total_loss(*means, cfg.loss_weights).item()]
         grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                                  for p in model.parameters()
-                                  if p.grad is not None))
+                                  for p in model.parameters() if p.grad is not None))
         if not math.isfinite(grad_norm):
-            raise DivergenceError(f"non-finite gradient norm at step "
-                                  f"{step}: {grad_norm}")
+            raise DivergenceError(f"non-finite gradient norm at step {step}: {grad_norm}")
         opt.step()
         opt.zero_grad()
 
         trace.append((step, lr) + tuple(values))
         if print_every and step % print_every == 0:
-            print(f"step {step}/{total_steps} lr {lr:.6f} "
-                  f"loss {values[-1]:.6f}")
+            print(f"step {step}/{total_steps} lr {lr:.6f} loss {values[-1]:.6f}")
 
     if trace_path is not None:
         write_trace(trace_path, trace)
@@ -215,11 +214,16 @@ def save_checkpoint(path, model, cfg: TrainConfig, class_names, step=0,
 
 def load_checkpoint(path):
     """Rebuild (model, cfg, class_names, step, opt_state) from an npz file.
-    Anything but such a checkpoint is a FormatError naming `path`: a bad
-    archive, a missing or malformed meta.* entry or stored config, or
-    parameter and buffer arrays that do not fit the config's model (named)
-    or are non-finite. A missing file is open's FileNotFoundError."""
-    with open(path, "rb") as f:
+    A file that cannot be opened is a DataError naming `path`. Anything but
+    such a checkpoint is a FormatError naming `path`: a bad archive, a
+    missing or malformed meta.* entry or stored config, parameter and buffer
+    arrays that do not fit the config's model (named), or a parameter,
+    buffer or optimizer (opt.*) array that is non-numeric or non-finite."""
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise DataError(f"cannot open checkpoint {path}: {e.strerror}") from e
+    with f:
         try:
             arrays = dict(np.load(f, allow_pickle=False))
         # RuntimeError: a member flagged encrypted; Syntax/TokenError: a garbled .npy header
@@ -240,8 +244,10 @@ def load_checkpoint(path):
         model.load_state_dict(state)
     except (ConfigError, ShapeError) as e:
         raise FormatError(f"invalid checkpoint {path}: {e}") from e
-    for key, t in model.named_state():
-        if not np.isfinite(t.data).all():
-            raise FormatError(f"invalid checkpoint {path}: non-finite values in {key}")
+    named = [(key, t.data) for key, t in model.named_state()]
+    for key, v in named + [("opt." + k, v) for k, v in opt_state.items()]:
+        if not (np.issubdtype(v.dtype, np.number) and np.isfinite(v).all()):
+            raise FormatError(f"invalid checkpoint {path}: non-finite or non-numeric "
+                              f"values in {key}")
     model.eval()
     return model, cfg, class_names, step, opt_state or None

@@ -133,6 +133,14 @@ class TestGenData:
         assert sorted(p.name for p in out.iterdir()) == ["seq_000", "seq_001"]
         assert "wrote 2 sequences" in capsys.readouterr().out
 
+    def test_repeated_class_names_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(TINY_SPEC, class_names=["car", "car"])))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "class names repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_spec_key_is_config_error(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict(TINY_SPEC, frames=4)))
@@ -229,6 +237,18 @@ class TestTrain:
         assert main(["train", "--config", str(workspace["cfg"]),
                      "--data", str(data), "--out", str(tmp_path / "m.npz")]) == 3
         assert str(mpath) in capsys.readouterr().err
+
+    def test_repeated_class_names_is_data_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        for seq in ("seq_000", "seq_001"):
+            mpath = data / seq / "manifest.json"
+            manifest = json.loads(mpath.read_text())
+            manifest["class_names"] = ["car", "car"]
+            mpath.write_text(json.dumps(manifest))
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--data", str(data), "--out", str(tmp_path / "m.npz")]) == 3
+        assert "class names repeat" in capsys.readouterr().err
 
     def test_manifest_entry_outside_sequence_is_format_error(
             self, workspace, tmp_path, capsys):

@@ -2,6 +2,7 @@
 import bisect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -515,6 +516,16 @@ class TestDetectionFiles:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(DataError, match=":1: frame index"):
             read_detections(path, ("car",), 3)
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_file_is_data_error(self, tmp_path, case):
+        path = tmp_path / "dets.jsonl"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b'{"frame": 0, "class": "c\xe1r"}\n')
+        with pytest.raises(DataError, match=re.escape(f"cannot read detections {path}")):
+            read_detections(path, ("car",), 1)
 
     def test_empty_file_gives_empty_frames(self, tmp_path):
         path = tmp_path / "dets.jsonl"

@@ -1,7 +1,12 @@
-"""Fuzzers for the two binary readers, `read_frame` and `load_checkpoint`:
-truncated files, flipped bits and non-finite payloads either load or raise
-DataError / FormatError (exit 3 through the CLI), never anything else, and
-never a RuntimeWarning (pytest turns one into an error)."""
+"""Fuzzers for the four readers: the binary `read_frame` and
+`load_checkpoint`, and the text `read_sequence` (manifest.json) and
+`read_detections` (detections.jsonl). Truncated files, flipped bits, wrong
+types, missing keys and non-finite payloads either load or raise DataError /
+FormatError (exit 3 through the CLI), never anything else, and never a
+RuntimeWarning (pytest turns one into an error)."""
+import json
+import math
+import shutil
 import zipfile
 
 import numpy as np
@@ -9,11 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fmfdet.decode import Detection
 from fmfdet.errors import DataError, FormatError
-from fmfdet.frameio import read_frame, write_frame
+from fmfdet.frameio import read_frame, read_sequence, write_frame, write_sequence
 from fmfdet.geometry import Pose2D
 from fmfdet.gradcheck import tiny_train_config
-from fmfdet.scene import Box3D, PointCloudFrame
+from fmfdet.metrics import read_detections, write_detections
+from fmfdet.optim import AdamW
+from fmfdet.scene import Box3D, PointCloudFrame, SceneSequence
 from fmfdet.train import build_model, load_checkpoint, save_checkpoint
 
 # example counts keep each fuzzer to about a second
@@ -99,7 +107,9 @@ def test_non_finite_frame_field_is_format_error(frame_file, data):
 def checkpoint_file(tmp_path_factory):
     cfg = tiny_train_config()
     path = tmp_path_factory.mktemp("ckpt") / "good.npz"
-    save_checkpoint(path, build_model(cfg, 2), cfg, ("car", "pedestrian"))
+    model = build_model(cfg, 2)
+    save_checkpoint(path, model, cfg, ("car", "pedestrian"),
+                    opt=AdamW(model.named_parameters()))
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     return path, path.read_bytes(), arrays
@@ -119,8 +129,8 @@ def test_mutated_checkpoint_loads_or_is_rejected(checkpoint_file, mutation):
 @given(st.data())
 def test_non_finite_checkpoint_array_is_format_error(checkpoint_file, data):
     path, _, arrays = checkpoint_file
-    key = data.draw(st.sampled_from(sorted(k for k in arrays
-                                           if k.startswith(("param.", "buffer.")))))
+    key = data.draw(st.sampled_from(sorted(k for k in arrays if k != "opt.t" and
+                                           k.startswith(("param.", "buffer.", "opt.")))))
     value = arrays[key].copy()
     value.reshape(-1)[data.draw(st.integers(0, value.size - 1))] = data.draw(
         st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -151,3 +161,155 @@ def test_garbled_zip_member_is_format_error(checkpoint_file, case):
     bad.write_bytes(bytes(out))
     with pytest.raises(FormatError, match="not an npz archive"):
         load_checkpoint(bad)
+
+
+# JSON values of every type, for fields that expect another one
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def rejects(load, path):
+    """The error load(path) raises, or None when it loads."""
+    try:
+        load(path)
+    except (DataError, FormatError) as e:
+        return e
+    return None
+
+
+@pytest.fixture(scope="module")
+def sequence_dir(tmp_path_factory):
+    """A 2-frame sequence, and a sibling directory holding valid frames that
+    a manifest must not reach."""
+    rng = np.random.default_rng(1)
+    frames = [PointCloudFrame(rng.normal(size=(4, 4)), t, Pose2D(t, 0.0, 0.0),
+                              [Box3D(1.0, 2.0, 0.5, 1.9, 4.4, 1.6, 0.3, class_id=1)])
+              for t in (0.0, 0.1)]
+    root = tmp_path_factory.mktemp("seq")
+    write_sequence(SceneSequence(frames, ("car", "pedestrian")), root / "seq")
+    write_sequence(SceneSequence(frames, ("car", "pedestrian")), root / "sibling")
+    mpath = root / "seq" / "manifest.json"
+    return mpath, mpath.read_bytes()
+
+
+outside_names = st.sampled_from([
+    "../sibling/frame_000001.bin", "./../sibling/frame_000000.bin",
+    "frame_000000.bin/../../sibling/frame_000001.bin", "/frame_000000.bin", "..", "\0",
+    "frame_000000.bin\0"])
+
+
+@st.composite
+def manifest_edits(draw):
+    """(manifest dict -> None, the error the edited manifest must raise or None)."""
+    kind = draw(st.sampled_from(["drop_key", "retype", "frame", "outside", "classes"]))
+    key = draw(st.sampled_from(["class_names", "frames", "format", "version"]))
+    value = draw(json_values)
+    if kind == "drop_key":
+        return (lambda m: m.pop(key)), None
+    if kind == "retype":
+        return (lambda m: m.__setitem__(key, value)), None
+    i = draw(st.integers(0, 1))
+    if kind == "frame":
+        return (lambda m: m["frames"].__setitem__(i, value)), None
+    if kind == "outside":
+        name = draw(outside_names)
+        return (lambda m: m["frames"].__setitem__(i, name)), FormatError
+    names = draw(st.lists(st.sampled_from(["car", "pedestrian", "", "truck"]), max_size=4))
+    repeated = len(set(names)) < len(names)
+    return (lambda m: m.__setitem__("class_names", names)), DataError if repeated else None
+
+
+@settings(FUZZ, max_examples=150)
+@given(mutations)
+def test_mutated_manifest_bytes_load_or_are_rejected(sequence_dir, mutation):
+    mpath, raw = sequence_dir
+    try:
+        mpath.write_bytes(mutate(raw, mutation))
+        loads(read_sequence, mpath.parent)
+    finally:
+        mpath.write_bytes(raw)
+
+
+@settings(FUZZ, max_examples=100)
+@given(manifest_edits())
+def test_edited_manifest_loads_or_is_rejected(sequence_dir, edit):
+    """A frame entry outside the directory is always a FormatError, and
+    repeated class names always a DataError."""
+    mpath, raw = sequence_dir
+    apply, must_raise = edit
+    manifest = json.loads(raw)
+    apply(manifest)
+    try:
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        error = rejects(read_sequence, mpath.parent)
+    finally:
+        mpath.write_bytes(raw)
+    if must_raise is not None:
+        assert type(error) is must_raise
+
+
+@pytest.fixture(scope="module")
+def detections_file(tmp_path_factory):
+    """Three frames of detections over two classes."""
+    frames = [[Detection(Box3D(1.0, -2.0, 0.5, 1.9, 4.4, 1.6, 0.3, 0.5, -0.1, c), 0.9, c)
+               for c in (0, 1)], [],
+              [Detection(Box3D(0.0, 3.0, 0.4, 0.6, 0.8, 1.7, -1.2), 0.25, 0)]]
+    path = tmp_path_factory.mktemp("dets") / "dets.jsonl"
+    write_detections(frames, ("car", "pedestrian"), path)
+    return path, path.read_bytes()
+
+
+def read_three_frames(path):
+    frames = read_detections(path, ("car", "pedestrian"), 3)
+    for det in (d for frame in frames for d in frame):
+        assert 0 <= det.class_id < 2
+        assert all(map(math.isfinite, det.box.as_array())) and math.isfinite(det.score)
+    return frames
+
+
+@settings(FUZZ, max_examples=200)
+@given(mutations)
+def test_mutated_detection_bytes_load_or_are_rejected(detections_file, mutation):
+    path, raw = detections_file
+    bad = path.with_name("bad.jsonl")
+    bad.write_bytes(mutate(raw, mutation))
+    loads(read_three_frames, bad)
+
+
+@settings(FUZZ, max_examples=200)
+@given(st.data())
+def test_edited_detection_record_loads_or_is_rejected(detections_file, data):
+    """Any value in any field, a dropped key, or a record that is not an
+    object; a non-finite number, an unknown class or a frame outside the
+    sequence is always rejected."""
+    path, raw = detections_file
+    lines = raw.decode().splitlines()
+    ln = data.draw(st.integers(0, len(lines) - 1))
+    rec = json.loads(lines[ln])
+    key = data.draw(st.sampled_from(sorted(rec)))
+    kind = data.draw(st.sampled_from(["any", "drop", "non_finite", "frame", "class",
+                                      "not_object"]))
+    if kind == "any":
+        rec[key] = data.draw(json_values)
+    elif kind == "drop":
+        del rec[key]
+    elif kind == "non_finite":
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        key = data.draw(st.sampled_from(["score", "yaw", "center", "size", "velocity"]))
+        rec[key] = bad if not isinstance(rec[key], list) else [bad] + rec[key][1:]
+    elif kind == "frame":
+        rec["frame"] = data.draw(st.sampled_from([-1, 3, 2 ** 63, -2 ** 70]))
+    elif kind == "class":
+        rec["class"] = data.draw(st.sampled_from(["truck", "Car", "", "car "]))
+    else:
+        rec = data.draw(json_values.filter(lambda v: not isinstance(v, dict)))
+    lines[ln] = json.dumps(rec)
+    bad = path.with_name("bad.jsonl")
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    error = rejects(read_three_frames, bad)
+    if kind in ("non_finite", "frame", "class", "not_object"):
+        assert isinstance(error, DataError)

@@ -194,6 +194,37 @@ class TestSequenceDirectory:
             read_sequence(tmp_path / "s")
         assert str(mpath) in str(err.value) and key in str(err.value)
 
+    @pytest.mark.parametrize("case", ["not_utf8", "nul_in_frame_entry"])
+    def test_unreadable_manifest_is_format_error(self, tmp_path, case):
+        seq = generate_scene(SceneSpec(seed=1, num_frames=2,
+                                       points_per_object=10, clutter_points=0))
+        write_sequence(seq, tmp_path / "s")
+        mpath = tmp_path / "s" / "manifest.json"
+        if case == "not_utf8":
+            mpath.write_bytes(mpath.read_bytes().replace(b"car", b"c\xe1r"))
+        else:
+            manifest = json.loads(mpath.read_text())
+            manifest["frames"][1] = frame_file_name(1) + "\0"
+            mpath.write_text(json.dumps(manifest))
+        match = {"not_utf8": "invalid JSON manifest", "nul_in_frame_entry": "lies outside"}
+        with pytest.raises(FormatError, match=match[case]):
+            read_sequence(tmp_path / "s")
+
+    def test_repeated_class_names_are_data_error(self, tmp_path):
+        """Detections name their class, so a repeated name would read back
+        as the last class that has it."""
+        seq = generate_scene(SceneSpec(seed=1, num_frames=2,
+                                       points_per_object=10, clutter_points=0))
+        with pytest.raises(DataError, match="class names repeat"):
+            SceneSequence(seq.frames, ("car", "pedestrian", "car"))
+        write_sequence(seq, tmp_path / "s")
+        mpath = tmp_path / "s" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["class_names"] = ["car", "car"]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="class names repeat"):
+            read_sequence(tmp_path / "s")
+
     @pytest.mark.parametrize("entry", ["absolute", "dotdot", "symlink"])
     def test_frame_entry_outside_directory_is_format_error(self, tmp_path, entry):
         seq = generate_scene(SceneSpec(seed=1, num_frames=2,
@@ -278,6 +309,10 @@ class TestSceneGenerator:
     def test_zero_area_scene_rejected(self):
         with pytest.raises(ConfigError):
             SceneSpec(range=0.0)
+
+    def test_repeated_class_names_rejected(self):
+        with pytest.raises(ConfigError, match="class names repeat"):
+            SceneSpec(class_names=("car", "car"))
 
     def test_overcrowded_scene_rejected(self):
         with pytest.raises(ConfigError):

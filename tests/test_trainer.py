@@ -2,6 +2,7 @@
 import dataclasses
 import importlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
 from fmfdet.config import apply_overrides, from_dict, load_config, to_dict
 from fmfdet.decode import MatchConfig, decode
-from fmfdet.errors import ConfigError, DivergenceError, FormatError, ShapeError
+from fmfdet.errors import (ConfigError, DataError, DivergenceError, FormatError,
+                           ShapeError)
 from fmfdet.fmf import FMFConfig
+from fmfdet.heads import total_loss
 from fmfdet.layers import ConvBNReLU
-from fmfdet.model import run_inference
+from fmfdet.model import Detector, run_inference
+from fmfdet.optim import AdamW
 from fmfdet.scene import SceneSpec, generate_scene
 from fmfdet.train import (TRACE_COLUMNS, TrainConfig, build_model,
                           load_checkpoint, read_trace, save_checkpoint,
@@ -148,6 +152,60 @@ class TestTrainLoop:
         assert len(at_backward) == len(params)
         assert all(np.array_equal(p.data, at_backward[id(p)]) for p in params)
 
+    def test_each_pair_is_backpropagated_before_the_next_is_built(self, monkeypatch):
+        calls = []
+        real_forward, real_backward = Detector.forward_pair, ad.backward
+
+        def spy_forward(self, *args, **kw):
+            calls.append("forward_pair")
+            return real_forward(self, *args, **kw)
+
+        def spy_backward(loss):
+            calls.append("backward")
+            real_backward(loss)
+
+        monkeypatch.setattr(Detector, "forward_pair", spy_forward)
+        monkeypatch.setattr(ad, "backward", spy_backward)
+        train(tiny_cfg(max_steps=1, batch_size=2), [tiny_scene()])
+        assert calls == ["forward_pair", "backward", "forward_pair", "backward"]
+
+    def test_pairwise_backward_equals_one_joint_loss(self, monkeypatch):
+        """Gradients summed in .grad pair by pair equal those of one graph
+        over the batch means, and the trace holds those means exactly."""
+        train_mod = importlib.import_module("fmfdet.train")
+        cfg = tiny_cfg(max_steps=1, batch_size=2, compute_dtype="float64",
+                       augment=AugmentConfig())
+        inputs, stepped = [], {}
+        real_pair_losses, real_step = train_mod.pair_losses, AdamW.step
+
+        def spy_pair_losses(model, prev, cur, cfg, vox_seeds):
+            inputs.append((prev, cur, vox_seeds))
+            return real_pair_losses(model, prev, cur, cfg, vox_seeds)
+
+        def spy_step(opt):
+            stepped.update((name, p.grad.copy()) for name, p in opt.params)
+            real_step(opt)
+
+        monkeypatch.setattr(train_mod, "pair_losses", spy_pair_losses)
+        monkeypatch.setattr(AdamW, "step", spy_step)
+        _, _, trace = train(cfg, [tiny_scene()])
+        assert len(inputs) == 2
+
+        model = build_model(cfg, 2)
+        model.train()
+        per_pair = [real_pair_losses(model, prev, cur, cfg, seeds)
+                    for prev, cur, seeds in inputs]
+        means = [ad.mul(ad.add(a, b), 0.5) for a, b in zip(*per_pair)]
+        loss = total_loss(*means, cfg.loss_weights)
+        ad.backward(loss)
+        assert trace[0][2:] == tuple(m.item() for m in means) + (loss.item(),)
+        joint = dict(model.named_parameters())
+        assert set(stepped) == set(joint)
+        for name, grad in stepped.items():
+            want = joint[name].grad
+            assert grad.dtype == np.float64
+            assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max(), name
+
     def test_disabling_fusion_removes_exactly_its_params(self):
         cfg = tiny_cfg()
         n_on = sum(p.data.size for _, p in
@@ -267,6 +325,30 @@ class TestCheckpoints:
         b = model2.forward_pair(frame, frame)
         assert np.array_equal(a.heatmap.data, b.heatmap.data)
 
+
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_unopenable_checkpoint_is_data_error(self, tmp_path, case):
+        path = tmp_path / "ckpt.npz"
+        if case == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=re.escape(f"cannot open checkpoint {path}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.full((2,), np.nan), np.array(["x", "y"]),
+                                       np.array([True, False])])
+    def test_bad_optimizer_array_is_format_error(self, tmp_path, value):
+        cfg = tiny_cfg()
+        model = build_model(cfg, 2)
+        good = tmp_path / "good.npz"
+        save_checkpoint(good, model, cfg, ("car", "pedestrian"),
+                        opt=AdamW(model.named_parameters()))
+        with np.load(good) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["opt.m.pfn.weight"] = value
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(FormatError, match=re.escape(str(bad)) + ": non-.* opt.m.pfn.weight"):
+            load_checkpoint(bad)
 
     def test_misfit_state_names_every_key_and_loads_nothing(self):
         model = build_model(tiny_cfg(), 2)
