@@ -6,7 +6,6 @@ FormatError (exit 3 through the CLI), never anything else, and never a
 RuntimeWarning (pytest turns one into an error)."""
 import json
 import math
-import shutil
 import zipfile
 
 import numpy as np
@@ -52,13 +51,13 @@ def mutate(raw, mutation):
     return bytes(out)
 
 
-def loads(load, path):
-    """Whether `load(path)` succeeds; DataError and FormatError read False."""
+def rejects(load, path):
+    """The DataError or FormatError `load(path)` raises, or None when it loads."""
     try:
         load(path)
-    except (DataError, FormatError):
-        return False
-    return True
+    except (DataError, FormatError) as e:
+        return e
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +85,7 @@ def test_mutated_frame_loads_or_is_rejected(frame_file, mutation):
     bad = path.with_name("bad.bin")
     bad.write_bytes(mutate(raw, mutation))
     # every byte of a frame file is read, so a cut one never loads
-    assert not (loads(read_frame, bad) and mutation[0] == "truncate")
+    assert rejects(read_frame, bad) or mutation[0] != "truncate"
 
 
 @settings(FUZZ, max_examples=150)
@@ -122,7 +121,7 @@ def test_mutated_checkpoint_loads_or_is_rejected(checkpoint_file, mutation):
     bad = path.with_name("bad.npz")
     bad.write_bytes(mutate(raw, mutation))
     # the zip directory sits at the end, so a cut checkpoint never loads
-    assert not (loads(load_checkpoint, bad) and mutation[0] == "truncate")
+    assert rejects(load_checkpoint, bad) or mutation[0] != "truncate"
 
 
 @settings(FUZZ, max_examples=40)
@@ -170,15 +169,6 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                  max_size=3),
     max_leaves=6)
-
-
-def rejects(load, path):
-    """The error load(path) raises, or None when it loads."""
-    try:
-        load(path)
-    except (DataError, FormatError) as e:
-        return e
-    return None
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +219,7 @@ def test_mutated_manifest_bytes_load_or_are_rejected(sequence_dir, mutation):
     mpath, raw = sequence_dir
     try:
         mpath.write_bytes(mutate(raw, mutation))
-        loads(read_sequence, mpath.parent)
+        rejects(read_sequence, mpath.parent)
     finally:
         mpath.write_bytes(raw)
 
@@ -277,7 +267,7 @@ def test_mutated_detection_bytes_load_or_are_rejected(detections_file, mutation)
     path, raw = detections_file
     bad = path.with_name("bad.jsonl")
     bad.write_bytes(mutate(raw, mutation))
-    loads(read_three_frames, bad)
+    rejects(read_three_frames, bad)
 
 
 @settings(FUZZ, max_examples=200)
