@@ -9,8 +9,7 @@ reverse-mode autodiff core, so training and inference need no GPU.
 from .augment import AugmentConfig, AugTransform, apply_transform, sample_transform
 from .backbone import BackboneConfig, Neck, PillarFeatureNet
 from .decode import Detection, MatchConfig, decode, find_peaks
-from .errors import (ConfigError, DataError, DivergenceError, FormatError,
-                     ShapeError, StateError)
+from .errors import ConfigError, DataError, DivergenceError, ShapeError, StateError
 from .fmf import FMFConfig, FMFState, fmf_step, warp_feature_map
 from .frameio import read_frame, read_sequence, write_frame, write_sequence
 from .geometry import MapGeometry, Pose2D, relative_pose, rot2d, wrap_angle
@@ -31,7 +30,7 @@ __all__ = [
     "AdamW", "AugTransform", "AugmentConfig", "BackboneConfig", "Box3D",
     "ConfigError", "DataError", "Detection", "DetectionHead", "Detector",
     "DivergenceError", "EvalResult", "FMFConfig", "FMFState",
-    "FocalParams", "FormatError", "GridConfig", "HeadOutput", "LossWeights",
+    "FocalParams", "GridConfig", "HeadOutput", "LossWeights",
     "MapGeometry", "MatchConfig", "Neck", "PillarFeatureNet", "PillarTensor",
     "PointCloudFrame", "Pose2D", "SceneSequence", "SceneSpec", "ShapeError",
     "StateError", "TargetMaps", "TrainConfig", "apply_transform",

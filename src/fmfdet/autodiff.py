@@ -582,8 +582,8 @@ def scatter_to_grid(features, coords, dims):
         ix, iy = coords[:, 0], coords[:, 1]
         if ix.min() < 0 or iy.min() < 0 or ix.max() >= w or iy.max() >= h:
             raise IndexError("scatter coords outside the grid")
-        flat = iy * w + ix
-        if np.unique(flat).size != p:
+        flat = np.sort(iy * w + ix)
+        if (flat[1:] == flat[:-1]).any():
             raise IndexError("scatter coords must be unique")
     out = np.zeros((1, c, h, w), dtype=features.data.dtype)
     out[0, :, coords[:, 1], coords[:, 0]] = features.data

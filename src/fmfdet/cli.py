@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, infer, eval, ablate, grad-check, bench.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence.
+Exit codes: 0 success, 2 ConfigError, 3 DataError, 4 DivergenceError.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .bench import bench
 from .config import (apply_overrides, coerce, from_dict, load_config,
                      read_json_object)
 from .decode import MatchConfig
-from .errors import ConfigError, DataError, DivergenceError, FormatError
+from .errors import ConfigError, DataError, DivergenceError
 from .frameio import MANIFEST_NAME, read_sequence, write_sequence
 from .gradcheck import run_gradcheck
 from .metrics import evaluate, read_detections, write_detections
@@ -215,7 +215,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, FormatError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except DivergenceError as e:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-CLI exit codes: ConfigError -> 2, DataError/FormatError -> 3,
-DivergenceError -> 4 (see cli.py).
+CLI exit codes, one class each (see cli.py): ConfigError -> 2, DataError -> 3,
+DivergenceError -> 4. ShapeError and StateError are programming errors.
 """
 
 
@@ -13,12 +13,8 @@ class ShapeError(ValueError):
     """Tensor shapes do not conform to an operation's contract."""
 
 
-class FormatError(ValueError):
-    """A file does not follow the expected binary/JSON layout."""
-
-
 class DataError(IOError):
-    """A payload is truncated or a data directory is unusable."""
+    """An input file or data directory is unreadable, malformed or inconsistent."""
 
 
 class StateError(RuntimeError):

@@ -12,10 +12,10 @@ Frame layout (little-endian):
 Point and box payloads are single precision, so only f32-representable values
 round-trip bit-exactly; timestamps and poses are double precision and always
 do. Every stored value must be finite: a NaN or Inf in the timestamp, pose,
-points or boxes makes the file a FormatError naming the first bad field.
+points or boxes makes the file a DataError naming the first bad field.
 A sequence is a directory of frame_%06d.bin files plus manifest.json holding
-the class names and frame order; every frame entry must name a file inside
-that directory.
+the header ("format": "fmf-scene", "version": 1), the class names and the
+frame order; every frame entry must name a file inside that directory.
 """
 from __future__ import annotations
 
@@ -26,13 +26,14 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError
 from .geometry import Pose2D
 from .scene import Box3D, PointCloudFrame, SceneSequence
 
 MAGIC = b"FMFPC1\x00\x00"
 VERSION = 1
 MANIFEST_NAME = "manifest.json"
+MANIFEST_FORMAT = "fmf-scene"
 
 _POINT_DTYPE = np.dtype("<f4")
 _BOX_DTYPE = np.dtype([("fields", "<f4", (9,)), ("class_id", "<u4")])
@@ -84,42 +85,42 @@ def read_frame(path) -> PointCloudFrame:
     data = pathlib.Path(path).read_bytes()
     r = _Reader(data, path)
     if r.take(8) != MAGIC:
-        raise FormatError(f"{path}: bad magic, not a frame file")
+        raise DataError(f"{path}: bad magic, not a frame file")
     (version,) = r.unpack("<I")
     if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     (timestamp,) = r.unpack("<d")
     if not math.isfinite(timestamp):
-        raise FormatError(f"{path}: non-finite timestamp {timestamp}")
+        raise DataError(f"{path}: non-finite timestamp {timestamp}")
     (has_pose,) = r.unpack("<B")
     pose = None
     if has_pose == 1:
         xy_yaw = r.unpack("<3d")
         if not all(map(math.isfinite, xy_yaw)):
-            raise FormatError(f"{path}: non-finite ego pose {xy_yaw}")
+            raise DataError(f"{path}: non-finite ego pose {xy_yaw}")
         pose = Pose2D(*xy_yaw)
     elif has_pose != 0:
-        raise FormatError(f"{path}: invalid pose flag {has_pose}")
+        raise DataError(f"{path}: invalid pose flag {has_pose}")
     (num_points,) = r.unpack("<I")
     # finiteness is checked on the float32 payloads: a cast warns on a signalling NaN
     pts = np.frombuffer(r.take(num_points * 16), dtype=_POINT_DTYPE).reshape(num_points, 4)
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
-        raise FormatError(f"{path}: point {bad[0]}: non-finite values "
-                          f"{pts[bad[0]].tolist()}")
+        raise DataError(f"{path}: point {bad[0]}: non-finite values "
+                        f"{pts[bad[0]].tolist()}")
     (num_boxes,) = r.unpack("<I")
     rec = np.frombuffer(r.take(num_boxes * _BOX_DTYPE.itemsize), dtype=_BOX_DTYPE)
     boxes = []
     for i in range(num_boxes):
         fields = rec["fields"][i]
         if not np.isfinite(fields).all():
-            raise FormatError(f"{path}: box {i}: non-finite fields {fields.tolist()}")
+            raise DataError(f"{path}: box {i}: non-finite fields {fields.tolist()}")
         try:
             boxes.append(Box3D.from_array(fields, rec["class_id"][i]))
         except ConfigError as e:
-            raise FormatError(f"{path}: box {i}: {e}") from e
+            raise DataError(f"{path}: box {i}: {e}") from e
     if r.off != len(data):
-        raise FormatError(f"{path}: {len(data) - r.off} trailing bytes")
+        raise DataError(f"{path}: {len(data) - r.off} trailing bytes")
     return PointCloudFrame(pts.astype(np.float64), timestamp, pose, boxes)
 
 
@@ -135,7 +136,7 @@ def write_sequence(seq: SceneSequence, out_dir) -> None:
         name = frame_file_name(i)
         write_frame(frame, out / name)
         names.append(name)
-    manifest = {"format": "fmf-scene", "version": VERSION,
+    manifest = {"format": MANIFEST_FORMAT, "version": VERSION,
                 "class_names": list(seq.class_names), "frames": names}
     (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n",
                                      encoding="utf-8")
@@ -149,17 +150,22 @@ def read_sequence(data_dir) -> SceneSequence:
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except ValueError as e:  # also bytes that are not UTF-8
-        raise FormatError(f"{mpath}: invalid JSON manifest: {e}") from e
+        raise DataError(f"{mpath}: invalid JSON manifest: {e}") from e
     if not isinstance(manifest, dict):
-        raise FormatError(f"{mpath}: manifest is not a JSON object")
+        raise DataError(f"{mpath}: manifest is not a JSON object")
+    fmt, version = manifest.get("format"), manifest.get("version")
+    if fmt != MANIFEST_FORMAT:
+        raise DataError(f"{mpath}: manifest format {fmt!r} is not {MANIFEST_FORMAT!r}")
+    if type(version) is not int or version != VERSION:  # a JSON true is not 1
+        raise DataError(f"{mpath}: unsupported manifest version {version!r}")
     for key in ("class_names", "frames"):
         if key not in manifest:
-            raise FormatError(f"{mpath}: manifest missing '{key}'")
+            raise DataError(f"{mpath}: manifest missing '{key}'")
         value = manifest[key]
         if (not isinstance(value, list) or not value
                 or not all(isinstance(v, str) for v in value)):
-            raise FormatError(f"{mpath}: manifest '{key}' must be a non-empty "
-                              f"list of strings, got {value!r}")
+            raise DataError(f"{mpath}: manifest '{key}' must be a non-empty "
+                            f"list of strings, got {value!r}")
     frames = []
     resolved_root = root.resolve()
     for name in manifest["frames"]:
@@ -167,9 +173,12 @@ def read_sequence(data_dir) -> SceneSequence:
         rel = pathlib.PurePath(name)
         if ("\0" in name or rel.is_absolute() or ".." in rel.parts
                 or not fpath.resolve().is_relative_to(resolved_root)):
-            raise FormatError(f"{mpath}: frame entry {name!r} lies outside "
-                              f"the sequence directory")
+            raise DataError(f"{mpath}: frame entry {name!r} lies outside "
+                            f"the sequence directory")
         if not fpath.is_file():
             raise DataError(f"{data_dir}: manifest lists missing frame {name}")
         frames.append(read_frame(fpath))
-    return SceneSequence(frames, manifest["class_names"])
+    try:
+        return SceneSequence(frames, manifest["class_names"])
+    except DataError as e:
+        raise DataError(f"{mpath}: {e}") from e

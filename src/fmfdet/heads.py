@@ -107,7 +107,6 @@ class DetectionHead(Module):
         super().__init__()
         if num_classes < 1:
             raise ConfigError("need at least one class")
-        self.num_classes = num_classes
         self.branches = {}
         for name, out in (("heatmap", num_classes),) + REG_BRANCHES:
             hidden = self.add_child(f"{name}.hidden",

@@ -231,9 +231,22 @@ def write_detections(det_frames, class_names, path):
                                   encoding="utf-8")
 
 
+def _numbers(rec, key, n=None):
+    """rec[key] as floats: one JSON number, or a list of n of them. A bool
+    or a numeric string is not a number."""
+    value = rec[key]
+    items = [value] if n is None else value
+    if (not isinstance(items, list) or len(items) != (n or 1)
+            or not all(type(v) in (int, float) for v in items)):
+        want = "a number" if n is None else f"a list of {n} numbers"
+        raise TypeError(f"{key} must be {want}, got {value!r}")
+    return [float(v) for v in items]
+
+
 def read_detections(path, class_names, num_frames):
     """Read a detections file back into per-frame lists. A file that cannot
-    be read, or a malformed record, is a DataError naming `path`."""
+    be read, or a malformed record, is a DataError naming `path`. `center`,
+    `size`, `velocity` hold 3, 3, 2 JSON numbers; `score`, `yaw` one each."""
     try:
         text = pathlib.Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as e:  # ValueError: bytes that are not UTF-8
@@ -253,11 +266,12 @@ def read_detections(path, class_names, num_frames):
                 raise DataError(f"{path}:{ln}: frame index {fi!r} is not an "
                                 f"integer")
             cid = name_to_id[rec["class"]]
-            cx, cy, cz = map(float, rec["center"])
-            w, l, h = map(float, rec["size"])
-            vx, vy = map(float, rec["velocity"])
-            fields = (cx, cy, cz, w, l, h, float(rec["yaw"]), vx, vy)
-            score = float(rec["score"])
+            cx, cy, cz = _numbers(rec, "center", 3)
+            w, l, h = _numbers(rec, "size", 3)
+            vx, vy = _numbers(rec, "velocity", 2)
+            (yaw,) = _numbers(rec, "yaw")
+            (score,) = _numbers(rec, "score")
+            fields = (cx, cy, cz, w, l, h, yaw, vx, vy)
             if not all(map(math.isfinite, fields + (score,))):
                 raise DataError(f"{path}:{ln}: non-finite value in detection record")
             det = Detection(Box3D(*fields, cid), score, cid)

@@ -27,7 +27,6 @@ class Detector(Module):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.grid = grid
-        self.backbone_cfg = backbone
         self.fmf_cfg = fmf_cfg
         self.num_classes = num_classes
         self.geometry = MapGeometry.from_grid(grid, backbone.s_out)

@@ -17,7 +17,7 @@ from .augment import AugmentConfig, apply_transform, sample_transform
 from .backbone import BackboneConfig
 from .config import from_dict, to_dict
 from .decode import MatchConfig
-from .errors import ConfigError, DataError, DivergenceError, FormatError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .fmf import FMFConfig
 from .heads import (FocalParams, LossWeights, focal_loss, regression_losses,
                     render_targets, total_loss)
@@ -84,8 +84,8 @@ def _shared_class_names(scenes):
     names = scenes[0].class_names
     for seq in scenes[1:]:
         if seq.class_names != names:
-            raise ConfigError(f"scene class names differ: {seq.class_names} "
-                              f"vs {names}")
+            raise DataError(f"scene class names differ: {seq.class_names} "
+                            f"vs {names}")
     return names
 
 
@@ -214,11 +214,11 @@ def save_checkpoint(path, model, cfg: TrainConfig, class_names, step=0,
 
 def load_checkpoint(path):
     """Rebuild (model, cfg, class_names, step, opt_state) from an npz file.
-    A file that cannot be opened is a DataError naming `path`. Anything but
-    such a checkpoint is a FormatError naming `path`: a bad archive, a
-    missing or malformed meta.* entry or stored config, parameter and buffer
-    arrays that do not fit the config's model (named), or a parameter,
-    buffer or optimizer (opt.*) array that is non-numeric or non-finite."""
+    A file that cannot be opened, or is anything but such a checkpoint, is
+    a DataError naming `path`: a bad archive, a missing or malformed meta.*
+    entry or stored config, parameter and buffer arrays that do not fit the
+    config's model (named), or a parameter, buffer or optimizer (opt.*)
+    array that is non-numeric or non-finite."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -229,25 +229,25 @@ def load_checkpoint(path):
         # RuntimeError: a member flagged encrypted; Syntax/TokenError: a garbled .npy header
         except (EOFError, NotImplementedError, OSError, RuntimeError, SyntaxError,
                 TypeError, ValueError, tokenize.TokenError, zipfile.BadZipFile) as e:
-            raise FormatError(f"invalid checkpoint {path}: not an npz archive ({e})") from e
+            raise DataError(f"invalid checkpoint {path}: not an npz archive ({e})") from e
     try:
         cfg = from_dict(TrainConfig, json.loads(str(arrays["meta.config"][()])))
         class_names = tuple(str(s) for s in arrays["meta.class_names"])
         step = int(arrays["meta.step"][()])
     except (IndexError, KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"invalid checkpoint {path}: bad meta entry "
-                          f"({type(e).__name__}: {e})") from e
+        raise DataError(f"invalid checkpoint {path}: bad meta entry "
+                        f"({type(e).__name__}: {e})") from e
     state = {k: v for k, v in arrays.items() if k.startswith(("param.", "buffer."))}
     opt_state = {k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")}
     try:
         model = build_model(cfg, len(class_names))
         model.load_state_dict(state)
     except (ConfigError, ShapeError) as e:
-        raise FormatError(f"invalid checkpoint {path}: {e}") from e
+        raise DataError(f"invalid checkpoint {path}: {e}") from e
     named = [(key, t.data) for key, t in model.named_state()]
     for key, v in named + [("opt." + k, v) for k, v in opt_state.items()]:
         if not (np.issubdtype(v.dtype, np.number) and np.isfinite(v).all()):
-            raise FormatError(f"invalid checkpoint {path}: non-finite or non-numeric "
-                              f"values in {key}")
+            raise DataError(f"invalid checkpoint {path}: non-finite or non-numeric "
+                            f"values in {key}")
     model.eval()
     return model, cfg, class_names, step, opt_state or None

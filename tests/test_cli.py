@@ -14,6 +14,7 @@ import pytest
 
 import fmfdet
 from fmfdet import autodiff as ad
+from fmfdet import cli, errors
 from fmfdet.backbone import BackboneConfig
 from fmfdet.augment import AugmentConfig
 from fmfdet.bench import bench
@@ -384,6 +385,20 @@ class TestInferEval:
         assert main(["eval", "--dets", str(tmp_path / "none.jsonl"),
                      "--data", str(workspace["data"])]) == 3
 
+    def test_sequences_disagreeing_on_class_order_is_data_error(
+            self, workspace, tmp_path, capsys):
+        """Two sequences of one data directory that list the same names in
+        another order are bad data, not a bad config."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        mpath = data / "seq_001" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["class_names"] = manifest["class_names"][::-1]
+        mpath.write_text(json.dumps(manifest))
+        assert main(["eval", "--dets", str(workspace["dets"]),
+                     "--data", str(data)]) == 3
+        assert "scene class names differ" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [
         ("score", float("nan")),
         ("center", [0.0, float("inf"), 0.0]),
@@ -522,3 +537,25 @@ class TestEntryPoint:
         for mod in modules:
             for name in getattr(mod, "__all__", ()):
                 assert hasattr(mod, name), f"{mod.__name__}.__all__ names {name}"
+
+    def test_one_exception_class_per_exit_code(self, monkeypatch, capsys):
+        """Each error exit code has exactly one exception class; the
+        programming errors are not caught and end in a traceback."""
+        defined = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and obj.__module__ == errors.__name__}
+        assert defined == {"ConfigError", "ShapeError", "DataError", "StateError",
+                           "DivergenceError"}
+        for exc, code, prefix in ((errors.ConfigError, 2, "config error"),
+                                  (errors.DataError, 3, "data error"),
+                                  (errors.DivergenceError, 4, "numeric divergence"),
+                                  (errors.ShapeError, None, None),
+                                  (errors.StateError, None, None)):
+            def command(args, exc=exc):
+                raise exc("bad input")
+            monkeypatch.setattr(cli, "cmd_grad_check", command)
+            if code is None:
+                with pytest.raises(exc):
+                    main(["grad-check"])
+            else:
+                assert main(["grad-check"]) == code
+                assert capsys.readouterr().err == f"{prefix}: bad input\n"

@@ -517,6 +517,23 @@ class TestDetectionFiles:
         with pytest.raises(DataError, match=":1: frame index"):
             read_detections(path, ("car",), 3)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("size", "123", "size must be a list of 3 numbers, got '123'"),
+        ("center", {"1": 0, "2": 0, "3": 0}, "center must be a list of 3 numbers"),
+        ("score", "0.5", "score must be a number, got '0.5'"),
+        ("yaw", True, "yaw must be a number, got True")])
+    def test_non_number_field_rejected(self, tmp_path, field, value, match):
+        """A string, an object or a bool that float() would accept is not a
+        JSON number."""
+        path = tmp_path / "dets.jsonl"
+        write_detections([[Detection(box_at(0, 0), 0.5, 0)]], ("car",), path)
+        rec = json.loads(path.read_text())
+        rec[field] = value
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: malformed "
+                                                      f"detection record: {match}")):
+            read_detections(path, ("car",), 1)
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
     def test_unreadable_file_is_data_error(self, tmp_path, case):
         path = tmp_path / "dets.jsonl"

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmfdet.errors import ConfigError, DataError, FormatError
+from fmfdet.errors import ConfigError, DataError
 from fmfdet.frameio import (MAGIC, frame_file_name, read_frame, read_sequence,
                             write_frame, write_sequence)
 from fmfdet.geometry import Pose2D, rot2d
@@ -71,7 +72,7 @@ class TestFrameFormat:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="bad magic"):
             read_frame(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
@@ -81,7 +82,7 @@ class TestFrameFormat:
         raw = bytearray(path.read_bytes())
         raw[8:12] = struct.pack("<I", 9)
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="unsupported version 9"):
             read_frame(path)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -97,7 +98,7 @@ class TestFrameFormat:
         path = tmp_path / "f.bin"
         write_frame(frame, path)
         path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="2 trailing bytes"):
             read_frame(path)
 
     @pytest.mark.parametrize("field,value", [
@@ -121,7 +122,7 @@ class TestFrameFormat:
             boxes[1] = dataclasses.replace(box, **{field: value})
         path = tmp_path / "f.bin"
         write_frame(PointCloudFrame(points, ts, pose, boxes), path)
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(DataError, match="non-finite") as err:
             read_frame(path)
         assert str(path) in str(err.value)
         if field.startswith("point_"):
@@ -145,7 +146,7 @@ class TestFrameFormat:
                + struct.pack("<I", len(boxes)) + b"".join(boxes))
         path = tmp_path / "f.bin"
         path.write_bytes(raw)
-        with pytest.raises(FormatError, match=f"{field} 1: non-finite"):
+        with pytest.raises(DataError, match=f"{field} 1: non-finite"):
             read_frame(path)
 
     def test_magic_is_the_documented_constant(self):
@@ -190,7 +191,7 @@ class TestSequenceDirectory:
         manifest = json.loads(mpath.read_text())
         manifest[key] = value
         mpath.write_text(json.dumps(manifest))
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(DataError, match="must be a non-empty list of strings") as err:
             read_sequence(tmp_path / "s")
         assert str(mpath) in str(err.value) and key in str(err.value)
 
@@ -207,7 +208,7 @@ class TestSequenceDirectory:
             manifest["frames"][1] = frame_file_name(1) + "\0"
             mpath.write_text(json.dumps(manifest))
         match = {"not_utf8": "invalid JSON manifest", "nul_in_frame_entry": "lies outside"}
-        with pytest.raises(FormatError, match=match[case]):
+        with pytest.raises(DataError, match=match[case]):
             read_sequence(tmp_path / "s")
 
     def test_repeated_class_names_are_data_error(self, tmp_path):
@@ -225,6 +226,33 @@ class TestSequenceDirectory:
         with pytest.raises(DataError, match="class names repeat"):
             read_sequence(tmp_path / "s")
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("version", 2, "unsupported manifest version 2"),
+        ("version", True, "unsupported manifest version True"),
+        ("version", "1", "unsupported manifest version '1'"),
+        ("format", None, "manifest format None is not 'fmf-scene'"),
+        ("format", "fmf-scene2", "manifest format 'fmf-scene2'"),
+        ("class_names", ["car", "car"], "class names repeat")])
+    def test_rejected_manifest_is_named(self, tmp_path, key, value, match):
+        """The header write_sequence writes is read back: a format other than
+        "fmf-scene" (None: the key is missing) or a version other than the
+        integer 1 is rejected. These errors, and SceneSequence's, name the
+        manifest, so a run over many sequences says which one is bad."""
+        seq = generate_scene(SceneSpec(seed=1, num_frames=2,
+                                       points_per_object=10, clutter_points=0))
+        write_sequence(seq, tmp_path / "s")
+        mpath = tmp_path / "s" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        assert (manifest["format"], manifest["version"]) == ("fmf-scene", 1)
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=re.escape(match)) as err:
+            read_sequence(tmp_path / "s")
+        assert str(err.value).startswith(f"{mpath}: ")
+
     @pytest.mark.parametrize("entry", ["absolute", "dotdot", "symlink"])
     def test_frame_entry_outside_directory_is_format_error(self, tmp_path, entry):
         seq = generate_scene(SceneSpec(seed=1, num_frames=2,
@@ -241,7 +269,7 @@ class TestSequenceDirectory:
         manifest = json.loads(mpath.read_text())
         manifest["frames"][1] = name
         mpath.write_text(json.dumps(manifest))
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(DataError, match="lies outside") as err:
             read_sequence(tmp_path / "s")
         assert str(mpath) in str(err.value) and name in str(err.value)
 
@@ -249,14 +277,14 @@ class TestSequenceDirectory:
         d = tmp_path / "s"
         d.mkdir()
         (d / "manifest.json").write_text("3")
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="not a JSON object"):
             read_sequence(d)
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         d = tmp_path / "s"
         d.mkdir()
         (d / "manifest.json").write_text("{not json")
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="invalid JSON manifest"):
             read_sequence(d)
 
 

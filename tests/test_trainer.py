@@ -13,8 +13,7 @@ from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
 from fmfdet.config import apply_overrides, from_dict, load_config, to_dict
 from fmfdet.decode import MatchConfig, decode
-from fmfdet.errors import (ConfigError, DataError, DivergenceError, FormatError,
-                           ShapeError)
+from fmfdet.errors import ConfigError, DataError, DivergenceError, ShapeError
 from fmfdet.fmf import FMFConfig
 from fmfdet.heads import total_loss
 from fmfdet.layers import ConvBNReLU
@@ -115,7 +114,7 @@ class TestTrainLoop:
         other = generate_scene(SceneSpec(
             num_frames=2, num_objects=1, range=3.2, margin=1.0, seed=9,
             class_names=("truck",), points_per_object=30, clutter_points=5))
-        with pytest.raises(ConfigError, match="class names"):
+        with pytest.raises(DataError, match="scene class names differ"):
             train(tiny_cfg(), [tiny_scene(), other])
 
     def test_no_scenes_rejected(self):
@@ -347,7 +346,7 @@ class TestCheckpoints:
         arrays["opt.m.pfn.weight"] = value
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
-        with pytest.raises(FormatError, match=re.escape(str(bad)) + ": non-.* opt.m.pfn.weight"):
+        with pytest.raises(DataError, match=re.escape(str(bad)) + ": non-.* opt.m.pfn.weight"):
             load_checkpoint(bad)
 
     def test_misfit_state_names_every_key_and_loads_nothing(self):
@@ -367,7 +366,7 @@ class TestCheckpoints:
                                       "bad_json", "bad_config", "parent_format"])
     def test_corrupt_checkpoint_is_format_error(self, tmp_path, case):
         """load_checkpoint itself maps every way a file fails to be a
-        checkpoint to FormatError naming the path, and for misfit arrays
+        checkpoint to DataError naming the path, and for misfit arrays
         every extra and missing key. A checkpoint from before the PFN
         projection and the fusion conv lost their biases has no loader of
         its own."""
@@ -399,7 +398,7 @@ class TestCheckpoints:
                 keys = ["param.pfn.linear.weight", "param.pfn.linear.bias",
                         "param.fmf.conv.bias", "param.pfn.weight"]
             np.savez(bad, **arrays)
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(DataError, match="invalid checkpoint") as err:
             load_checkpoint(bad)
         assert str(bad) in str(err.value)
         assert all(k in str(err.value) for k in keys)
