@@ -8,7 +8,8 @@ lands at the root of the checkout and holds:
 
 - every perfbench workload at --trace 0 and --trace 1, on fixed seeds and
   BENCHMARK.json's run_seconds, as perfbench/run.py prints them;
-- `fmfdet bench` stage times and minor faults per frame at the demo widths
+- `fmfdet bench` stage times, minor faults per frame and `points_mb` (the
+  MiB of the replayed point arrays), as it prints them, at the demo widths
   (12/24, head 24) and the default widths (32/64, head 64), on fixed
   stream-demo scenes and a fixed-seed 10-step checkpoint;
 - tier-1 wall time and its ten slowest tests (pytest --durations=10);

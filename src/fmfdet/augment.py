@@ -4,7 +4,8 @@ One sampled transform applies to the whole frame (points, boxes, ego pose),
 and the same transform must be applied to every frame of a training pair so
 relative poses stay valid. The ego pose is conjugated by the transform: its
 translation goes through the full point pipeline, its yaw is negated once
-per flip and is untouched by rotation and scale.
+per flip and is untouched by rotation and scale. Points are transformed
+in float64 whatever their stored dtype, so the output frame is float64.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ def _apply_yaw(tf: AugTransform, yaw):
 
 
 def apply_transform(frame: PointCloudFrame, tf: AugTransform) -> PointCloudFrame:
-    pts = frame.points.copy()
+    pts = frame.points.astype(np.float64)
     if pts.shape[0]:
         pts[:, :2] = _apply_xy(tf, pts[:, :2])
         pts[:, 2] *= tf.scale

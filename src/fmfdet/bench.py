@@ -34,6 +34,8 @@ def bench(model, sequences, match_cfg, min_frames=1):
     timed frames, per frame: the cost of heap memory being returned to the
     OS and faulted back in. `compute_dtype` names the dtype of the model's
     parameters, so a latency figure says which dtype it measured.
+    `points_mb` is the MiB held by the point arrays of the replayed
+    sequences: 16 B per point for frames read from files.
     """
     if not any(seq.frames for seq in sequences):
         raise ConfigError("bench needs at least one frame")
@@ -64,6 +66,8 @@ def bench(model, sequences, match_cfg, min_frames=1):
         "stages": {name: _stats(times[name]) for name in STAGES},
         "end_to_end": _stats(np.sum([times[n] for n in STAGES], axis=0)),
         "minor_faults_per_frame": faults / frames,
+        "points_mb": sum(f.points.nbytes for seq in sequences
+                         for f in seq.frames) / 2 ** 20,
         "compute_dtype": "+".join(sorted({p.data.dtype.name
                                           for p in model.parameters()})),
     }

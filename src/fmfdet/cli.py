@@ -22,12 +22,15 @@ from .gradcheck import run_gradcheck
 from .metrics import evaluate, read_detections, write_detections
 from .model import run_inference
 from .scene import SceneSpec, generate_scene
-from .train import (TrainConfig, _shared_class_names, load_checkpoint,
-                    save_checkpoint, train)
+from .train import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 def load_dataset(path):
-    """Load one sequence dir, or every sequence dir directly under `path`."""
+    """Load one sequence dir, or every sequence dir directly under `path`.
+
+    Every sequence must list the first one's class names in the same order;
+    a mismatch is a DataError naming both directories.
+    """
     p = pathlib.Path(path)
     if not p.is_dir():
         raise DataError(f"data directory not found: {path}")
@@ -37,7 +40,13 @@ def load_dataset(path):
                   if d.is_dir() and (d / MANIFEST_NAME).is_file())
     if not subs:
         raise DataError(f"no sequences found under {path}")
-    return [read_sequence(d) for d in subs]
+    scenes = [read_sequence(d) for d in subs]
+    names = scenes[0].class_names
+    for d, seq in zip(subs, scenes):
+        if seq.class_names != names:
+            raise DataError(f"scene class names differ: {d} lists "
+                            f"{seq.class_names}, {subs[0]} lists {names}")
+    return scenes
 
 
 def cmd_gen_data(args):
@@ -68,7 +77,7 @@ def cmd_train(args):
     trace_path = args.trace or (args.out + ".trace.csv")
     model, opt, trace = train(cfg, scenes, trace_path=trace_path,
                               print_every=args.log_every)
-    save_checkpoint(args.out, model, cfg, _shared_class_names(scenes),
+    save_checkpoint(args.out, model, cfg, scenes[0].class_names,
                     step=len(trace), opt=opt)
     print(f"trained {len(trace)} steps; checkpoint -> {args.out}, "
           f"trace -> {trace_path}")
@@ -78,7 +87,7 @@ def cmd_train(args):
 def cmd_infer(args):
     model, cfg, class_names, _step, _opt = load_checkpoint(args.ckpt)
     scenes = load_dataset(args.data)
-    if _shared_class_names(scenes) != class_names:
+    if scenes[0].class_names != class_names:
         raise ConfigError(f"data classes {scenes[0].class_names} do not "
                           f"match checkpoint classes {class_names}")
     det_frames = [dets for seq in scenes
@@ -92,7 +101,7 @@ def cmd_infer(args):
 
 def cmd_eval(args):
     scenes = load_dataset(args.data)
-    class_names = _shared_class_names(scenes)
+    class_names = scenes[0].class_names
     gt_frames = [list(frame.gt_boxes) for seq in scenes for frame in seq.frames]
     det_frames = read_detections(args.dets, class_names, len(gt_frames))
     result = evaluate(det_frames, gt_frames, class_names, MatchConfig())

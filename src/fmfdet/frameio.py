@@ -11,7 +11,9 @@ Frame layout (little-endian):
 
 Point and box payloads are single precision, so only f32-representable values
 round-trip bit-exactly; timestamps and poses are double precision and always
-do. Every stored value must be finite: a NaN or Inf in the timestamp, pose,
+do. `read_frame` keeps the points as stored: the frame holds a read-only
+float32 view of the file's bytes, 16 B per point, and no float64 copy.
+Every stored value must be finite: a NaN or Inf in the timestamp, pose,
 points or boxes makes the file a DataError naming the first bad field.
 A sequence is a directory of frame_%06d.bin files plus manifest.json holding
 the header ("format": "fmf-scene", "version": 1), the class names and the
@@ -121,7 +123,7 @@ def read_frame(path) -> PointCloudFrame:
             raise DataError(f"{path}: box {i}: {e}") from e
     if r.off != len(data):
         raise DataError(f"{path}: {len(data) - r.off} trailing bytes")
-    return PointCloudFrame(pts.astype(np.float64), timestamp, pose, boxes)
+    return PointCloudFrame(pts, timestamp, pose, boxes)
 
 
 def frame_file_name(index: int) -> str:

@@ -55,16 +55,27 @@ class Box3D:
 
 
 class PointCloudFrame:
-    """One sweep: points [N,4] (x, y, z, intensity), optional ego pose, gt boxes."""
+    """One sweep: points [N,4] (x, y, z, intensity), optional ego pose, gt boxes.
+
+    Points keep the dtype they arrive in when it is float32 or float64, with
+    no copy, so a frame read from a file holds its float32 payload; any other
+    dtype becomes float64, and an empty frame is (0, 4). `points` is a
+    read-only view: the frame never writes the caller's array, and code that
+    computes on points widens them to float64 first (voxelize, augment).
+    """
 
     __slots__ = ("points", "timestamp", "ego_pose", "gt_boxes")
 
     def __init__(self, points, timestamp, ego_pose=None, gt_boxes=()):
-        pts = np.asarray(points, dtype=np.float64)
+        pts = np.asarray(points)
+        if pts.dtype not in (np.float32, np.float64):
+            pts = pts.astype(np.float64)
         if pts.size == 0:
-            pts = np.zeros((0, 4))
+            pts = np.zeros((0, 4), dtype=pts.dtype)
         if pts.ndim != 2 or pts.shape[1] != 4:
             raise DataError(f"points must be [N,4], got {pts.shape}")
+        pts = pts.view()
+        pts.flags.writeable = False
         self.points = pts
         self.timestamp = float(timestamp)
         self.ego_pose = ego_pose

@@ -10,6 +10,9 @@ draw over the cells. A cell's key is iy*W + ix for a pillar and
 (iy*W + ix)*Z + iz for a voxel, so the voxels of one BEV column sit together in
 ascending z. Kept points come out in ascending cell key, then input index, so
 the result is a pure function of (frame, config, seed).
+Points are widened to float64 before any arithmetic, so a float32 frame and
+its float64 cast give the same result bit for bit: a float32 compare would
+round the range bounds to float32 and move the points at the bounds.
 """
 from __future__ import annotations
 
@@ -141,7 +144,7 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
     w, h, z = cfg.dims
     n_max = cfg.max_points_per_cell
     ranges = (cfg.x_range, cfg.y_range, cfg.z_range)
-    pts = frame.points
+    pts = frame.points.astype(np.float64, copy=False)
     inside = np.ones(pts.shape[0], dtype=bool)
     for axis, (lo, hi) in enumerate(ranges):
         inside &= (pts[:, axis] >= lo) & (pts[:, axis] < hi)

@@ -136,6 +136,24 @@ class TestLabelConsistency:
                            a_cur.points[:, :2], atol=1e-9)
 
 
+class TestFloat32Frames:
+    @pytest.mark.parametrize("tf", [
+        AugTransform(),
+        AugTransform(flip_x=True, rotation=0.3, scale=1.02),
+        AugTransform(flip_y=True, rotation=-0.37, scale=0.96),
+    ])
+    def test_float32_frame_transforms_like_its_float64_cast(self, tf):
+        f = demo_frame(seed=5)
+        f32 = PointCloudFrame(f.points.astype(np.float32), f.timestamp,
+                              f.ego_pose, f.gt_boxes)
+        f64 = PointCloudFrame(f32.points.astype(np.float64), f.timestamp,
+                              f.ego_pose, f.gt_boxes)
+        a, b = apply_transform(f32, tf), apply_transform(f64, tf)
+        assert a.points.dtype == b.points.dtype == np.float64
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a == b
+
+
 class TestSampling:
     def test_seed_determinism(self):
         f = demo_frame()

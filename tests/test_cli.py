@@ -399,6 +399,20 @@ class TestInferEval:
                      "--data", str(data)]) == 3
         assert "scene class names differ" in capsys.readouterr().err
 
+    def test_class_name_mismatch_names_both_sequences(self, workspace, tmp_path,
+                                                      capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        mpath = data / "seq_001" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["class_names"] = manifest["class_names"][::-1]
+        mpath.write_text(json.dumps(manifest))
+        assert main(["eval", "--dets", str(workspace["dets"]),
+                     "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert str(data / "seq_000") in err and str(data / "seq_001") in err
+        assert "('pedestrian', 'car')" in err and "('car', 'pedestrian')" in err
+
     @pytest.mark.parametrize("field,value", [
         ("score", float("nan")),
         ("center", [0.0, float("inf"), 0.0]),
@@ -458,6 +472,9 @@ class TestBench:
         assert report["end_to_end"]["mean_ms"] > 0
         assert report["minor_faults_per_frame"] >= 0
         assert report["compute_dtype"] == "float32"
+        points = sum(f.num_points for seq in load_dataset(workspace["data"])
+                     for f in seq.frames)
+        assert report["points_mb"] == 16 * points / 2 ** 20
 
     def test_parallel_and_sequential_match_run_inference(self, workspace):
         model, cfg, _names, _step, _opt = load_checkpoint(workspace["ckpt"])

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,27 @@ class TestSequenceDirectory:
             assert np.array_equal(
                 a.points, b.points.astype(np.float32).astype(np.float64))
 
+    def test_read_sequence_keeps_float32_points_only(self, tmp_path):
+        """A loaded sequence holds the file's 16 B per point: no float64 copy."""
+        rng = np.random.default_rng(3)
+        frames_ = [PointCloudFrame(rng.normal(size=(26_000, 4)).astype(np.float32),
+                                   0.1 * i) for i in range(4)]
+        write_sequence(SceneSequence(frames_, ("car",)), tmp_path / "s")
+        num_points = 4 * 26_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            seq = read_sequence(tmp_path / "s")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        for f in seq.frames:
+            assert f.points.dtype == np.float32
+            assert not f.points.flags.writeable
+        assert sum(f.points.nbytes for f in seq.frames) == 16 * num_points
+        assert kept <= 1.1 * 16 * num_points
+        assert seq == SceneSequence(frames_, ("car",))
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
             read_sequence(tmp_path)
@@ -286,6 +308,46 @@ class TestSequenceDirectory:
         (d / "manifest.json").write_text("{not json")
         with pytest.raises(DataError, match="invalid JSON manifest"):
             read_sequence(d)
+
+
+class TestPointDtype:
+    """Frames keep float32 and float64 points as given, read-only."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_points_kept_without_copy(self, dtype):
+        arr = np.arange(12, dtype=dtype).reshape(3, 4)
+        frame = PointCloudFrame(arr, 0.0)
+        assert frame.points.dtype == dtype
+        assert np.shares_memory(frame.points, arr)
+
+    @pytest.mark.parametrize("points", [np.arange(8).reshape(2, 4),
+                                        [[1, 2, 3, 4]],
+                                        np.ones((2, 4), dtype=np.float16)])
+    def test_other_points_become_float64(self, points):
+        frame = PointCloudFrame(points, 0.0)
+        assert frame.points.dtype == np.float64
+        assert np.array_equal(frame.points, np.asarray(points))
+
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 4), dtype=np.float32),
+                                        np.zeros((0, 3))])
+    def test_empty_frame_is_0_by_4(self, points):
+        assert PointCloudFrame(points, 0.0).points.shape == (0, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_points_are_read_only_and_caller_array_is_not(self, dtype):
+        arr = np.ones((2, 4), dtype=dtype)
+        frame = PointCloudFrame(arr, 0.0)
+        assert not frame.points.flags.writeable
+        with pytest.raises(ValueError):
+            frame.points[0, 0] = 2.0
+        assert arr.flags.writeable
+        arr[0, 0] = 5
+        assert arr[0, 0] == 5
+
+    def test_equality_compares_values_across_dtypes(self):
+        arr = np.array([[0.5, -1.25, 2.0, 0.75]], dtype=np.float32)
+        assert PointCloudFrame(arr, 1.0) == PointCloudFrame(arr.astype(np.float64), 1.0)
+        assert PointCloudFrame(arr, 1.0) != PointCloudFrame(arr + np.float32(1), 1.0)
 
 
 class TestSceneGenerator:

@@ -328,6 +328,44 @@ class TestUncappedFrames:
         assert out.point_counts.tobytes() == counts.tobytes()
 
 
+def float32_edge_points(cfg, n, seed):
+    """float32 points on the grid's bounds and float32-rounded cell edges.
+
+    np.float32(x_min) lies just outside the float64 range and
+    nextafter(np.float32(x_max), 0) just inside it, so a float32 range
+    compare would keep or drop other points than the float64 one does.
+    """
+    rng = np.random.default_rng(seed)
+    cols = []
+    for (lo, hi), cell, count in zip((cfg.x_range, cfg.y_range, cfg.z_range),
+                                     cfg.cell_size, cfg.dims):
+        edges = np.float32(lo + np.arange(count + 1) * cell)
+        bounds = [np.float32(lo), np.nextafter(np.float32(hi), np.float32(0)),
+                  np.float32(hi), np.float32(0.5 * (lo + hi))]
+        cols.append(rng.choice(np.concatenate([edges, bounds]), size=n))
+    cols.append(rng.uniform(0, 1, size=n))
+    return np.stack(cols, axis=1).astype(np.float32)
+
+
+class TestFloat32Frames:
+    @pytest.mark.parametrize("cfg", [
+        desk_pillar_config(), desk_voxel_config(),
+        dataclasses.replace(desk_pillar_config(), max_points_per_cell=2, max_cells=60),
+        dataclasses.replace(desk_voxel_config(), max_points_per_cell=1, max_cells=300),
+    ], ids=["pillar", "voxel", "pillar-capped", "voxel-capped"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float32_frame_bins_like_its_float64_cast(self, cfg, seed):
+        pts = float32_edge_points(cfg, 4000, seed)
+        a = voxelize(PointCloudFrame(pts, 0.0), cfg, seed=seed)
+        b = voxelize(PointCloudFrame(pts.astype(np.float64), 0.0), cfg, seed=seed)
+        assert a.features.dtype == b.features.dtype == np.float64
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.coords.tobytes() == b.coords.tobytes()
+        assert a.point_counts.tobytes() == b.point_counts.tobytes()
+        assert ((a.points_in_range, a.points_dropped_cap, a.cells_dropped)
+                == (b.points_in_range, b.points_dropped_cap, b.cells_dropped))
+
+
 class TestCapCounts:
     @given(pts=st.lists(st.tuples(
         st.sampled_from([-13.0, -0.3, -0.1, 0.1, 0.5, 0.7, 12.7]),
