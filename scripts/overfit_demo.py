@@ -18,6 +18,8 @@ from fmfdet.voxelizer import desk_pillar_config
 
 
 def build_config(steps, seed):
+    """The demo-width detector on the desk pillar grid, fusion on and
+    augmentation off; run_ablation.py trains it with fusion on and off."""
     return TrainConfig(
         grid=desk_pillar_config(),
         backbone=BackboneConfig(pfn_channels=12, neck_channels=(12, 24),

@@ -10,20 +10,8 @@ import pathlib
 import sys
 
 from fmfdet.ablate import ablation_run, format_ablation, make_scene_set
-from fmfdet.augment import AugmentConfig
-from fmfdet.backbone import BackboneConfig
 from fmfdet.fmf import FMFConfig
-from fmfdet.train import TrainConfig
-from fmfdet.voxelizer import desk_pillar_config
-
-
-def base_config(steps, seed):
-    return TrainConfig(
-        grid=desk_pillar_config(),
-        backbone=BackboneConfig(pfn_channels=12, neck_channels=(12, 24),
-                                neck_strides=(1, 2), out_channels=24),
-        head_channels=24, epochs=100, batch_size=2, max_steps=steps,
-        seed=seed, augment=AugmentConfig(enabled=False))
+from overfit_demo import build_config  # this script's directory is on sys.path
 
 
 def main():
@@ -37,7 +25,7 @@ def main():
     parser.add_argument("--out", default=None, help="JSON report path")
     args = parser.parse_args()
 
-    cfg_a = base_config(args.steps, args.seed)
+    cfg_a = build_config(args.steps, args.seed)
     cfg_b = dataclasses.replace(cfg_a, fmf=FMFConfig(enabled=False))
     train_scenes = make_scene_set(args.seed, args.train_sequences)
     eval_scenes = make_scene_set(args.seed + 1000, args.eval_sequences)

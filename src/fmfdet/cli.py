@@ -22,7 +22,8 @@ from .gradcheck import run_gradcheck
 from .metrics import evaluate, read_detections, write_detections
 from .model import run_inference
 from .scene import SceneSpec, generate_scene
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train
+from .train import (TrainConfig, load_checkpoint, save_checkpoint,
+                    shared_class_names, train)
 
 
 def load_dataset(path):
@@ -41,11 +42,7 @@ def load_dataset(path):
     if not subs:
         raise DataError(f"no sequences found under {path}")
     scenes = [read_sequence(d) for d in subs]
-    names = scenes[0].class_names
-    for d, seq in zip(subs, scenes):
-        if seq.class_names != names:
-            raise DataError(f"scene class names differ: {d} lists "
-                            f"{seq.class_names}, {subs[0]} lists {names}")
+    shared_class_names(scenes, subs)
     return scenes
 
 
@@ -58,15 +55,11 @@ def cmd_gen_data(args):
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if count == 1:
-        write_sequence(generate_scene(spec), out)
-        print(f"wrote 1 sequence ({spec.num_frames} frames) to {out}")
-    else:
-        for i in range(count):
-            seq = generate_scene(dataclasses.replace(spec, seed=spec.seed + i))
-            write_sequence(seq, out / f"seq_{i:03d}")
-        print(f"wrote {count} sequences ({spec.num_frames} frames each) "
-              f"to {out}")
+    for i in range(count):
+        seq = generate_scene(dataclasses.replace(spec, seed=spec.seed + i))
+        write_sequence(seq, out if count == 1 else out / f"seq_{i:03d}")
+    print(f"wrote {count} sequence{'s' * (count > 1)} "
+          f"({spec.num_frames} frames each) to {out}")
     return 0
 
 

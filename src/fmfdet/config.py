@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import sys
 
 from .errors import ConfigError
 
@@ -24,35 +25,38 @@ def to_dict(cfg):
         if dataclasses.is_dataclass(val):
             out[f.name] = to_dict(val)
         elif isinstance(val, tuple):
-            out[f.name] = [list(v) if isinstance(v, tuple) else v for v in val]
+            out[f.name] = list(val)
         else:
             out[f.name] = val
     return out
 
 
 def coerce(template, value, path):
-    """`value` checked against, and converted to, the type of `template`
-    (a field's current value); ConfigError names `path` when it does not fit."""
+    """`value` checked against, and converted to, the type of `template` (a
+    section, or a leaf's declared default); ConfigError names `path` when it
+    does not fit. Tuple elements are checked against the first, as `path[i]`.
+    A number must be finite, an integer integral; a bool or str takes only its type."""
     if dataclasses.is_dataclass(template):
         return from_dict(template, value, path)
     if isinstance(template, tuple):
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list")
-        return tuple(tuple(v) if isinstance(v, list) else v for v in value)
-    if isinstance(template, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(coerce(template[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(template, (bool, str)):
+        if not isinstance(value, type(template)):
+            kind = "boolean" if isinstance(template, bool) else "string"
+            raise ConfigError(f"{path}: expected a {kind}, got {value!r}")
         return value
-    if isinstance(template, int) and not isinstance(template, bool):
+    if isinstance(template, (int, float)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        if isinstance(value, float) and value != int(value):
+        if not abs(value) <= sys.float_info.max:  # NaN, +-Inf, an int past float range
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        if isinstance(template, float):
+            return float(value)
+        if value != int(value):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return int(value)
-    if isinstance(template, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
     return value
 
 
@@ -63,13 +67,14 @@ def from_dict(base, data, path=""):
         base = base()
     if not isinstance(data, dict):
         raise ConfigError(f"{path or type(base).__name__}: expected an object")
-    names = {f.name for f in dataclasses.fields(base)}
+    defaults = {f.name: f.default for f in dataclasses.fields(base)}
     kwargs = {}
     for key, value in data.items():
         sub = (path + "." if path else "") + key
-        if key not in names:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {sub}")
-        kwargs[key] = coerce(getattr(base, key), value, sub)
+        cur = getattr(base, key)  # a section merges onto it; a leaf takes its default's type
+        kwargs[key] = coerce(cur if dataclasses.is_dataclass(cur) else defaults[key], value, sub)
     try:
         return dataclasses.replace(base, **kwargs)
     except (TypeError, ValueError) as e:
@@ -106,7 +111,7 @@ def apply_overrides(cfg, assignments):
             raise ConfigError(f"override {item!r} has an empty path segment")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # also an integer past the digit limit
             value = raw
         for part in reversed(parts):
             value = {part: value}

@@ -85,7 +85,7 @@ class _Reader:
 
 def read_frame(path) -> PointCloudFrame:
     data = pathlib.Path(path).read_bytes()
-    r = _Reader(data, path)
+    r = _Reader(memoryview(data), path)  # slices of a memoryview do not copy
     if r.take(8) != MAGIC:
         raise DataError(f"{path}: bad magic, not a frame file")
     (version,) = r.unpack("<I")

@@ -82,11 +82,11 @@ class MapGeometry:
     @classmethod
     def from_grid(cls, grid, stride=1):
         """Geometry of the map a backbone with output `stride` produces on `grid`."""
-        if abs(grid.cell_x - grid.cell_y) > 1e-12:
+        cell_x, cell_y, _ = grid.cell_size
+        if abs(cell_x - cell_y) > 1e-12:
             raise ConfigError("feature map geometry requires square xy cells")
-        if grid.dims[0] % stride or grid.dims[1] % stride:
-            raise ConfigError(
-                f"grid dims {grid.dims[:2]} not divisible by stride {stride}")
-        return cls(x_min=grid.x_min, y_min=grid.y_min,
-                   cell=grid.cell_x * stride,
-                   h=grid.dims[1] // stride, w=grid.dims[0] // stride)
+        w, h, _ = grid.dims
+        if w % stride or h % stride:
+            raise ConfigError(f"grid dims {(w, h)} not divisible by stride {stride}")
+        return cls(x_min=grid.x_min, y_min=grid.y_min, cell=cell_x * stride,
+                   h=h // stride, w=w // stride)

@@ -142,20 +142,20 @@ class EvalResult:
     nds: float
     per_class_ap: dict  # class name -> {threshold: AP}
 
+    def headline(self):
+        """The seven summary metrics as (report name, value), in report order."""
+        names = ("mAP", "mATE", "mASE", "mAOE", "mAVE", "mAAE")
+        return [(n, getattr(self, n)) for n in names] + [("NDS", self.nds)]
+
     def to_dict(self):
-        return {"mAP": self.mAP, "mATE": self.mATE, "mASE": self.mASE,
-                "mAOE": self.mAOE, "mAVE": self.mAVE, "mAAE": self.mAAE,
-                "NDS": self.nds,
-                "per_class_ap": {c: {str(t): v for t, v in row.items()}
-                                 for c, row in self.per_class_ap.items()}}
+        return dict(self.headline(),
+                    per_class_ap={c: {str(t): v for t, v in row.items()}
+                                  for c, row in self.per_class_ap.items()})
 
     def to_table(self):
         lines = ["metric  value",
                  "------  -----"]
-        for name, v in (("mAP", self.mAP), ("mATE", self.mATE),
-                        ("mASE", self.mASE), ("mAOE", self.mAOE),
-                        ("mAVE", self.mAVE), ("mAAE", self.mAAE),
-                        ("NDS", self.nds)):
+        for name, v in self.headline():
             lines.append(f"{name:<6}  {v:.4f}")
         lines.append("")
         lines.append("class AP by distance threshold (m):")

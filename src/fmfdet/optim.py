@@ -71,12 +71,9 @@ def one_cycle_lr(step, total_steps, lr_init, momentum_range=(0.85, 0.95)):
     peak = _WARMUP_FRACTION * total_steps
     if step <= peak:
         u = step / peak
-        ramp = 0.5 * (1.0 - math.cos(math.pi * u))
-        lr = lr_init / 10.0 + (lr_init - lr_init / 10.0) * ramp
-        momentum = hi_m + (lo_m - hi_m) * ramp
+        (lr0, lr1), (m0, m1) = (lr_init / 10.0, lr_init), (hi_m, lo_m)
     else:
         u = (step - peak) / (total_steps - peak)
-        ramp = 0.5 * (1.0 - math.cos(math.pi * u))
-        lr = lr_init + (lr_init / 1000.0 - lr_init) * ramp
-        momentum = lo_m + (hi_m - lo_m) * ramp
-    return lr, momentum
+        (lr0, lr1), (m0, m1) = (lr_init, lr_init / 1000.0), (lo_m, hi_m)
+    ramp = 0.5 * (1.0 - math.cos(math.pi * u))
+    return lr0 + (lr1 - lr0) * ramp, m0 + (m1 - m0) * ramp

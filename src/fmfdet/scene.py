@@ -155,8 +155,14 @@ class SceneSpec:
             raise ConfigError("num_frames must be >= 1")
         if self.range <= 0:
             raise ConfigError("scene range must enclose a nonzero area")
-        if self.num_objects < 0:
-            raise ConfigError("num_objects must be >= 0")
+        negative = [name for name in ("num_objects", "points_per_object", "clutter_points",
+                                      "seed", "max_object_speed") if getattr(self, name) < 0]
+        if negative:
+            raise ConfigError(f"{', '.join(negative)} must be >= 0")
+        too_large = [f.name for f in dataclasses.fields(self)
+                     if isinstance(f.default, float) and abs(getattr(self, f.name)) > 1e6]
+        if too_large:  # a frame file stores float32 coordinates
+            raise ConfigError(f"{', '.join(too_large)} must lie within +-1e6")
         if len(self.class_names) < 1:
             raise ConfigError("need at least one class")
         if len(set(self.class_names)) < len(self.class_names):

@@ -52,8 +52,10 @@ class TrainConfig:
     compute_dtype: str = "float32"  # parameters and activations; losses stay float64
 
     def __post_init__(self):
-        if self.lr_init <= 0:
-            raise ConfigError("lr_init must be positive")
+        if self.lr_init <= 0 or self.adam_eps <= 0:
+            raise ConfigError("lr_init and adam_eps must be positive")
+        if len(self.momentum_range) != 2:
+            raise ConfigError(f"momentum_range takes 2 values, got {len(self.momentum_range)}")
         lo, hi = self.momentum_range
         if not (0.0 < lo <= hi < 1.0):
             raise ConfigError("momentum_range must be ascending within (0, 1)")
@@ -61,8 +63,8 @@ class TrainConfig:
             raise ConfigError("beta2 must lie in (0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be at least 1")
-        if self.max_steps < 0:
-            raise ConfigError("max_steps must be nonnegative")
+        if min(self.max_steps, self.seed, self.weight_decay) < 0:
+            raise ConfigError("max_steps, seed and weight_decay must be nonnegative")
         if self.head_channels < 1:
             raise ConfigError("head_channels must be at least 1")
         if not 0.0 < self.min_overlap < 1.0:
@@ -78,14 +80,17 @@ def build_model(cfg: TrainConfig, num_classes) -> Detector:
                     compute_dtype=cfg.compute_dtype)
 
 
-def _shared_class_names(scenes):
+def shared_class_names(scenes, sources=None):
+    """The class names every scene lists, in one order; a DataError names the
+    odd scene and the first by their `sources` (e.g. directories) or index."""
     if not scenes:
         raise ConfigError("training needs at least one scene")
     names = scenes[0].class_names
-    for seq in scenes[1:]:
+    sources = sources or [f"scene {i}" for i in range(len(scenes))]
+    for src, seq in zip(sources, scenes):
         if seq.class_names != names:
-            raise DataError(f"scene class names differ: {seq.class_names} "
-                            f"vs {names}")
+            raise DataError(f"scene class names differ: {src} lists "
+                            f"{seq.class_names}, {sources[0]} lists {names}")
     return names
 
 
@@ -123,7 +128,7 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     at a time; the trace row holds the batch means. The learning rate and
     beta1 follow a one-cycle schedule over the whole run.
     """
-    class_names = _shared_class_names(scenes)
+    class_names = shared_class_names(scenes)
     model = build_model(cfg, len(class_names))
     model.train()
     opt = AdamW(model.named_parameters(), lr=cfg.lr_init,

@@ -17,6 +17,7 @@ round the range bounds to float32 and move the points at the bounds.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -34,7 +35,7 @@ def _check_axis(name, rng, cell):
     if cell <= 0:
         raise ConfigError(f"{name} cell size must be positive, got {cell}")
     n = (hi - lo) / cell
-    if abs(n - round(n)) > 1e-6:
+    if not (math.isfinite(n) and abs(n - round(n)) <= 1e-6):
         raise ConfigError(f"{name} extent {hi - lo} is not a whole number of "
                           f"{cell} cells")
     return int(round(n))
@@ -57,25 +58,17 @@ class GridConfig:
             raise ConfigError(f"mode must be 'pillar' or 'voxel', got {self.mode!r}")
         if self.max_points_per_cell < 1 or self.max_cells < 1:
             raise ConfigError("retention caps must be >= 1")
-        for name, rng, cell in (("x", self.x_range, self.cell_size[0]),
-                                ("y", self.y_range, self.cell_size[1]),
-                                ("z", self.z_range, self.cell_size[2])):
-            _check_axis(name, rng, cell)
+        lengths = tuple(map(len, (self.x_range, self.y_range, self.z_range, self.cell_size)))
+        if lengths != (2, 2, 2, 3):
+            raise ConfigError(f"x_range, y_range and z_range take 2 values and cell_size 3, "
+                              f"got {lengths}")
+        self.dims  # checks every axis
 
     @property
     def dims(self):
         """(W, H, Z) cell counts along x, y, z."""
-        return (_check_axis("x", self.x_range, self.cell_size[0]),
-                _check_axis("y", self.y_range, self.cell_size[1]),
-                _check_axis("z", self.z_range, self.cell_size[2]))
-
-    @property
-    def cell_x(self):
-        return self.cell_size[0]
-
-    @property
-    def cell_y(self):
-        return self.cell_size[1]
+        return tuple(_check_axis(name, rng, cell) for name, rng, cell in
+                     zip("xyz", (self.x_range, self.y_range, self.z_range), self.cell_size))
 
     @property
     def x_min(self):
@@ -141,7 +134,7 @@ def _decorate(pts, ix, iy, means_per_point, cfg):
 
 
 def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTensor:
-    w, h, z = cfg.dims
+    w, h, z = dims = cfg.dims
     n_max = cfg.max_points_per_cell
     ranges = (cfg.x_range, cfg.y_range, cfg.z_range)
     pts = frame.points.astype(np.float64, copy=False)
@@ -152,7 +145,7 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
     n = pts.shape[0]
     num_axes = 2 if cfg.mode == "pillar" else 3
     cell = [np.minimum(np.floor((pts[:, a] - ranges[a][0]) / cfg.cell_size[a])
-                       .astype(np.int64), cfg.dims[a] - 1) for a in range(num_axes)]
+                       .astype(np.int64), dims[a] - 1) for a in range(num_axes)]
     keys = cell[1] * w + cell[0]
     if num_axes == 3:
         keys = keys * z + cell[2]

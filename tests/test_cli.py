@@ -148,6 +148,24 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec),
                      "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("key,value,path", [
+        ("range", float("nan"), "range"),
+        ("class_names", [1, 2], "class_names[0]"),
+        ("points_per_object", -1, "points_per_object"),
+        ("clutter_points", -1, "clutter_points"),
+        ("seed", -1, "seed"),
+        ("max_object_speed", -0.5, "max_object_speed"),
+        ("range", 1e39, "range")])
+    def test_bad_spec_value_is_config_error(self, tmp_path, capsys, key, value, path):
+        """A non-finite number, a non-string class name or a negative count
+        exits 2 naming the field, and nothing is written."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(TINY_SPEC, **{key: value})))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, workspace):
@@ -271,6 +289,36 @@ class TestTrain:
                          "--set", "lr_init=1e18", "--set", "max_steps=30",
                          "--set", "epochs=20"])
         assert code == 4
+
+    @pytest.mark.parametrize("assignment,path", [
+        ("head_channels=Infinity", "head_channels"),
+        ("grid.max_points_per_cell=Infinity", "grid.max_points_per_cell"),
+        ("match.top_k=1e400", "match.top_k"),
+        pytest.param(f"grid.max_cells={10 ** 400}", "grid.max_cells",
+                     id="grid.max_cells=10**400"),
+        pytest.param(f"head_channels={'9' * 5000}", "head_channels",
+                     id="head_channels=5000_digits"),
+        ("lr_init=NaN", "lr_init"),
+        ("weight_decay=NaN", "weight_decay"),
+        ("focal.alpha=NaN", "focal.alpha"),
+        ("loss_weights.size=Infinity", "loss_weights.size"),
+        ("match.distance_thresholds=[NaN]", "match.distance_thresholds[0]"),
+        ("match.distance_thresholds=[0.5, [1.0]]", "match.distance_thresholds[1]"),
+        ("grid.mode=[]", "grid.mode"),
+        ("grid.cell_size=[0.32]", "grid: "),
+        ("momentum_range=[0.9]", "momentum_range"),
+        ("adam_eps=-1", "adam_eps"),
+        ("weight_decay=-1", "weight_decay"),
+        ("seed=-1", "seed")])
+    def test_bad_override_value_is_config_error(self, workspace, tmp_path, capsys,
+                                                assignment, path):
+        """Each value exits 2 naming its field, before any training."""
+        ckpt = tmp_path / "m.npz"
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--data", str(workspace["data"]), "--out", str(ckpt),
+                     "--set", assignment]) == 2
+        assert path in capsys.readouterr().err
+        assert not ckpt.exists()
 
 
 class TestInferEval:

@@ -3,9 +3,14 @@
 `read_detections` (detections.jsonl). Truncated files, flipped bits, wrong
 types, missing keys and non-finite payloads either load or raise DataError
 (exit 3 through the CLI), never anything else, and never a RuntimeWarning
-(pytest turns one into an error)."""
+(pytest turns one into an error). The config boundary gets the same
+treatment: a TrainConfig or SceneSpec dict with hostile leaves either loads
+or raises ConfigError (exit 2), and what loads builds a model or writes a
+sequence that reads back equal."""
+import dataclasses
 import json
 import math
+import shutil
 import zipfile
 
 import numpy as np
@@ -13,15 +18,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fmfdet.config import from_dict, to_dict
 from fmfdet.decode import Detection
-from fmfdet.errors import DataError
+from fmfdet.errors import ConfigError, DataError
 from fmfdet.frameio import read_frame, read_sequence, write_frame, write_sequence
 from fmfdet.geometry import Pose2D
 from fmfdet.gradcheck import tiny_train_config
 from fmfdet.metrics import read_detections, write_detections
 from fmfdet.optim import AdamW
-from fmfdet.scene import Box3D, PointCloudFrame, SceneSequence
-from fmfdet.train import build_model, load_checkpoint, save_checkpoint
+from fmfdet.scene import Box3D, PointCloudFrame, SceneSequence, SceneSpec, generate_scene
+from fmfdet.train import TrainConfig, build_model, load_checkpoint, save_checkpoint
 
 # example counts keep each fuzzer to about a second
 FUZZ = settings(max_examples=300, deadline=None,
@@ -309,3 +315,122 @@ def test_edited_detection_record_loads_or_is_rejected(detections_file, data):
     if kind in ("non_finite", "frame", "class", "not_object") or (
             kind == "any" and key in NUMERIC_FIELDS and isinstance(rec[key], (str, dict, bool))):
         assert isinstance(error, DataError)
+
+
+def config_trees():
+    """The TrainConfig and SceneSpec defaults, every section in them, and
+    every section class's own defaults: each config a dict can reach."""
+    todo, out = [TrainConfig(), SceneSpec()], []
+    while todo:
+        cfg = todo.pop()
+        out.append(cfg)
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            if dataclasses.is_dataclass(value):
+                todo += [value, type(value)()]
+    return out
+
+
+def test_tuple_defaults_are_nonempty_and_homogeneous():
+    """`coerce` checks every element of a tuple against its first one."""
+    for cfg in config_trees():
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            if isinstance(value, tuple):
+                assert value and len({type(v) for v in value}) == 1, (
+                    f"{type(cfg).__name__}.{f.name} = {value!r}")
+
+
+# wrong types, NaN, +-Inf, huge numbers, negatives, wrong lengths and nested
+# lists, mixed with values some field takes, so that some dicts load
+LEAF_VALUES = [math.nan, math.inf, -math.inf, 10 ** 400, 2 ** 63, 1e39, -1e300, -1, -0.5,
+               True, "x", "", None, {}, [], [[1.0, 2.0]], [math.nan], ["car", "car"],
+               0, 0.5, 1, 2.0, 3, 7, 16, 64, [1.0], [0.5, 1.0, 2.0], [-6.4, 6.4],
+               [0.32, 0.32, 6.0], [8, 16], ["car"]]
+
+
+def leaf_paths(tree, prefix=()):
+    """Key paths to every leaf of a to_dict tree: each scalar, each list, and
+    each list element."""
+    for key, value in tree.items():
+        path = prefix + (key,)
+        if isinstance(value, dict):
+            yield from leaf_paths(value, path)
+        else:
+            yield path
+            if isinstance(value, list):
+                yield from (path + (i,) for i in range(len(value)))
+
+
+@st.composite
+def hostile_dicts(draw, default):
+    """to_dict(default) with one to three leaves replaced by LEAF_VALUES;
+    a path whose list an earlier replacement removed is skipped."""
+    tree = to_dict(default)
+    for path in draw(st.lists(st.sampled_from(list(leaf_paths(tree))), min_size=1,
+                              max_size=3)):
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key] if isinstance(parent, dict) else None
+        if isinstance(parent, dict) or (isinstance(parent, list) and path[-1] < len(parent)):
+            parent[path[-1]] = draw(st.sampled_from(LEAF_VALUES))
+    return tree
+
+
+def loads_or_none(cls, tree):
+    """from_dict(cls, tree), or None on a ConfigError; any other exception
+    fails the test."""
+    try:
+        return from_dict(cls, tree)
+    except ConfigError:
+        return None
+
+
+@settings(FUZZ, max_examples=250)
+@given(hostile_dicts(TrainConfig()))
+def test_hostile_train_config_loads_or_is_rejected(tree):
+    """An accepted config builds its model, or fails with a ConfigError (e.g.
+    a grid the neck's stride does not divide). build_model allocates the
+    parameters and no map, so a model is built only when widths <= 64, the
+    fusion kernel <= 5 and neck stages <= 4 bound it to a few MB."""
+    cfg = loads_or_none(TrainConfig, tree)
+    if cfg is None:
+        return
+    b = cfg.backbone
+    widths = (b.pfn_channels, b.out_channels, cfg.head_channels, *b.neck_channels)
+    if max(widths) > 64 or cfg.fmf.kernel_size > 5 or len(b.neck_channels) > 4:
+        return
+    try:
+        build_model(cfg, 2)
+    except ConfigError:
+        pass
+
+
+def stored(seq):
+    """`seq` as a frame file keeps it: points and box fields in float32."""
+    return SceneSequence(
+        [PointCloudFrame(f.points.astype(np.float32), f.timestamp, f.ego_pose,
+                         [Box3D.from_array(b.as_array().astype(np.float32), b.class_id)
+                          for b in f.gt_boxes]) for f in seq.frames], seq.class_names)
+
+
+@settings(FUZZ, max_examples=150)
+@given(hostile_dicts(SceneSpec()))
+def test_accepted_scene_spec_round_trips(tmp_path_factory, tree):
+    """Every spec from_dict accepts generates a scene that write_sequence ->
+    read_sequence returns equal (to float32 storage), unless the generator
+    cannot place the objects, its one documented ConfigError. Specs past the
+    default's frame, object and point counts are not generated."""
+    spec = loads_or_none(SceneSpec, tree)
+    if spec is None or max(spec.num_frames, spec.num_objects, spec.points_per_object,
+                           spec.clutter_points) > 140:
+        return
+    try:
+        seq = generate_scene(spec)
+    except ConfigError as e:
+        assert "could not place objects" in str(e)
+        return
+    out = tmp_path_factory.getbasetemp() / "spec_round_trip"
+    shutil.rmtree(out, ignore_errors=True)
+    write_sequence(seq, out)
+    assert read_sequence(out) == stored(seq)

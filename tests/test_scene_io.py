@@ -63,6 +63,17 @@ class TestFrameFormat:
         expect = 8 + 4 + 8 + 1 + 24 + 4 + 16 * n + 4 + 40 * b
         assert path.stat().st_size == expect
 
+    def test_points_view_the_file_buffer(self, tmp_path):
+        """The points are a view of the bytes read from the file: their base
+        chain ends in a memoryview of that buffer, with no copied payload."""
+        path = tmp_path / "f.bin"
+        write_frame(PointCloudFrame(np.ones((10, 4), np.float32), 0.0), path)
+        base = read_frame(path).points
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview)
+        assert isinstance(base.obj, bytes) and len(base.obj) == path.stat().st_size
+
     def test_no_pose_shrinks_header(self, tmp_path):
         frame = PointCloudFrame(np.zeros((0, 4)), 0.0, None, [])
         path = tmp_path / "f.bin"

@@ -511,6 +511,14 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             apply_overrides(TrainConfig(), ["lr_init=-1"])
 
+    def test_leaf_takes_its_declared_type(self):
+        """A leaf is checked against its field's default, not against the
+        value it replaces: a grid built with integer ranges takes fractions."""
+        base = TrainConfig(grid=GridConfig(x_range=(-8, 8), y_range=(-8, 8),
+                                           cell_size=(0.5, 0.5, 6.0)))
+        cfg = apply_overrides(base, ["grid.x_range=[-5.5, 5.5]"])
+        assert cfg.grid.x_range == (-5.5, 5.5)
+
 
 def test_ablation_configs_may_differ_only_in_fmf():
     with pytest.raises(ConfigError, match="differ only in fmf"):
