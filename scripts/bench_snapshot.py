@@ -12,6 +12,12 @@ lands at the root of the checkout and holds:
   MiB of the replayed point arrays), as it prints them, at the demo widths
   (12/24, head 24) and the default widths (32/64, head 64), on fixed
   stream-demo scenes and a fixed-seed 10-step checkpoint;
+- the tracemalloc peak of one 3-step, fixed-seed `train.train` call
+  (batch 2, augmentation on) at each of those widths, on the same scenes
+  read back from their files: `cold` in a fresh process, and `warm` for the
+  same call repeated in that thread, whose conv scratch buffers are then
+  already sized (the steady state of a long run), in bytes and in MB of
+  10**6 bytes. Unlike latency, peak bytes do not drift with the machine;
 - tier-1 wall time and its ten slowest tests (pytest --durations=10);
 - the line count of every src/fmfdet/*.py file, as `wc -l` counts them;
 - the environment: nproc, Python, NumPy and BLAS, the commit.
@@ -24,6 +30,7 @@ file for the tag is an error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -52,6 +59,7 @@ OPERATING_POINTS = {
 }
 CHECKPOINT = {"max_steps": 10, "batch_size": 2, "seed": 0,
               "augment": {"enabled": False}}
+TRAIN_PEAK = {"max_steps": 3, "batch_size": 2, "seed": 0}
 
 
 def run(cmd, timeout=1800):
@@ -119,6 +127,45 @@ def stage_bench():
     return results
 
 
+def train_peak():
+    """The tracemalloc peak of one TRAIN_PEAK `train` call per operating
+    point, each measured in its own process by `--train-peak NAME`."""
+    results = {}
+    for name in OPERATING_POINTS:
+        code, out, err, _ = run([sys.executable, str(pathlib.Path(__file__).resolve()),
+                                 "--train-peak", name])
+        if code != 0:
+            raise RuntimeError(f"--train-peak {name} exited {code}: {err[-2000:]}")
+        results[name] = json.loads(out)
+        print(f"train peak {name}: {results[name]['peak_mb']} MB", file=sys.stderr)
+    return results
+
+
+def measure_train_peak(name):
+    """Child side of train_peak: DEMO_SCENE's sequences written and read back,
+    then the same `train` call traced twice; returns its config and peaks."""
+    import tracemalloc
+
+    from fmfdet.cli import load_dataset, main as fmfdet_main
+    from fmfdet.config import from_dict, to_dict
+    from fmfdet.train import TrainConfig, train
+
+    cfg = from_dict(TrainConfig, {**TRAIN_PEAK, **OPERATING_POINTS[name]})
+    with tempfile.TemporaryDirectory(prefix="bench_snapshot_") as tmp:
+        (pathlib.Path(tmp) / "scene.json").write_text(json.dumps(DEMO_SCENE), encoding="utf-8")
+        with contextlib.redirect_stdout(sys.stderr):
+            fmfdet_main(["gen-data", "--spec", f"{tmp}/scene.json", "--out", f"{tmp}/data"])
+        scenes = load_dataset(f"{tmp}/data")
+    peaks = {}
+    for key in ("cold", "warm"):
+        tracemalloc.start()
+        train(cfg, scenes)
+        peaks[key] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return {"config": to_dict(cfg), "steps": cfg.max_steps, "peak_bytes": peaks,
+            "peak_mb": {key: peak / 1e6 for key, peak in peaks.items()}}
+
+
 def tier1():
     code, out, err, wall = run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -157,9 +204,16 @@ def environment():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tag", required=True,
-                        help="names the output file BENCH_<tag>.json")
+    parser.add_argument("--tag", help="names the output file BENCH_<tag>.json")
+    parser.add_argument("--train-peak", choices=OPERATING_POINTS,
+                        help="print one operating point's train peak as JSON "
+                             "and write no snapshot")
     args = parser.parse_args(argv)
+    if args.train_peak:
+        print(json.dumps(measure_train_peak(args.train_peak)))
+        return 0
+    if args.tag is None:
+        parser.error("--tag is required")
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.tag):
         parser.error("tag may hold only letters, digits, '.', '_' and '-'")
     path = ROOT / f"BENCH_{args.tag}.json"
@@ -168,7 +222,7 @@ def main(argv=None):
     snapshot = {"tag": args.tag, "environment": environment(),
                 "src_lines": source_lines(), "seeds": list(SEEDS),
                 "perfbench": perfbench_runs(SEEDS), "bench": stage_bench(),
-                "tier1": tier1()}
+                "train_peak": train_peak(), "tier1": tier1()}
     path.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -12,7 +12,9 @@ holds (its parents and its own output, plus per-channel or index arrays) and
 recomputes anything map-sized from them; a loss op also keeps the target
 array it was given and recomputes its masks and weights from it. So the
 inputs of an op must not be mutated between its forward and the backward
-through it. `backward` frees the graph as it walks it, like PyTorch's
+through it. A training conv -> batch norm -> ReLU block keeps two maps, the
+conv output and the batch norm's: `batchnorm` ends in its ReLU, in place.
+`backward` frees the graph as it walks it, like PyTorch's
 ``retain_graph=False``: one backward per graph, and a second one through a
 freed node raises StateError.
 
@@ -406,15 +408,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         gq = _buffer("grad_phases", (s * s, n, cin, hq * wq), dtype)
         gq.fill(0)
         # g_pad[far + q] is g at output position q, zero in the dropped
-        # columns, so phase position p collects wt^T @ g_pad[far + p - off]
+        # columns, so phase position p collects wt^T @ g_pad[far + p - off];
+        # g_pad and gq_tap reuse the forward's acc and tap scratch
         far = taps[-1][3]
-        g_pad = _buffer("grad_out", (n, f, far + hq * wq), dtype)
+        g_pad = _buffer("acc", (n, f, far + hq * wq), dtype)
         g_pad.fill(0)
         g_ext = g_pad[:, :, far:far + length]
         g_ext.reshape(n, f, oh, wq)[..., :ow] = g
         gw = np.empty((f, cin, kh, kw), dtype=dtype)
         gw_n = np.empty((n, f, cin), dtype=dtype)
-        gq_tap = _buffer("grad_tap", (n, cin, hq * wq), dtype)
+        gq_tap = _buffer("tap", (n, cin, hq * wq), dtype)
         wt = taps_weight()
         for i, j, ph, off in taps:
             np.matmul(g_ext, xq[:, :, ph, off:off + length].transpose(0, 2, 1), out=gw_n)
@@ -457,7 +460,10 @@ def maxpool2d(x, kernel, stride=1, padding=0):
 
 def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
               momentum=0.1):
-    """Normalize over all axes except channel axis 1.
+    """Normalize over all axes except channel axis 1, then apply ReLU in
+    place (every batch norm in the model feeds one): backward first masks g
+    by ``out > 0``, so the pair keeps one map (in-place activated BN, Rota
+    Bulo et al., arXiv 1712.02616).
 
     Train mode uses batch statistics (biased variance) and moves the running
     statistics, two non-differentiated tensors, toward them by rebinding their
@@ -486,8 +492,10 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
         out = out.astype(np.result_type(out, gamma.data, beta.data), copy=False)
         out *= (gamma.data * inv_std).reshape(shape)
         out += beta.data.reshape(shape)
+        np.maximum(out, 0, out=out)
 
         def bw(g):
+            g = g * (out > 0)
             xhat = x.data - mu.reshape(shape)
             xhat *= inv_std.reshape(shape)
             gb = g.sum(axis=axes)
@@ -505,8 +513,10 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
     scale = gamma.data * inv_std
     out = x.data * scale.reshape(shape)
     out += (beta.data - mu * scale).reshape(shape)
+    np.maximum(out, 0, out=out)
 
     def bw_eval(g):
+        g = g * (out > 0)
         xhat = (x.data - mu.reshape(shape)) * inv_std.reshape(shape)
         gg = (g * xhat).sum(axis=axes)
         gb = g.sum(axis=axes)

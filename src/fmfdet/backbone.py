@@ -1,7 +1,8 @@
 """Pillar feature network and the multi-scale BEV neck.
 
 The PFN embeds the flat point rows of every cell, max-pools per cell, and
-scatters to a dense pseudo-image. The neck runs strided conv stages,
+scatters to a dense pseudo-image. Every batch norm here ends in its ReLU
+(`layers.BatchNormReLU`). The neck runs strided conv stages,
 downsamples every stage to the output resolution (the last stage's stride),
 concatenates them once, and fuses to the final channel width.
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, ConvBNReLU, Module
+from .layers import BatchNormReLU, ConvBNReLU, Module
 from .voxelizer import PillarTensor
 
 
@@ -65,7 +66,7 @@ class PillarFeatureNet(Module):
         std = math.sqrt(2.0 / in_dim)  # Kaiming-normal for a ReLU net
         self.weight = self.add_param(
             "weight", ad.Tensor(rng.normal(0.0, std, size=(in_dim, channels))))
-        self.bn = self.add_child("bn", BatchNorm(channels))
+        self.bn = self.add_child("bn", BatchNormReLU(channels))
 
     def __call__(self, pillars: PillarTensor):
         w, h = pillars.grid_dims
@@ -77,7 +78,7 @@ class PillarFeatureNet(Module):
                              f"!= configured {self.in_dim}")
         counts = pillars.point_counts
         rows = ad.Tensor(pillars.features, dtype=dtype)
-        embedded = ad.relu(self.bn(ad.matmul(rows, self.weight)))
+        embedded = self.bn(ad.matmul(rows, self.weight))
         cell_feats = ad.segment_max(embedded, np.cumsum(counts) - counts)
         coords = pillars.coords
         if coords.shape[1] == 3:

@@ -14,7 +14,9 @@ round-trip bit-exactly; timestamps and poses are double precision and always
 do. `read_frame` keeps the points as stored: the frame holds a read-only
 float32 view of the file's bytes, 16 B per point, and no float64 copy.
 Every stored value must be finite: a NaN or Inf in the timestamp, pose,
-points or boxes makes the file a DataError naming the first bad field.
+points or boxes makes the file a DataError naming the first bad field, and
+`write_frame` refuses such a frame (or a value past float32 range) the same
+way, before it writes anything.
 A sequence is a directory of frame_%06d.bin files plus manifest.json holding
 the header ("format": "fmf-scene", "version": 1), the class names and the
 frame order; every frame entry must name a file inside that directory.
@@ -41,26 +43,43 @@ _POINT_DTYPE = np.dtype("<f4")
 _BOX_DTYPE = np.dtype([("fields", "<f4", (9,)), ("class_id", "<u4")])
 
 
+def _check_finite(path, what, rows, shown=None):
+    """DataError naming `path` and the first row of `rows` [n, k] holding a
+    NaN or Inf, listed as `shown` holds it (default: as `rows` does)."""
+    finite = np.isfinite(rows)
+    if not finite.all():  # the row-wise all() is several times slower: only on failure
+        i = int(np.argmin(finite.all(axis=1)))
+        row = (rows if shown is None else shown)[i]
+        raise DataError(f"{path}: {what} {i}: non-finite values "
+                        f"{np.asarray(row).tolist()}")
+
+
 def write_frame(frame: PointCloudFrame, path) -> None:
+    p, boxes = frame.ego_pose, frame.gt_boxes
+    header = (frame.timestamp,) + ((p.x, p.y, p.yaw) if p is not None else ())
+    if not all(map(math.isfinite, header)):
+        raise DataError(f"{path}: non-finite timestamp or ego pose {header}")
+    fields = [b.as_array() for b in boxes]
+    with np.errstate(over="ignore"):  # a value past float32 range casts to inf
+        pts = np.ascontiguousarray(frame.points, dtype=_POINT_DTYPE)
+        fields32 = np.array(fields, dtype=_POINT_DTYPE).reshape(-1, 9)
+    _check_finite(path, "point", pts, frame.points)
+    _check_finite(path, "box", fields32, fields)
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<I", VERSION)
     buf += struct.pack("<d", frame.timestamp)
-    if frame.ego_pose is not None:
-        p = frame.ego_pose
+    if p is not None:
         buf += struct.pack("<B", 1)
         buf += struct.pack("<3d", p.x, p.y, p.yaw)
     else:
         buf += struct.pack("<B", 0)
-    pts = np.ascontiguousarray(frame.points, dtype=_POINT_DTYPE)
     buf += struct.pack("<I", pts.shape[0])
     buf += pts.tobytes()
-    boxes = frame.gt_boxes
     buf += struct.pack("<I", len(boxes))
     if boxes:
         rec = np.empty(len(boxes), dtype=_BOX_DTYPE)
-        for i, b in enumerate(boxes):
-            rec[i] = (b.as_array().astype(np.float32), b.class_id)
+        rec["fields"], rec["class_id"] = fields32, [b.class_id for b in boxes]
         buf += rec.tobytes()
     pathlib.Path(path).write_bytes(bytes(buf))
 
@@ -106,19 +125,14 @@ def read_frame(path) -> PointCloudFrame:
     (num_points,) = r.unpack("<I")
     # finiteness is checked on the float32 payloads: a cast warns on a signalling NaN
     pts = np.frombuffer(r.take(num_points * 16), dtype=_POINT_DTYPE).reshape(num_points, 4)
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}: point {bad[0]}: non-finite values "
-                        f"{pts[bad[0]].tolist()}")
+    _check_finite(path, "point", pts)
     (num_boxes,) = r.unpack("<I")
     rec = np.frombuffer(r.take(num_boxes * _BOX_DTYPE.itemsize), dtype=_BOX_DTYPE)
+    _check_finite(path, "box", rec["fields"])
     boxes = []
     for i in range(num_boxes):
-        fields = rec["fields"][i]
-        if not np.isfinite(fields).all():
-            raise DataError(f"{path}: box {i}: non-finite fields {fields.tolist()}")
         try:
-            boxes.append(Box3D.from_array(fields, rec["class_id"][i]))
+            boxes.append(Box3D.from_array(rec["fields"][i], rec["class_id"][i]))
         except ConfigError as e:
             raise DataError(f"{path}: box {i}: {e}") from e
     if r.off != len(data):

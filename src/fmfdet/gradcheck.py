@@ -150,25 +150,29 @@ def _case_conv_k5_stride3(rng):
             lambda x, weight: ad.conv2d(x, weight, stride=3, padding=2))
 
 
-def _bn_inputs(rng):
-    return (rng.normal(size=(2, 3, 4, 4)), rng.uniform(0.5, 1.5, size=(3,)),
-            rng.normal(size=(3,)))
+_BN_SHAPE, _CH = (2, 3, 4, 4), (1, 3, 1, 1)
 
 
 @_op_case("batchnorm_train", 33)
 def _case_bn_train(rng):
-    return _bn_inputs(rng), lambda x, gamma, beta: ad.batchnorm(
-        x, gamma, beta, ad.Tensor(np.zeros(3)), ad.Tensor(np.ones(3)),
-        training=True)
+    # any per-channel affine map of z normalizes back to z (to eps) under
+    # gamma = std(z), beta = mean(z), so the relu sees z: away from its kink
+    z = _away_from_zero(rng, _BN_SHAPE)
+    x = z * rng.uniform(0.5, 2.0, size=_CH) + rng.normal(size=_CH)
+    gamma, beta = z.std(axis=(0, 2, 3)), z.mean(axis=(0, 2, 3))
+    return (x, gamma, beta), lambda x, gamma, beta: ad.batchnorm(
+        x, gamma, beta, ad.Tensor(np.zeros(3)), ad.Tensor(np.ones(3)), training=True)
 
 
 @_op_case("batchnorm_eval", 34)
 def _case_bn_eval(rng):
-    inputs = _bn_inputs(rng)
-    mean = ad.Tensor(rng.normal(size=3))
-    var = ad.Tensor(rng.uniform(0.5, 2.0, size=3))
-    return inputs, lambda x, gamma, beta: ad.batchnorm(
-        x, gamma, beta, mean, var, training=False)
+    # x is chosen so that the running statistics normalize it to z (to eps)
+    z = _away_from_zero(rng, _BN_SHAPE)
+    gamma, beta = rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)
+    mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+    x = (z - beta.reshape(_CH)) * (np.sqrt(var) / gamma).reshape(_CH) + mean.reshape(_CH)
+    return (x, gamma, beta), lambda x, gamma, beta: ad.batchnorm(
+        x, gamma, beta, ad.Tensor(mean), ad.Tensor(var), training=False)
 
 
 @_op_case("segment_max", 35)

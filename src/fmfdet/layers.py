@@ -4,7 +4,8 @@ A Module tracks named parameters (Tensors with requires_grad) and named
 buffers (Tensors outside the gradient graph: the batch-norm running
 statistics), and composes hierarchically. `named_state` walks both as one
 "param.<path>" / "buffer.<path>" table, which the dtype cast, `state_dict`,
-`load_state_dict` and checkpoints all use. Initialization draws from an
+`load_state_dict` and checkpoints all use. Batch norm always ends in its ReLU
+(`BatchNormReLU`, one `autodiff.batchnorm` node). Initialization draws from an
 explicit numpy Generator so model construction is a pure function of the seed.
 """
 from __future__ import annotations
@@ -113,8 +114,8 @@ class Conv2d(Module):
                          padding=self.padding)
 
 
-class BatchNorm(Module):
-    """Channel-axis-1 batch norm for [M, C] or [N, C, H, W] inputs."""
+class BatchNormReLU(Module):
+    """Channel-axis-1 batch norm, then ReLU, for [M, C] or [N, C, H, W] inputs."""
 
     def __init__(self, channels):
         super().__init__()
@@ -131,14 +132,15 @@ class BatchNorm(Module):
 
 
 class ConvBNReLU(Module):
-    """conv -> batchnorm -> relu, the standard block used throughout."""
+    """conv -> batchnorm -> relu, the standard block used throughout: two
+    graph nodes, since batch norm applies the ReLU."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1):
         super().__init__()
         self.conv = self.add_child(
             "conv", Conv2d(in_channels, out_channels, kernel, rng,
                            stride=stride, bias=False))
-        self.bn = self.add_child("bn", BatchNorm(out_channels))
+        self.bn = self.add_child("bn", BatchNormReLU(out_channels))
 
     def __call__(self, x):
-        return ad.relu(self.bn(self.conv(x)))
+        return self.bn(self.conv(x))

@@ -131,6 +131,9 @@ class SceneSequence:
         return self.class_names == other.class_names and self.frames == other.frames
 
 
+_U32 = 2 ** 32 - 1
+
+
 @dataclasses.dataclass(frozen=True)
 class SceneSpec:
     """Generator parameters. `range` is the half-extent of the square area."""
@@ -159,6 +162,17 @@ class SceneSpec:
                                       "seed", "max_object_speed") if getattr(self, name) < 0]
         if negative:
             raise ConfigError(f"{', '.join(negative)} must be >= 0")
+        # frame files have six-digit names and uint32 point and box counts; an
+        # object yields at most points_per_object + 5 points (one more per face)
+        limits = {"num_frames": 10 ** 6, "num_objects": _U32,
+                  "points_per_object": _U32, "clutter_points": _U32}
+        over = [f"{name} <= {most}" for name, most in limits.items()
+                if getattr(self, name) > most]
+        points = self.num_objects * (self.points_per_object + 5) + self.clutter_points
+        if not over and points > _U32:
+            over = [f"num_objects * (points_per_object + 5) + clutter_points <= {_U32}"]
+        if over:
+            raise ConfigError(f"counts must fit the frame files: {', '.join(over)}")
         too_large = [f.name for f in dataclasses.fields(self)
                      if isinstance(f.default, float) and abs(getattr(self, f.name)) > 1e6]
         if too_large:  # a frame file stores float32 coordinates

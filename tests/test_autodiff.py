@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmfdet import autodiff as ad
+from fmfdet import gradcheck
 from fmfdet.errors import ShapeError, StateError
 from fmfdet.layers import ConvBNReLU
 
@@ -203,15 +204,16 @@ class TestBackwardMechanics:
                 nodes[id(node)] = node
                 stack.extend(node._parents)
         nodes = list(nodes.values())
-        assert len(nodes) == 5     # conv, batchnorm, relu, resample, sum
+        assert len(nodes) == 4     # conv, batchnorm (with its relu), resample, sum
         ad.backward(loss)
         assert all(node._parents == () for node in nodes)
         assert x.grad is not None and block.conv.weight.grad is not None
 
     def test_conv_bn_relu_retains_only_its_outputs(self):
-        """A training forward keeps the three maps the graph holds (conv,
-        batch norm and relu outputs), not a padded copy of the input or the
-        normalized map: backward recomputes those."""
+        """A training forward keeps the two maps the graph holds (the conv
+        output and the batch norm's, which its relu clamps in place), not a
+        padded copy of the input or the normalized map: backward recomputes
+        those."""
         rng = np.random.default_rng(0)
         block = ConvBNReLU(8, 8, 3, rng)
         x = ad.Tensor(rng.normal(size=(2, 8, 32, 32)))
@@ -224,7 +226,7 @@ class TestBackwardMechanics:
         finally:
             tracemalloc.stop()
         assert out._backward_fn is not None
-        assert retained <= 3.5 * x.data.nbytes
+        assert retained <= 2.5 * x.data.nbytes
 
     def test_conv2d_backward_saves_no_array(self):
         """conv2d's backward holds its parents, not copies of them: no closure
@@ -241,6 +243,24 @@ class TestBackwardMechanics:
                     fns.append(saved[-1])
         assert saved
         assert not any(isinstance(v, np.ndarray) for v in saved)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_backward_saves_only_statistics_and_its_output(self, training):
+        """batchnorm's backward holds per-channel arrays and its own output,
+        whose sign is the relu mask: no copy of x, of x_hat or of the mask."""
+        rng = np.random.default_rng(6)
+        out = ad.batchnorm(leaf(rng.normal(size=(2, 3, 4, 4))), leaf(np.ones(3)),
+                           leaf(np.zeros(3)), ad.Tensor(np.zeros(3)),
+                           ad.Tensor(np.ones(3)), training=training)
+        fns, saved = [out._backward_fn], []
+        while fns:
+            for cell in fns.pop().__closure__ or ():
+                saved.append(cell.cell_contents)
+                if isinstance(saved[-1], types.FunctionType):
+                    fns.append(saved[-1])
+        arrays = [v for v in saved if isinstance(v, np.ndarray)]
+        assert any(a is out.data for a in arrays)
+        assert all(a is out.data or a.shape == (3,) for a in arrays)
 
     @pytest.mark.parametrize("op", ["gather_pixels", "conv_rows"])
     def test_row_ops_save_only_parents_and_index_arrays(self, op):
@@ -347,8 +367,11 @@ class TestBackwardMechanics:
                            training=True, momentum=0.1)
         assert np.array_equal(mean.data, 0.1 * x.data.mean(axis=(0, 2, 3)))
         assert np.array_equal(var.data, 0.9 + 0.1 * x.data.var(axis=(0, 2, 3)))
-        # normalized output has near-zero mean per channel
-        assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
+        # the output is the relu of the normalized map
+        ref = _batchnorm_train_reference(x.data, np.ones(3), np.zeros(3),
+                                         np.zeros(3), np.ones(3))[0]
+        assert np.allclose(ref.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
+        assert np.allclose(out.data, np.maximum(ref, 0.0), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(37, 5), (1, 3, 8, 8), (2, 4, 6, 5)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -379,6 +402,20 @@ class TestBackwardMechanics:
                            training=False, eps=0.0)
         assert np.allclose(out.data[0, 0], 0.0)
         assert np.allclose(out.data[0, 1], 0.5)
+
+
+@pytest.mark.parametrize("name", ["batchnorm_train", "batchnorm_eval"])
+def test_gradcheck_batchnorm_cases_stay_off_the_relu_kink(name):
+    """c03's batchnorm cases check both relu branches: in every channel the
+    pre-relu map has both signs, and no value lies within 0.05 of zero, where
+    a central difference would straddle the kink. Negating gamma and beta
+    negates that map, so it is op(x, gamma, beta) - op(x, -gamma, -beta)."""
+    (seed, build), = [(s, b) for n, s, b in gradcheck._OP_CASES if n == name]
+    (x, gamma, beta), op = build(np.random.default_rng(seed))
+    pre = (op(ad.Tensor(x), ad.Tensor(gamma), ad.Tensor(beta)).data
+           - op(ad.Tensor(x), ad.Tensor(-gamma), ad.Tensor(-beta)).data)
+    assert (pre > 0).any(axis=(0, 2, 3)).all() and (pre < 0).any(axis=(0, 2, 3)).all()
+    assert np.abs(pre).min() >= 0.05
 
 
 def _im2col(x, kh, kw, stride, pad):
@@ -613,6 +650,9 @@ class TestProperties:
            st.sampled_from([(1, 3, 4, 5), (2, 3, 4, 5), (2, 4, 1, 7), (9, 3)]))
     @settings(max_examples=25, deadline=None)
     def test_batchnorm_train_matches_one_pass_reference(self, seed, shape):
+        """batchnorm is the reference followed by relu: its output is the
+        reference's clamped at zero, and its gradients are the reference's
+        for the upstream gradient masked where that output is positive."""
         rng = np.random.default_rng(seed)
         c = shape[1]
         x = leaf(rng.normal(loc=1.5, scale=2.0, size=shape))
@@ -625,7 +665,7 @@ class TestProperties:
         g = rng.normal(size=shape)
         ad.backward(ad.sum(ad.mul(out, g)))
         pairs = zip((out.data, mean.data, var.data, x.grad, gamma.grad, beta.grad),
-                    (ref, ref_mean, ref_var) + ref_grads(g))
+                    (np.maximum(ref, 0.0), ref_mean, ref_var) + ref_grads(g * (ref > 0)))
         for got, want in pairs:
             _close(got, want, 1e-12)
 

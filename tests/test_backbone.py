@@ -27,7 +27,7 @@ def brute_voxel_map(pfn, pillars):
     (first row plus the sum of the rest) segment_mean shares, so the maps
     compare bitwise."""
     with ad.no_grad():
-        embedded = ad.relu(pfn.bn(ad.matmul(ad.Tensor(pillars.features), pfn.weight))).data
+        embedded = pfn.bn(ad.matmul(ad.Tensor(pillars.features), pfn.weight)).data
     columns, start = {}, 0
     for (ix, iy, iz), count in zip(pillars.coords.tolist(),
                                    pillars.point_counts.tolist()):

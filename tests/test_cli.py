@@ -74,21 +74,27 @@ def workspace(tmp_path_factory):
 def poisoned_copy(data, out, field, value):
     """Copy a dataset and set one field of seq_000's second frame to `value`:
     the timestamp, the ego pose's x, the intensity of its third point, or a
-    field of its first box."""
+    field of its first box. write_frame refuses a non-finite value, so the
+    field is written as a marker whose bytes are then replaced."""
     shutil.copytree(data, out)
     path = out / "seq_000" / "frame_000001.bin"
     f = read_frame(path)
     ts, pose, boxes = f.timestamp, f.ego_pose, list(f.gt_boxes)
     points = f.points.copy()
+    mark = 1234.5
     if field == "timestamp":
-        ts = value
+        ts = mark
     elif field == "intensity":
-        points[2, 3] = value
+        points[2, 3] = mark
     elif field == "pose":
-        pose = Pose2D(value, pose.y, pose.yaw)
+        pose = Pose2D(mark, pose.y, pose.yaw)
     else:
-        boxes[0] = dataclasses.replace(boxes[0], **{field: value})
+        boxes[0] = dataclasses.replace(boxes[0], **{field: mark})
     write_frame(PointCloudFrame(points, ts, pose, boxes), path)
+    fmt = "<d" if field in ("timestamp", "pose") else "<f"
+    raw = path.read_bytes()
+    assert raw.count(struct.pack(fmt, mark)) == 1
+    path.write_bytes(raw.replace(struct.pack(fmt, mark), struct.pack(fmt, value)))
     return path
 
 
@@ -155,10 +161,16 @@ class TestGenData:
         ("clutter_points", -1, "clutter_points"),
         ("seed", -1, "seed"),
         ("max_object_speed", -0.5, "max_object_speed"),
-        ("range", 1e39, "range")])
+        ("range", 1e39, "range"),
+        ("num_frames", 2 ** 63, "num_frames <= 1000000"),
+        ("num_objects", 2 ** 63, "num_objects <= 4294967295"),
+        ("points_per_object", 2 ** 63, "points_per_object <= 4294967295"),
+        ("clutter_points", 2 ** 63, "clutter_points <= 4294967295"),
+        ("points_per_object", 2 ** 31, "num_objects * (points_per_object + 5)")])
     def test_bad_spec_value_is_config_error(self, tmp_path, capsys, key, value, path):
-        """A non-finite number, a non-string class name or a negative count
-        exits 2 naming the field, and nothing is written."""
+        """A non-finite number, a non-string class name, a negative count or
+        a count past what a frame file holds exits 2 naming the field, and
+        nothing is written."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict(TINY_SPEC, **{key: value})))
         out = tmp_path / "d"

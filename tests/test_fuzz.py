@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import shutil
+import struct
 import zipfile
 
 import numpy as np
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from fmfdet.config import from_dict, to_dict
 from fmfdet.decode import Detection
 from fmfdet.errors import ConfigError, DataError
-from fmfdet.frameio import read_frame, read_sequence, write_frame, write_sequence
+from fmfdet.frameio import (frame_file_name, read_frame, read_sequence, write_frame,
+                            write_sequence)
 from fmfdet.geometry import Pose2D
 from fmfdet.gradcheck import tiny_train_config
 from fmfdet.metrics import read_detections, write_detections
@@ -414,16 +416,38 @@ def stored(seq):
                           for b in f.gt_boxes]) for f in seq.frames], seq.class_names)
 
 
+COUNT_FIELDS = ("num_frames", "num_objects", "points_per_object", "clutter_points")
+
+
+@st.composite
+def hostile_specs(draw):
+    """hostile_dicts(SceneSpec()), with one count sometimes set to a large
+    integer: anywhere up to 2**70, or at a frame file's limits."""
+    tree = draw(hostile_dicts(SceneSpec()))
+    if draw(st.booleans()):
+        tree[draw(st.sampled_from(COUNT_FIELDS))] = draw(
+            st.integers(0, 2 ** 70) | st.sampled_from([10 ** 6, 10 ** 6 + 1, 2 ** 32 - 1,
+                                                        2 ** 32]))
+    return tree
+
+
 @settings(FUZZ, max_examples=150)
-@given(hostile_dicts(SceneSpec()))
+@given(hostile_specs())
 def test_accepted_scene_spec_round_trips(tmp_path_factory, tree):
-    """Every spec from_dict accepts generates a scene that write_sequence ->
-    read_sequence returns equal (to float32 storage), unless the generator
-    cannot place the objects, its one documented ConfigError. Specs past the
-    default's frame, object and point counts are not generated."""
+    """Every spec from_dict accepts fits a frame file: its frames have
+    six-digit names and the most points (points_per_object + 5 per object,
+    plus clutter) and boxes a frame can get fit uint32 counts. It generates
+    a scene that write_sequence -> read_sequence returns equal (to float32
+    storage), unless the generator cannot place the objects, its one
+    documented ConfigError. Specs past the default's frame, object and point
+    counts are not generated."""
     spec = loads_or_none(SceneSpec, tree)
-    if spec is None or max(spec.num_frames, spec.num_objects, spec.points_per_object,
-                           spec.clutter_points) > 140:
+    if spec is None:
+        return
+    assert len(frame_file_name(spec.num_frames - 1)) == len(frame_file_name(0))
+    struct.pack("<II", spec.num_objects * (spec.points_per_object + 5) + spec.clutter_points,
+                spec.num_objects)
+    if max(getattr(spec, name) for name in COUNT_FIELDS) > 140:
         return
     try:
         seq = generate_scene(spec)

@@ -24,6 +24,18 @@ f64_floats = st.floats(-1e6, 1e6, allow_nan=False)
 positive_f32 = st.floats(0.0625, 50.0, allow_nan=False, width=32).map(float)
 
 
+def patch_stored(path, fmt, replacements):
+    """Overwrite the one stored copy of each key of `replacements`, packed
+    with struct format `fmt`, by its value in the file at `path`: the way to
+    get a NaN or Inf into a frame file, since write_frame refuses them."""
+    raw = path.read_bytes()
+    for old, new in replacements.items():
+        old, new = struct.pack(fmt, old), struct.pack(fmt, new)
+        assert raw.count(old) == 1
+        raw = raw.replace(old, new)
+    path.write_bytes(raw)
+
+
 @st.composite
 def frames(draw):
     n = draw(st.integers(0, 12))
@@ -119,21 +131,26 @@ class TestFrameFormat:
         ("point_x", math.inf), ("point_z", -math.inf),
         ("point_intensity", math.nan)])
     def test_non_finite_field_is_format_error(self, tmp_path, field, value):
+        """The field is written as a marker that no other field holds, and
+        the marker's bytes are then replaced by `value`."""
         box = Box3D(0, 0, 0, 1, 1, 1, 0.0)
         boxes = [box, box]
         ts, pose = 0.5, Pose2D(1.0, 2.0, 0.5)
         points = np.zeros((5, 4))
+        mark, patch = 1234.5, {1234.5: value}
         if field == "timestamp":
-            ts = value
+            ts = mark
         elif field == "pose":
-            pose = Pose2D(1.0, value, 0.5)
+            pose = Pose2D(1.0, mark, 0.5)
         elif field.startswith("point_"):
-            points[3, ("x", "y", "z", "intensity").index(field[6:])] = value
-            points[4, 3] = math.nan
+            points[3, ("x", "y", "z", "intensity").index(field[6:])] = mark
+            points[4, 3] = 4321.5
+            patch[4321.5] = math.nan
         else:
-            boxes[1] = dataclasses.replace(box, **{field: value})
+            boxes[1] = dataclasses.replace(box, **{field: mark})
         path = tmp_path / "f.bin"
         write_frame(PointCloudFrame(points, ts, pose, boxes), path)
+        patch_stored(path, "<d" if field in ("timestamp", "pose") else "<f", patch)
         with pytest.raises(DataError, match="non-finite") as err:
             read_frame(path)
         assert str(path) in str(err.value)
@@ -141,6 +158,36 @@ class TestFrameFormat:
             assert "point 3" in str(err.value)
         elif field not in ("timestamp", "pose"):
             assert "box 1" in str(err.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("point", math.nan), ("point", 1e39), ("point", -math.inf), ("box", math.nan),
+        ("box", -1e39), ("timestamp", math.inf), ("pose", math.nan)])
+    def test_write_refuses_what_read_would_reject(self, tmp_path, field, value):
+        """A NaN, an Inf, or a point or box value past float32 range (stored
+        as Inf) is a DataError naming the path, and no file is written."""
+        points, boxes = np.zeros((3, 4)), [Box3D(0, 0, 0, 1, 1, 1, 0.0)] * 2
+        ts, pose = 0.5, Pose2D(1.0, 2.0, 0.5)
+        if field == "point":
+            points[1, 2] = value
+        elif field == "box":
+            boxes[1] = dataclasses.replace(boxes[1], vy=value)
+        elif field == "timestamp":
+            ts = value
+        else:
+            pose = Pose2D(1.0, 2.0, value)
+        path = tmp_path / "f.bin"
+        with pytest.raises(DataError, match=re.escape(str(path))) as err:
+            write_frame(PointCloudFrame(points, ts, pose, boxes), path)
+        assert not path.exists()
+        if field in ("point", "box"):
+            assert f"{field} 1: non-finite values" in str(err.value)
+
+    def test_float32_max_round_trips(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        frame = PointCloudFrame(np.full((2, 4), -top), 0.5, None,
+                                [Box3D(top, 0, 0, top, 1, 1, 0.0)])
+        write_frame(frame, tmp_path / "f.bin")
+        assert read_frame(tmp_path / "f.bin") == frame
 
     @pytest.mark.parametrize("field", ["point", "box"])
     def test_signalling_nan_is_format_error(self, tmp_path, field):

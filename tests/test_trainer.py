@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -204,6 +205,21 @@ class TestTrainLoop:
             want = joint[name].grad
             assert grad.dtype == np.float64
             assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    def test_train_step_scratch_holds_four_roles(self):
+        """conv2d's backward reuses the forward's acc and tap scratch, so a
+        thread that ran a train step keeps four scratch buffers."""
+        roles = []
+
+        def step():
+            train(tiny_cfg(max_steps=1), [tiny_scene()])
+            roles.extend(vars(ad._scratch))
+
+        thread = threading.Thread(target=step)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sorted(roles) == ["acc", "grad_phases", "phases", "tap"]
 
     def test_disabling_fusion_removes_exactly_its_params(self):
         cfg = tiny_cfg()
