@@ -7,7 +7,8 @@ BASE and CHANGE are two checkout directories. Pair i runs
 `perfbench/run.py --workload W --seed S+i --seconds T --trace 0` in each,
 one after the other: BASE first in even pairs, CHANGE first in odd ones.
 T is BENCHMARK.json's run_seconds. The script only calls perfbench's
-command line and reads BASE's BENCHMARK.json.
+command line and reads BASE's BENCHMARK.json. `run_perfbench`, which runs
+and parses one perfbench run, is also how `bench_snapshot.py` runs it.
 
 It prints each pair's end-to-end values; each side's commit and
 `wc -l src/fmfdet/*.py` total (`env.git_commit` and `env.src_lines` of the
@@ -31,24 +32,29 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import time
 
 
-def run_perfbench(checkout, workload, seed, seconds, timeout):
-    """One `--trace 0` run; returns (result dict or None, note). The result
-    carries the detail line's `git_commit` and `src_lines` under "env"."""
+def run_perfbench(checkout, workload, seed, seconds, timeout, trace=0, env=None):
+    """One perfbench run in `checkout`, whose environment is `env` (default:
+    this process's). Returns {"exit_code", "wall_s", "detail", "result"}:
+    the last two lines perfbench printed, and result carries the detail's
+    `git_commit` and `src_lines` under "env". A run that printed no such
+    pair has "stderr_tail" in place of detail and result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=timeout)
+    run = {"exit_code": done.returncode, "wall_s": time.perf_counter() - start}
     lines = done.stdout.strip().splitlines()
     try:
-        env = json.loads(lines[-2])["detail"]["env"]
-        result = json.loads(lines[-1])
+        detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
         result["metrics"]
-    except (IndexError, ValueError, KeyError, TypeError):
-        return None, f"exit {done.returncode}: {done.stderr[-500:]}"
-    result["env"] = {key: env.get(key) for key in ("git_commit", "src_lines")}
-    return result, f"exit {done.returncode}"
+        result["env"] = {key: detail["env"].get(key) for key in ("git_commit", "src_lines")}
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
+        return dict(run, stderr_tail=done.stderr[-2000:])
+    return dict(run, detail=detail, result=result)
 
 
 def quartiles(values):
@@ -104,11 +110,12 @@ def main(argv=None):
         seed = args.seed + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            result, note = run_perfbench(sides[side], args.workload, seed, seconds,
-                                         timeout)
+            run = run_perfbench(sides[side], args.workload, seed, seconds, timeout)
+            result = run.get("result")
             runs[side].append(result)
             if not good(result):
-                print(f"pair {i} seed {seed} {side}: {note}, result {result}")
+                print(f"pair {i} seed {seed} {side}: exit {run['exit_code']}: "
+                      f"{run.get('stderr_tail', '')[-500:]}, result {result}")
         row = "  ".join(
             f"{name} {_fmt(runs['base'][-1], name)} -> {_fmt(runs['change'][-1], name)}"
             for name in metrics)

@@ -7,7 +7,9 @@ Run from anywhere; the checkout is the one this script sits in. The file
 lands at the root of the checkout and holds:
 
 - every perfbench workload at --trace 0 and --trace 1, on fixed seeds and
-  BENCHMARK.json's run_seconds, as perfbench/run.py prints them;
+  BENCHMARK.json's run_seconds, as perfbench/run.py prints them, run and
+  parsed by `ab_pairs.run_perfbench` (whose result also names the commit and
+  `src_lines` under "env");
 - `fmfdet bench` stage times, minor faults per frame and `points_mb` (the
   MiB of the replayed point arrays), as it prints them, at the demo widths
   (12/24, head 24) and the default widths (32/64, head 64), on fixed
@@ -41,6 +43,8 @@ import sys
 import tempfile
 import time
 
+from ab_pairs import run_perfbench  # this script's directory is on sys.path
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (911,)
 BENCH_FRAMES = 200
@@ -62,39 +66,34 @@ CHECKPOINT = {"max_steps": 10, "batch_size": 2, "seed": 0,
 TRAIN_PEAK = {"max_steps": 3, "batch_size": 2, "seed": 0}
 
 
+def child_env():
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=str(ROOT / "src"))
+
+
 def run(cmd, timeout=1800):
     """Run one command from the checkout root; returns (exit code, stdout,
     stderr, wall seconds)."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(ROOT / "src"))
     start = time.perf_counter()
-    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+    done = subprocess.run(cmd, cwd=ROOT, env=child_env(), capture_output=True,
                           text=True, timeout=timeout)
     return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
 
 
 def perfbench_runs(seeds):
+    """Every workload at --trace 0 and 1, through ab_pairs.run_perfbench."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs = []
     for wl in spec["workloads"]:
         for seed in seeds:
             for trace in (0, 1):
-                code, out, err, wall = run(
-                    [sys.executable, "perfbench/run.py", "--workload", wl["name"],
-                     "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
-                     "--trace", str(trace)])
-                lines = out.strip().splitlines()
                 entry = {"workload": wl["name"], "seed": seed, "trace": trace,
-                         "exit_code": code, "wall_s": wall}
-                try:
-                    entry["detail"] = json.loads(lines[-2])["detail"]
-                    entry["result"] = json.loads(lines[-1])
-                except (IndexError, ValueError, KeyError):
-                    entry["stderr_tail"] = err[-2000:]
+                         **run_perfbench(ROOT, wl["name"], seed, spec["run_seconds"],
+                                         1800, trace=trace, env=child_env())}
                 runs.append(entry)
                 print(f"perfbench {wl['name']} seed {seed} trace {trace}: "
-                      f"exit {code}, {wall:.0f} s", file=sys.stderr)
+                      f"exit {entry['exit_code']}, {entry['wall_s']:.0f} s", file=sys.stderr)
     return runs
 
 

@@ -1,11 +1,11 @@
 """Reverse-mode autodiff on numpy arrays, covering the pipeline's operator set.
 
 Dense elementwise math, whole-tensor sum, the focal and L1 detection losses,
-matmul, 2D convolution / batch norm / max pooling, the sparse scatter/gather
-ops used to build pseudo-images, and bilinear map sampling. Each op records
-its parents and a backward function; `backward` walks the graph once in
-reverse topological order and accumulates gradients on every tensor created
-with ``requires_grad=True``.
+2D convolution / batch norm / 3x3 max pooling, the sparse scatter/gather ops
+used to build pseudo-images, the one row GEMM (`conv_rows`), and bilinear map
+sampling. Each op records its parents and a backward function; `backward`
+walks the graph once in reverse topological order and accumulates gradients
+on every tensor created with ``requires_grad=True``.
 
 Memory contract: an op's backward function saves only what the graph already
 holds (its parents and its own output, plus per-channel or index arrays) and
@@ -269,43 +269,8 @@ def concat_channels(*maps):
 
 
 # --------------------------------------------------------------------------
-# matmul
-# --------------------------------------------------------------------------
-
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2D operands")
-    data = a.data @ b.data
-
-    def bw(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _node(data, (a, b), bw)
-
-
-# --------------------------------------------------------------------------
 # conv / pool / norm
 # --------------------------------------------------------------------------
-
-def _conv_out_dim(size, k, stride, pad):
-    return (size + 2 * pad - k) // stride + 1
-
-
-def _check_window(op, shape, kh, kw, stride, padding):
-    """Validate a sliding window over [N,C,H,W]; returns (oh, ow)."""
-    if not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ShapeError(f"{op}: stride must be a positive integer, got {stride!r}")
-    if not isinstance(padding, numbers.Integral) or padding < 0:
-        raise ShapeError(f"{op}: padding must be a nonnegative integer, got {padding!r}")
-    h, w = shape[2:]
-    oh = _conv_out_dim(h, kh, stride, padding)
-    ow = _conv_out_dim(w, kw, stride, padding)
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"{op}: {kh}x{kw} kernel does not fit the {h}x{w} input "
-                         f"with padding {padding}")
-    return oh, ow
-
 
 _scratch = threading.local()
 
@@ -358,7 +323,15 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     f, cin, kh, kw = weight.data.shape
     if x.data.shape[1] != cin:
         raise ShapeError(f"conv2d channel mismatch: x has {x.data.shape[1]}, weight expects {cin}")
-    oh, ow = _check_window("conv2d", x.data.shape, kh, kw, stride, padding)
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ShapeError(f"conv2d: stride must be a positive integer, got {stride!r}")
+    if not isinstance(padding, numbers.Integral) or padding < 0:
+        raise ShapeError(f"conv2d: padding must be a nonnegative integer, got {padding!r}")
+    n, _, h, w = x.data.shape
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"conv2d: {kh}x{kw} kernel does not fit the {h}x{w} input "
+                         f"with padding {padding}")
     parents = [x, weight]
     if bias is not None:
         bias = _wrap(bias)
@@ -366,7 +339,6 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
             raise ShapeError("conv2d bias must have shape [F]")
         parents.append(bias)
     s, pad = stride, padding
-    n, _, h, w = x.data.shape
     dtype = np.result_type(x.data, weight.data)
     # one spare phase row: the last taps' slices run past the final row
     hq, wq = -(-(h + 2 * pad) // s) + 1, -(-(w + 2 * pad) // s)
@@ -436,26 +408,20 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
     return _node(out, tuple(parents), bw)
 
 
-def maxpool2d(x, kernel, stride=1, padding=0):
-    """Sliding-window max, forward only (used for decode-time peak picking).
-
-    Out-of-image positions act as -inf, so zero padding never wins a window.
-    The result is detached from the graph.
+def maxpool2d(x):
+    """3x3, stride-1 sliding-window max of x [N,C,H,W], forward only: the
+    window of decode's peak picking. Out-of-image positions act as -inf, so
+    padding never wins a window. The max is exact, so taking it along rows
+    first changes no value. The result is detached from the graph.
     """
     xd = x.data if isinstance(x, Tensor) else _as_array(x)
     if xd.ndim != 4:
         raise ShapeError("maxpool2d expects [N,C,H,W]")
-    if not isinstance(kernel, numbers.Integral) or kernel < 1:
-        raise ShapeError(f"maxpool2d: kernel must be a positive integer, got {kernel!r}")
-    oh, ow = _check_window("maxpool2d", xd.shape, kernel, kernel, stride, padding)
-    n, c, h, w = xd.shape
-    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=xd.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = xd
-    out = np.full((n, c, oh, ow), -np.inf, dtype=xd.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            np.maximum(out, xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride], out=out)
-    return Tensor(out)
+    h, w = xd.shape[2:]
+    xp = np.full(xd.shape[:2] + (h + 2, w + 2), -np.inf, dtype=xd.dtype)
+    xp[:, :, 1:-1, 1:-1] = xd
+    rows = np.maximum(np.maximum(xp[..., :-2], xp[..., 1:-1]), xp[..., 2:])
+    return Tensor(np.maximum(np.maximum(rows[:, :, :-2], rows[:, :, 1:-1]), rows[:, :, 2:]))
 
 
 def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
@@ -467,12 +433,13 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
 
     Train mode uses batch statistics (biased variance) and moves the running
     statistics, two non-differentiated tensors, toward them by rebinding their
-    ``data``; eval mode normalizes by the running statistics. Both backward
-    passes recompute the normalized input from x rather than saving it.
+    ``data``; eval mode normalizes by the running statistics, as
+    x * scale + shift. One backward serves both: it recomputes the normalized
+    input from x rather than saving it, and gx = gamma * inv_std * g, less
+    sum(g) / m + x_hat * sum(g * x_hat) / m in train mode.
 
     Train mode takes the variance of one centred copy (two-pass, so float32
-    does not cancel) and scales that copy into the output; its backward is
-    gx = gamma * inv_std * (g - sum(g) / m - x_hat * sum(g * x_hat) / m).
+    does not cancel) and scales that copy into the output.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     c = x.data.shape[1]
@@ -492,38 +459,30 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
         out = out.astype(np.result_type(out, gamma.data, beta.data), copy=False)
         out *= (gamma.data * inv_std).reshape(shape)
         out += beta.data.reshape(shape)
-        np.maximum(out, 0, out=out)
+    else:
+        mu, inv_std = running_mean.data, 1.0 / np.sqrt(running_var.data + eps)
+        scale = gamma.data * inv_std
+        out = x.data * scale.reshape(shape)
+        out += (beta.data - mu * scale).reshape(shape)
+    np.maximum(out, 0, out=out)
 
-        def bw(g):
-            g = g * (out > 0)
-            xhat = x.data - mu.reshape(shape)
-            xhat *= inv_std.reshape(shape)
-            gb = g.sum(axis=axes)
-            gx = g * xhat
-            gg = gx.sum(axis=axes)
+    def bw(g):
+        g = g * (out > 0)
+        xhat = x.data - mu.reshape(shape)
+        xhat *= inv_std.reshape(shape)
+        gb = g.sum(axis=axes)
+        gx = g * xhat
+        gg = gx.sum(axis=axes)
+        if training:    # the batch statistics move with x too
             xhat *= (gg / m).reshape(shape)
             np.subtract(g, xhat, out=gx)
             gx -= (gb / m).reshape(shape)
-            gx *= (gamma.data * inv_std).reshape(shape)
-            return gx, gg, gb
-
-        return _node(out, (x, gamma, beta), bw)
-
-    mu, inv_std = running_mean.data, 1.0 / np.sqrt(running_var.data + eps)
-    scale = gamma.data * inv_std
-    out = x.data * scale.reshape(shape)
-    out += (beta.data - mu * scale).reshape(shape)
-    np.maximum(out, 0, out=out)
-
-    def bw_eval(g):
-        g = g * (out > 0)
-        xhat = (x.data - mu.reshape(shape)) * inv_std.reshape(shape)
-        gg = (g * xhat).sum(axis=axes)
-        gb = g.sum(axis=axes)
-        gx = g * (gamma.data * inv_std).reshape(shape)
+        else:
+            gx = g
+        gx *= (gamma.data * inv_std).reshape(shape)
         return gx, gg, gb
 
-    return _node(out, (x, gamma, beta), bw_eval)
+    return _node(out, (x, gamma, beta), bw)
 
 
 # --------------------------------------------------------------------------
@@ -631,42 +590,46 @@ def gather_pixels(x, ys, xs, k=1):
     return _node(data, (x,), bw)
 
 
-def conv_rows(rows, weight, bias):
-    """rows [M, C*kh*kw] @ weight.reshape(F, -1).T + bias -> [M, F]: a conv
-    weight [F,C,kh,kw] at gather_pixels' windows, or a 1x1 one at pixel rows."""
-    rows, weight, bias = _wrap(rows), _wrap(weight), _wrap(bias)
+def conv_rows(rows, weight, bias=None):
+    """rows [M, C*kh*kw] @ weight.reshape(F, -1).T (+ bias) -> [M, F], the one
+    row GEMM: a conv weight [F,C,kh,kw] at gather_pixels' windows, a 1x1 one
+    at pixel rows, or a projection [F, C] of feature rows."""
+    rows, weight = _wrap(rows), _wrap(weight)
     f = weight.data.shape[0]
     if rows.data.ndim != 2 or rows.data.shape[1] != weight.data[0].size:
         raise ShapeError(f"conv_rows: rows {rows.data.shape} do not fit {weight.data.shape}")
-    data = rows.data @ weight.data.reshape(f, -1).T + bias.data
+    parents = (rows, weight) if bias is None else (rows, weight, _wrap(bias))
+    data = rows.data @ weight.data.reshape(f, -1).T
+    if bias is not None:
+        data = data + parents[2].data
     dtype = data.dtype
 
     def bw(g):
         g = g.astype(dtype, copy=False)
-        return (g @ weight.data.reshape(f, -1),
-                (g.T @ rows.data).reshape(weight.data.shape), g.sum(axis=0))
+        grads = g @ weight.data.reshape(f, -1), (g.T @ rows.data).reshape(weight.data.shape)
+        return grads if bias is None else grads + (g.sum(axis=0),)
 
-    return _node(data, (rows, weight, bias), bw)
+    return _node(data, parents, bw)
 
 
 _SNAP_TOL = 1e-7
 
 
 def bilinear_sample(feature_map, sample_grid):
-    """Sample feature_map [N,C,H,W] at sample_grid [N,Hg,Wg,2] pixel coords.
+    """Sample feature_map [N,C,H,W] at one sample_grid [Hg,Wg,2] of pixel coords.
 
     Grid entries are (x, y) source coordinates in pixel units; out-of-map
     samples read as zero. Coordinates within 1e-7 of an integer are snapped
     so integer translations degenerate to exact index shifts. Differentiable
     in the map only; the grid is treated as a constant. Backward is one
-    segment sum per batch item: the four corners' weighted gradient rows are
-    stably sorted by flat target pixel and summed with ``np.add.reduceat``.
+    segment sum: the four corners' weighted gradient rows are stably sorted
+    by flat target pixel and summed with ``np.add.reduceat``.
     """
     feature_map = _wrap(feature_map)
-    grid = sample_grid.data if isinstance(sample_grid, Tensor) else np.asarray(sample_grid, dtype=np.float64)
+    grid = np.asarray(sample_grid, dtype=np.float64)
     n, c, h, w = feature_map.data.shape
-    if grid.ndim != 4 or grid.shape[0] != n or grid.shape[3] != 2:
-        raise ShapeError("sample_grid must be [N,Hg,Wg,2]")
+    if grid.ndim != 3 or grid.shape[2] != 2:
+        raise ShapeError("sample_grid must be [Hg,Wg,2]")
     gx = grid[..., 0]
     gy = grid[..., 1]
     gx = np.where(np.abs(gx - np.round(gx)) < _SNAP_TOL, np.round(gx), gx)
@@ -685,21 +648,19 @@ def bilinear_sample(feature_map, sample_grid):
         corners.append((np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1),
                         (cw * valid).astype(dtype, copy=False)))
 
-    out = np.zeros((n, c) + grid.shape[1:3], dtype=dtype)
+    out = np.zeros((n, c) + grid.shape[:2], dtype=dtype)
     for yy, xx, cw in corners:
-        for b in range(n):
-            out[b] += feature_map.data[b][:, yy[b], xx[b]] * cw[b][None]
+        out += feature_map.data[:, :, yy, xx] * cw
 
     def bw(g):
+        flat = np.concatenate([(yy * w + xx).ravel() for yy, xx, _ in corners])
+        rows = np.concatenate([(g * cw).reshape(n, c, -1) for _, _, cw in corners],
+                              axis=2).astype(dtype, copy=False)
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
         gm = np.zeros((n, c, h * w), dtype=dtype)
-        for b in range(n):
-            flat = np.concatenate([(yy[b] * w + xx[b]).ravel() for yy, xx, _ in corners])
-            rows = np.concatenate([(g[b] * cw[b]).reshape(c, -1) for _, _, cw in corners],
-                                  axis=1).astype(dtype, copy=False)
-            order = np.argsort(flat, kind="stable")
-            flat = flat[order]
-            starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-            gm[b][:, flat[starts]] = np.add.reduceat(rows[:, order], starts, axis=1)
+        gm[:, :, flat[starts]] = np.add.reduceat(rows[:, :, order], starts, axis=2)
         return (gm.reshape(n, c, h, w),)
 
     return _node(out, (feature_map,), bw)

@@ -54,23 +54,23 @@ class BackboneConfig:
 
 
 class PillarFeatureNet(Module):
-    """Per-point projection (no bias: BN would cancel it) -> BN -> ReLU, max
-    per cell, scatter to grid. The float64 point rows are cast to the weight's
-    dtype, the compute dtype. Voxel mode averages the maxima over each BEV
-    column, whose voxels arrive adjacent."""
+    """Per-point projection [C, D] (no bias: BN would cancel it) -> BN -> ReLU,
+    max per cell, scatter to grid. The float64 point rows are cast to the
+    projection's dtype, the compute dtype. Voxel mode averages the maxima over
+    each BEV column, whose voxels arrive adjacent."""
 
     def __init__(self, in_dim, channels, rng):
         super().__init__()
         self.in_dim = in_dim
         self.channels = channels
         std = math.sqrt(2.0 / in_dim)  # Kaiming-normal for a ReLU net
-        self.weight = self.add_param(
-            "weight", ad.Tensor(rng.normal(0.0, std, size=(in_dim, channels))))
+        self.proj = self.add_param(
+            "proj", ad.Tensor(rng.normal(0.0, std, size=(in_dim, channels)).T))
         self.bn = self.add_child("bn", BatchNormReLU(channels))
 
     def __call__(self, pillars: PillarTensor):
         w, h = pillars.grid_dims
-        dtype = self.weight.data.dtype
+        dtype = self.proj.data.dtype
         if pillars.num_cells == 0:
             return ad.Tensor(np.zeros((1, self.channels, h, w), dtype))
         if pillars.features.shape[1] != self.in_dim:
@@ -78,7 +78,7 @@ class PillarFeatureNet(Module):
                              f"!= configured {self.in_dim}")
         counts = pillars.point_counts
         rows = ad.Tensor(pillars.features, dtype=dtype)
-        embedded = self.bn(ad.matmul(rows, self.weight))
+        embedded = self.bn(ad.conv_rows(rows, self.proj))
         cell_feats = ad.segment_max(embedded, np.cumsum(counts) - counts)
         coords = pillars.coords
         if coords.shape[1] == 3:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, infer, eval, ablate, grad-check, bench.
-Exit codes: 0 success, 2 ConfigError, 3 DataError, 4 DivergenceError.
+Exit codes: 0 success, 2 ConfigError, 3 DataError (also for an output path
+that cannot be written), 4 DivergenceError.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .bench import bench
 from .config import (apply_overrides, coerce, from_dict, load_config,
                      read_json_object)
 from .decode import MatchConfig
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, writing
 from .frameio import MANIFEST_NAME, read_sequence, write_sequence
 from .gradcheck import run_gradcheck
 from .metrics import evaluate, read_detections, write_detections
@@ -46,6 +47,25 @@ def load_dataset(path):
     return scenes
 
 
+def _output(path):
+    """`path` (None: no output), once its parent directory exists. Commands
+    make it before their work, so an output under a regular file, or at a
+    directory, ends the command at once with a DataError naming `path`."""
+    if path is None:
+        return None
+    with writing(path):
+        pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if pathlib.Path(path).is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
+    return path
+
+
+def _write_report(path, report):
+    with writing(path):
+        pathlib.Path(path).write_text(json.dumps(report, indent=2) + "\n",
+                                      encoding="utf-8")
+
+
 def cmd_gen_data(args):
     data = read_json_object(args.spec)
     count = coerce(1, data.pop("count", 1), "count")
@@ -54,7 +74,8 @@ def cmd_gen_data(args):
     spec = from_dict(SceneSpec, data)
 
     out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     for i in range(count):
         seq = generate_scene(dataclasses.replace(spec, seed=spec.seed + i))
         write_sequence(seq, out if count == 1 else out / f"seq_{i:03d}")
@@ -67,7 +88,8 @@ def cmd_train(args):
     cfg = load_config(args.config, TrainConfig)
     cfg = apply_overrides(cfg, args.set or [])
     scenes = load_dataset(args.data)
-    trace_path = args.trace or (args.out + ".trace.csv")
+    _output(args.out)
+    trace_path = _output(args.trace or (args.out + ".trace.csv"))
     model, opt, trace = train(cfg, scenes, trace_path=trace_path,
                               print_every=args.log_every)
     save_checkpoint(args.out, model, cfg, scenes[0].class_names,
@@ -83,6 +105,7 @@ def cmd_infer(args):
     if scenes[0].class_names != class_names:
         raise ConfigError(f"data classes {scenes[0].class_names} do not "
                           f"match checkpoint classes {class_names}")
+    _output(args.out)
     det_frames = [dets for seq in scenes
                   for dets in run_inference(model, seq, cfg.match)]
     write_detections(det_frames, class_names, args.out)
@@ -97,11 +120,10 @@ def cmd_eval(args):
     class_names = scenes[0].class_names
     gt_frames = [list(frame.gt_boxes) for seq in scenes for frame in seq.frames]
     det_frames = read_detections(args.dets, class_names, len(gt_frames))
+    out = _output(args.out)
     result = evaluate(det_frames, gt_frames, class_names, MatchConfig())
-    report = result.to_dict()
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n",
-                                          encoding="utf-8")
+    if out:
+        _write_report(out, result.to_dict())
     print(result.to_table())
     return 0
 
@@ -111,12 +133,12 @@ def cmd_ablate(args):
     cfg_b = load_config(args.config_b, TrainConfig)
     train_scenes = load_dataset(args.train_data) if args.train_data else None
     eval_scenes = load_dataset(args.data) if args.data else None
+    out = _output(args.out)
     report = ablation_run(cfg_a, cfg_b, train_scenes=train_scenes,
                           eval_scenes=eval_scenes,
                           min_bench_frames=args.bench_frames)
-    if args.out:
-        pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n",
-                                          encoding="utf-8")
+    if out:
+        _write_report(out, report)
     print(format_ablation(report))
     return 0
 

@@ -46,7 +46,7 @@ class Detection:
 def find_peaks(heatmap):
     """Boolean [K,h,w] mask of 3x3 local maxima with the lexicographic tie rule."""
     k, h, w = heatmap.shape
-    pooled = ad.maxpool2d(heatmap[None], 3, stride=1, padding=1).data[0]
+    pooled = ad.maxpool2d(heatmap[None]).data[0]
     peaks = heatmap >= pooled
     padded = np.full((k, h + 2, w + 2), -np.inf)
     padded[:, 1:-1, 1:-1] = heatmap

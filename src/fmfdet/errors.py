@@ -3,6 +3,7 @@
 CLI exit codes, one class each (see cli.py): ConfigError -> 2, DataError -> 3,
 DivergenceError -> 4. ShapeError and StateError are programming errors.
 """
+import contextlib
 
 
 class ConfigError(ValueError):
@@ -24,3 +25,15 @@ class StateError(RuntimeError):
 
 class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss or gradient."""
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Turn an OSError inside the block into a DataError naming `path`, the
+    output being written."""
+    try:
+        yield
+    except DataError:
+        raise
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from e

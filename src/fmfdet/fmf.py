@@ -53,7 +53,7 @@ def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
     `origin` is the world xy of the map's (min, min) corner; by default the
     map is taken as ego-centered.
     """
-    n, c, h, w = feature_map.data.shape
+    h, w = feature_map.data.shape[2:]
     if cell_size_out <= 0:
         raise ConfigError(f"cell_size_out must be positive, got {cell_size_out}")
     if origin is None:
@@ -66,8 +66,7 @@ def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
     src = pts @ rot2d(rel.yaw)  # row-vector form of R(-yaw) @ p
     sx = (src[..., 0] - x_min) / cell_size_out - 0.5
     sy = (src[..., 1] - y_min) / cell_size_out - 0.5
-    grid = np.broadcast_to(np.stack([sx, sy], axis=-1), (n, h, w, 2))
-    return ad.bilinear_sample(feature_map, grid)
+    return ad.bilinear_sample(feature_map, np.stack([sx, sy], axis=-1))
 
 
 def fmf_step(current, state: FMFState, block, pose=None, geom=None):

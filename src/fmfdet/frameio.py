@@ -30,7 +30,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, writing
 from .geometry import Pose2D
 from .scene import Box3D, PointCloudFrame, SceneSequence
 
@@ -145,17 +145,17 @@ def frame_file_name(index: int) -> str:
 
 
 def write_sequence(seq: SceneSequence, out_dir) -> None:
+    """Write the frames and manifest; an OSError is a DataError naming `out_dir`."""
     out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, frame in enumerate(seq.frames):
-        name = frame_file_name(i)
-        write_frame(frame, out / name)
-        names.append(name)
+    names = [frame_file_name(i) for i in range(len(seq.frames))]
     manifest = {"format": MANIFEST_FORMAT, "version": VERSION,
                 "class_names": list(seq.class_names), "frames": names}
-    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n",
-                                     encoding="utf-8")
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for frame, name in zip(seq.frames, names):
+            write_frame(frame, out / name)
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n",
+                                         encoding="utf-8")
 
 
 def read_sequence(data_dir) -> SceneSequence:

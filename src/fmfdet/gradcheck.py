@@ -113,9 +113,9 @@ def _case_concat_channels(rng):
     return (rng.normal(size=(1, 2, 3, 3)), rng.normal(size=(1, 3, 3, 3))), ad.concat_channels
 
 
-@_op_case("matmul", 29)
-def _case_matmul(rng):
-    return (rng.normal(size=(3, 4)), rng.normal(size=(4, 2))), ad.matmul
+@_op_case("conv_rows_no_bias", 29)
+def _case_conv_rows_no_bias(rng):
+    return (rng.normal(size=(3, 4)), rng.normal(size=(2, 4))), ad.conv_rows
 
 
 @_op_case("conv2d_same", 31)
@@ -213,7 +213,7 @@ def _case_conv_rows(rng):
 @_op_case("bilinear_sample", 39)
 def _case_bilinear(rng):
     x = rng.normal(size=(2, 3, 6, 7))
-    base = rng.integers(-1, 6, size=(2, 2, 3, 2)).astype(np.float64)
+    base = rng.integers(-1, 6, size=(2, 3, 2)).astype(np.float64)
     grid = base + rng.uniform(0.2, 0.8, size=base.shape)
     return (x,), lambda m: ad.bilinear_sample(m, grid)
 

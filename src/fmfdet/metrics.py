@@ -18,7 +18,7 @@ import pathlib
 import numpy as np
 
 from .decode import Detection, MatchConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, writing
 from .geometry import wrap_angle
 from .scene import Box3D
 
@@ -213,22 +213,24 @@ def evaluate(det_frames, gt_frames, class_names, cfg: MatchConfig) -> EvalResult
 # -- detection file serialization -------------------------------------------
 
 def write_detections(det_frames, class_names, path):
-    """Write per-frame detections as line-delimited JSON records."""
+    """Write per-frame detections as line-delimited JSON records. A NaN or
+    Inf in any field is a DataError naming `path` and the frame, raised
+    before anything is written: `read_detections` would reject the file."""
     lines = []
     for i, frame in enumerate(det_frames):
         for d in frame:
             b = d.box
-            lines.append(json.dumps({
-                "frame": i,
-                "class": class_names[d.class_id],
-                "score": d.score,
-                "center": [b.cx, b.cy, b.cz],
-                "size": [b.w, b.l, b.h],
-                "yaw": b.yaw,
-                "velocity": [b.vx, b.vy],
-            }))
-    pathlib.Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                                  encoding="utf-8")
+            rec = {"frame": i, "class": class_names[d.class_id], "score": d.score,
+                   "center": [b.cx, b.cy, b.cz], "size": [b.w, b.l, b.h],
+                   "yaw": b.yaw, "velocity": [b.vx, b.vy]}
+            try:
+                lines.append(json.dumps(rec, allow_nan=False))
+            except ValueError as e:
+                raise DataError(f"{path}: frame {i}: non-finite values in "
+                                f"detection {rec}") from e
+    with writing(path):
+        pathlib.Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
+                                      encoding="utf-8")
 
 
 def _numbers(rec, key, n=None):

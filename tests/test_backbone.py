@@ -27,7 +27,7 @@ def brute_voxel_map(pfn, pillars):
     (first row plus the sum of the rest) segment_mean shares, so the maps
     compare bitwise."""
     with ad.no_grad():
-        embedded = pfn.bn(ad.matmul(ad.Tensor(pillars.features), pfn.weight)).data
+        embedded = pfn.bn(ad.conv_rows(ad.Tensor(pillars.features), pfn.proj)).data
     columns, start = {}, 0
     for (ix, iy, iz), count in zip(pillars.coords.tolist(),
                                    pillars.point_counts.tolist()):
@@ -119,7 +119,7 @@ class TestPillarFeatureNet:
 
         out = loss()
         ad.backward(out)
-        w = pfn.weight
+        w = pfn.proj
         analytic = w.grad[0, 0]
         h = 1e-6
         with ad.no_grad():

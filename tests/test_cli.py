@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import pkgutil
+import re
 import shutil
 import struct
 import subprocess
@@ -25,8 +26,10 @@ from fmfdet.frameio import read_frame, write_frame
 from fmfdet.geometry import Pose2D
 from fmfdet.metrics import read_detections
 from fmfdet.model import run_inference
+from fmfdet.optim import AdamW
 from fmfdet.scene import PointCloudFrame
-from fmfdet.train import TrainConfig, load_checkpoint, read_trace
+from fmfdet.train import (TrainConfig, build_model, load_checkpoint, read_trace,
+                          save_checkpoint)
 from fmfdet.voxelizer import GridConfig, desk_pillar_config
 
 TINY_SPEC = {
@@ -401,6 +404,51 @@ class TestInferEval:
         err = capsys.readouterr().err
         assert keys and str(bad) in err and all(k in err for k in keys)
 
+    @pytest.mark.parametrize("pfn_channels", [8, 9])
+    def test_parent_format_checkpoint_names_the_pfn_key(self, workspace, tmp_path,
+                                                        capsys, pfn_channels):
+        """Checkpoints from before the PFN projection became `pfn.proj` [C, D]
+        stored it as `pfn.weight` [D, C]. With 9 channels both shapes are
+        (9, 9), so only the key keeps such a file from loading transposed."""
+        cfg = tiny_train_config(backbone=BackboneConfig(
+            pfn_channels=pfn_channels, neck_channels=(8,), neck_strides=(2,),
+            out_channels=8))
+        model = build_model(cfg, 2)
+        assert dict(model.named_parameters())["pfn.proj"].shape == (pfn_channels, 9)
+        good = tmp_path / "good.npz"
+        save_checkpoint(good, model, cfg, ("car", "pedestrian"),
+                        opt=AdamW(model.named_parameters()))
+        with np.load(good) as data:
+            arrays = {k.replace("pfn.proj", "pfn.weight"): data[k].T if "pfn.proj" in k
+                      else data[k] for k in data.files}
+        parent = tmp_path / "parent.npz"
+        np.savez(parent, **arrays)
+        out = tmp_path / "d.jsonl"
+        assert main(["infer", "--ckpt", str(parent), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(parent) in err
+        assert "param.pfn.weight (not in this model)" in err
+        assert "param.pfn.proj (missing)" in err
+        assert not out.exists()
+
+    def test_non_finite_detection_is_not_written(self, workspace, tmp_path, capsys):
+        """A size bias of 1000 overflows decode's exp, which NumPy warns of,
+        into Inf box sizes: infer exits 3 before it writes a detections file
+        that eval would reject."""
+        with np.load(workspace["ckpt"]) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["param.head.size.final.bias"][:] = 1000.0
+        bad = tmp_path / "huge.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "d.jsonl"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["infer", "--ckpt", str(bad), "--data", str(workspace["data"]),
+                         "--out", str(out)]) == 3
+        assert re.search(re.escape(str(out)) + r": frame \d+: non-finite values",
+                         capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_finite_pose_is_format_error(self, workspace, tmp_path, capsys):
         bad = poisoned_copy(workspace["data"], tmp_path / "data", "pose",
                             float("nan"))
@@ -591,6 +639,54 @@ class TestAblate:
                      "--config-b", str(cfg_b),
                      "--train-data", str(workspace["data"]),
                      "--data", str(workspace["data"])]) == 2
+
+
+def output_command(workspace, tmp_path, command, flag, path):
+    """argv for `command` on the workspace, with `flag` set to `path`."""
+    ws = {k: str(v) for k, v in workspace.items()}
+    cfg_b = tmp_path / "b.json"
+    cfg_b.write_text(json.dumps(to_dict(tiny_train_config(fmf=FMFConfig(enabled=False)))))
+    args = {"gen-data": ["--spec", ws["spec"]],
+            "train": ["--config", ws["cfg"], "--data", ws["data"],
+                      "--out", str(tmp_path / "m.npz")],
+            "infer": ["--ckpt", ws["ckpt"], "--data", ws["data"]],
+            "eval": ["--dets", ws["dets"], "--data", ws["data"]],
+            "ablate": ["--config-a", ws["cfg"], "--config-b", str(cfg_b),
+                       "--train-data", ws["data"], "--data", ws["data"],
+                       "--bench-frames", "2"]}[command]
+    return [command, *args, flag, str(path)]
+
+
+OUTPUTS = [("gen-data", "--out", "generate_scene"), ("train", "--out", "train"),
+           ("train", "--trace", "train"), ("infer", "--out", "run_inference"),
+           ("eval", "--out", "evaluate"), ("ablate", "--out", "ablation_run")]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command,flag,work", OUTPUTS)
+    def test_output_under_a_regular_file_exits_3_before_the_work(
+            self, workspace, tmp_path, monkeypatch, capsys, command, flag, work):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def never(*args, **kwargs):
+            pytest.fail(f"{work} ran")
+        monkeypatch.setattr(cli, work, never)
+        target = blocker / "out"
+        assert main(output_command(workspace, tmp_path, command, flag, target)) == 3
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,work", OUTPUTS)
+    def test_missing_parent_is_created(self, workspace, tmp_path, command, flag, work):
+        target = tmp_path / "new" / "dir" / "out"
+        assert main(output_command(workspace, tmp_path, command, flag, target)) == 0
+        assert target.is_dir() if command == "gen-data" else target.is_file()
+
+    def test_output_at_a_directory_exits_3_before_the_work(self, workspace, tmp_path,
+                                                            monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_inference", lambda *a: pytest.fail("inference ran"))
+        assert main(output_command(workspace, tmp_path, "infer", "--out", tmp_path)) == 3
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
 
 
 class TestGradCheckCommand:

@@ -534,6 +534,22 @@ class TestDetectionFiles:
                                                       f"detection record: {match}")):
             read_detections(path, ("car",), 1)
 
+    @pytest.mark.parametrize("field,value", [("score", math.nan), ("w", math.inf),
+                                             ("yaw", -math.inf), ("vy", math.nan)])
+    def test_non_finite_detection_is_not_written(self, tmp_path, field, value):
+        """write_detections refuses what read_detections would reject, naming
+        the path and the frame, and writes nothing."""
+        fields = {"score": 0.5, "box": box_at(0, 0)}
+        if field == "score":
+            fields["score"] = value
+        else:
+            fields["box"] = box_at(0, 0, **{field: value})
+        frames = [[Detection(box_at(1, 1), 0.5, 0)], [Detection(class_id=0, **fields)]]
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(DataError, match=re.escape(f"{path}: frame 1: non-finite")):
+            write_detections(frames, ("car",), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
     def test_unreadable_file_is_data_error(self, tmp_path, case):
         path = tmp_path / "dets.jsonl"

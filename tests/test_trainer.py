@@ -85,7 +85,7 @@ class TestTrainLoop:
         assert np.isfinite(trace[0][2:]).all()
         # one AdamW step leaves m = (1 - beta1) * grad
         pfn = [name for name, _ in model.named_parameters() if name.startswith("pfn.")]
-        assert pfn == ["pfn.weight", "pfn.bn.gamma", "pfn.bn.beta"]
+        assert pfn == ["pfn.proj", "pfn.bn.gamma", "pfn.bn.beta"]
         assert all(opt.m[name].any() for name in pfn)
 
     def test_deterministic_reruns(self):
@@ -359,21 +359,21 @@ class TestCheckpoints:
                         opt=AdamW(model.named_parameters()))
         with np.load(good) as data:
             arrays = {k: data[k] for k in data.files}
-        arrays["opt.m.pfn.weight"] = value
+        arrays["opt.m.pfn.proj"] = value
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
-        with pytest.raises(DataError, match=re.escape(str(bad)) + ": non-.* opt.m.pfn.weight"):
+        with pytest.raises(DataError, match=re.escape(str(bad)) + ": non-.* opt.m.pfn.proj"):
             load_checkpoint(bad)
 
     def test_misfit_state_names_every_key_and_loads_nothing(self):
         model = build_model(tiny_cfg(), 2)
         before = model.state_dict()
         state = dict(before, **{"param.extra": np.zeros(2)})
-        del state["param.pfn.weight"]
+        del state["param.pfn.proj"]
         state["param.fmf.conv.weight"] = np.zeros(3)
         with pytest.raises(ShapeError) as err:
             model.load_state_dict(state)
-        for key in ("param.extra (not in this model)", "param.pfn.weight (missing)",
+        for key in ("param.extra (not in this model)", "param.pfn.proj (missing)",
                     "param.fmf.conv.weight (shape (3,)"):
             assert key in str(err.value)
         assert all(np.array_equal(v, before[k]) for k, v in model.state_dict().items())
@@ -384,8 +384,8 @@ class TestCheckpoints:
         """load_checkpoint itself maps every way a file fails to be a
         checkpoint to DataError naming the path, and for misfit arrays
         every extra and missing key. A checkpoint from before the PFN
-        projection and the fusion conv lost their biases has no loader of
-        its own."""
+        projection became the [C, D] `pfn.proj` (it was `pfn.weight`, [D, C])
+        has no loader of its own."""
         cfg = tiny_cfg()
         good = tmp_path / "good.npz"
         save_checkpoint(good, build_model(cfg, 2), cfg, ("car", "pedestrian"))
@@ -407,12 +407,8 @@ class TestCheckpoints:
                 stored = json.loads(str(arrays["meta.config"][()]))
                 arrays["meta.config"] = np.array(json.dumps(dict(stored, lr_init=0.0)))
             else:
-                c = TINY_BACKBONE.out_channels
-                arrays["param.pfn.linear.weight"] = arrays.pop("param.pfn.weight")
-                arrays["param.pfn.linear.bias"] = np.zeros(TINY_BACKBONE.pfn_channels)
-                arrays["param.fmf.conv.bias"] = np.zeros(c)
-                keys = ["param.pfn.linear.weight", "param.pfn.linear.bias",
-                        "param.fmf.conv.bias", "param.pfn.weight"]
+                arrays["param.pfn.weight"] = arrays.pop("param.pfn.proj").T
+                keys = ["param.pfn.weight", "param.pfn.proj"]
             np.savez(bad, **arrays)
         with pytest.raises(DataError, match="invalid checkpoint") as err:
             load_checkpoint(bad)
