@@ -535,30 +535,25 @@ def segment_mean(x, starts):
     return _node(data, (x,), bw)
 
 
-def scatter_to_grid(features, coords, dims):
+def scatter_to_grid(features, cells, dims):
     """Scatter per-cell features [P,C] to a dense [1,C,H,W] grid.
 
-    `coords` is [P,2] integer (ix, iy) with unique in-grid entries;
+    `cells` is [P] flat indices iy*W + ix in strictly ascending order;
     `dims` is (W, H). Untouched cells are zero.
     """
     features = _wrap(features)
-    coords = np.asarray(coords, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
     w, h = int(dims[0]), int(dims[1])
     p, c = features.data.shape
-    if coords.shape != (p, 2):
-        raise ShapeError(f"coords shape {coords.shape} does not match {p} feature rows")
-    if p:
-        ix, iy = coords[:, 0], coords[:, 1]
-        if ix.min() < 0 or iy.min() < 0 or ix.max() >= w or iy.max() >= h:
-            raise IndexError("scatter coords outside the grid")
-        flat = np.sort(iy * w + ix)
-        if (flat[1:] == flat[:-1]).any():
-            raise IndexError("scatter coords must be unique")
+    if cells.shape != (p,):
+        raise ShapeError(f"cells shape {cells.shape} does not match {p} feature rows")
+    if p and (cells[0] < 0 or cells[-1] >= w * h or (cells[1:] <= cells[:-1]).any()):
+        raise IndexError("scatter cells must be strictly ascending and inside the grid")
     out = np.zeros((1, c, h, w), dtype=features.data.dtype)
-    out[0, :, coords[:, 1], coords[:, 0]] = features.data
+    out.reshape(c, h * w)[:, cells] = features.data.T
 
     def bw(g):
-        return (g[0, :, coords[:, 1], coords[:, 0]],)
+        return (g.reshape(c, h * w)[:, cells].T,)
 
     return _node(out, (features,), bw)
 

@@ -80,13 +80,13 @@ class PillarFeatureNet(Module):
         rows = ad.Tensor(pillars.features, dtype=dtype)
         embedded = self.bn(ad.conv_rows(rows, self.proj))
         cell_feats = ad.segment_max(embedded, np.cumsum(counts) - counts)
-        coords = pillars.coords
-        if coords.shape[1] == 3:
+        cells = pillars.coords[:, 1] * w + pillars.coords[:, 0]
+        if pillars.coords.shape[1] == 3:
             # voxel mode: average the per-voxel features over each BEV column
-            col_starts = np.flatnonzero(np.diff(coords[:, 1] * w + coords[:, 0], prepend=-1))
+            col_starts = np.flatnonzero(np.diff(cells, prepend=-1))
             cell_feats = ad.segment_mean(cell_feats, col_starts)
-            coords = coords[col_starts, :2]
-        return ad.scatter_to_grid(cell_feats, coords, (w, h))
+            cells = cells[col_starts]
+        return ad.scatter_to_grid(cell_feats, cells, (w, h))
 
 
 class Neck(Module):

@@ -11,9 +11,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError
-from .model import run_inference
-
-STAGES = ("voxelize", "backbone", "neck", "fmf", "head", "decode")
+from .model import STAGES, run_inference
 
 
 def _stats(samples):

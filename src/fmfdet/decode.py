@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .geometry import MapGeometry
 from .heads import HeadOutput
 from .scene import Box3D
@@ -79,6 +79,11 @@ def decode(head: HeadOutput, geom: MapGeometry, cfg: MatchConfig):
     cxs = (ixs + offs[0]) * geom.cell + geom.x_min
     cys = (iys + offs[1]) * geom.cell + geom.y_min
     dims = np.exp(sizes)
+    bad = np.flatnonzero(~(dims > 0).all(axis=0))
+    if bad.size:
+        j = bad[0]
+        raise DataError(f"decoded box size {dims[:, j].tolist()} is not positive: class "
+                        f"{ks[j]}, cell (iy, ix) = ({iys[j]}, {ixs[j]})")
     dets = []
     for k, score, cx, cy, cz, bw, bl, bh, r0, r1, vx, vy in zip(
             ks.tolist(), scores.tolist(), cxs.tolist(), cys.tolist(),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, StateError
-from .geometry import Pose2D, relative_pose, rot2d
+from .geometry import Pose2D, relative_pose
 
 __all__ = ["FMFConfig", "FMFState", "warp_feature_map", "fmf_step"]
 
@@ -61,9 +61,7 @@ def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
     x_min, y_min = origin
     xs = x_min + (np.arange(w) + 0.5) * cell_size_out
     ys = y_min + (np.arange(h) + 0.5) * cell_size_out
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx - rel.x, gy - rel.y], axis=-1)
-    src = pts @ rot2d(rel.yaw)  # row-vector form of R(-yaw) @ p
+    src = rel.inverse_apply(np.stack(np.meshgrid(xs, ys), axis=-1))
     sx = (src[..., 0] - x_min) / cell_size_out - 0.5
     sy = (src[..., 1] - y_min) / cell_size_out - 0.5
     return ad.bilinear_sample(feature_map, np.stack([sx, sy], axis=-1))

@@ -34,14 +34,14 @@ class Pose2D:
     yaw: float
 
     def apply(self, points):
-        """Map ego-frame points [N,2] (or [N,>=2], xy first) to world frame."""
+        """Map ego-frame points [..., >=2], xy first, to the world frame."""
         pts = np.asarray(points, dtype=np.float64)
         out = pts.copy()
         out[..., :2] = pts[..., :2] @ rot2d(self.yaw).T + np.array([self.x, self.y])
         return out
 
     def inverse_apply(self, points):
-        """Map world-frame points [N,2] (xy first) into the ego frame."""
+        """World-frame points [..., >=2], xy first, into the ego frame: R(-yaw)(p - t)."""
         pts = np.asarray(points, dtype=np.float64)
         out = pts.copy()
         out[..., :2] = (pts[..., :2] - np.array([self.x, self.y])) @ rot2d(self.yaw)
@@ -55,8 +55,8 @@ def relative_pose(prev: Pose2D, cur: Pose2D) -> Pose2D:
     p has current-frame coordinates R(dp.yaw) p + (dp.x, dp.y). Composition:
     cur^-1 o prev.
     """
-    dt = rot2d(cur.yaw).T @ np.array([prev.x - cur.x, prev.y - cur.y])
-    return Pose2D(float(dt[0]), float(dt[1]), float(wrap_angle(prev.yaw - cur.yaw)))
+    dx, dy = cur.inverse_apply((prev.x, prev.y))
+    return Pose2D(float(dx), float(dy), float(wrap_angle(prev.yaw - cur.yaw)))
 
 
 @dataclasses.dataclass(frozen=True)

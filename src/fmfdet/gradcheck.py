@@ -187,8 +187,8 @@ def _case_segment_mean(rng):
 
 @_op_case("scatter_to_grid", 37)
 def _case_scatter(rng):
-    coords = np.array([[0, 0], [4, 3], [2, 1], [1, 3]])
-    return (rng.normal(size=(4, 3)),), lambda f: ad.scatter_to_grid(f, coords, (5, 4))
+    cells = np.array([0, 7, 16, 19])  # (ix, iy) = (0, 0), (2, 1), (1, 3), (4, 3)
+    return (rng.normal(size=(4, 3)),), lambda f: ad.scatter_to_grid(f, cells, (5, 4))
 
 
 @_op_case("gather_pixels", 38)

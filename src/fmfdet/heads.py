@@ -125,15 +125,14 @@ class DetectionHead(Module):
         maps = {"heatmap": ad.sigmoid(final(ad.relu(hidden(bev))))}
         h, w = bev.data.shape[2:]
         ys, xs = np.indices((h, w)) if cells is None else cells(maps["heatmap"].data[0])
-        # scatter_to_grid needs unique cells; two boxes may share a centre
-        ys, xs = np.divmod(np.unique(np.asarray(ys, np.int64) * w + xs), w)
-        windows = ad.gather_pixels(bev, ys, xs, k=3)
-        coords = np.stack([xs, ys], axis=1)
+        # scatter_to_grid needs ascending unique cells; two boxes may share a centre
+        flat = np.unique(np.asarray(ys, np.int64) * w + xs)
+        windows = ad.gather_pixels(bev, *np.divmod(flat, w), k=3)
         for name, _ in REG_BRANCHES:
             hidden, final = self.branches[name]
             rows = ad.relu(ad.conv_rows(windows, hidden.weight, hidden.bias))
             rows = ad.conv_rows(rows, final.weight, final.bias)
-            maps[name] = ad.scatter_to_grid(rows, coords, (w, h))
+            maps[name] = ad.scatter_to_grid(rows, flat, (w, h))
         return HeadOutput(**maps)
 
 

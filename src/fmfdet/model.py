@@ -16,6 +16,9 @@ from .layers import ConvBNReLU, Module
 from .voxelizer import GridConfig, voxelize
 
 
+STAGES = ("voxelize", "backbone", "neck", "fmf", "head", "decode")
+
+
 def _no_stamp(stage):
     """Default per-stage callback: records nothing."""
 
@@ -58,7 +61,7 @@ class Detector(Module):
     def forward_frame(self, frame, state: FMFState = None, vox_seed=0,
                       stamp=_no_stamp, cells=None):
         """One sequence step: returns (HeadOutput, new state). `stamp(stage)`
-        is called as voxelize, backbone, neck, fmf and head each finish. With
+        is called as each stage of STAGES up to head finishes, in order. With
         fusion disabled the map passes to the head unchanged. `cells` is the
         head's (see DetectionHead)."""
         bev = self.extract(frame, vox_seed, stamp)

@@ -187,7 +187,7 @@ class SceneSpec:
             raise ConfigError("margin must be smaller than range")
 
 
-# nominal (w, l, h) per class name; unknown names fall back to the last entry
+# nominal (w, l, h) per class name; unknown names fall back to _FALLBACK_SIZE
 _SIZE_TEMPLATES = {
     "car": (1.9, 4.4, 1.6),
     "truck": (2.5, 7.0, 2.9),
@@ -287,13 +287,12 @@ def generate_scene(spec: SceneSpec) -> SceneSequence:
     for k in range(spec.num_frames):
         t = k * spec.dt
         pose = _ego_pose_at(spec, t)
-        rot_we = rot2d(pose.yaw)
         boxes = []
         chunks = []
         for i in range(spec.num_objects):
             c_w = centers0[i] + vels[i] * t
-            c_e = rot_we.T @ (c_w - np.array([pose.x, pose.y]))
-            v_e = rot_we.T @ vels[i]
+            c_e = pose.inverse_apply(c_w)
+            v_e = vels[i] @ rot2d(pose.yaw)
             yaw_e = wrap_angle(yaws[i] - pose.yaw)
             w, l, h = sizes[i]
             cz = h / 2.0

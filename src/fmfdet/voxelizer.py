@@ -62,7 +62,10 @@ class GridConfig:
         if lengths != (2, 2, 2, 3):
             raise ConfigError(f"x_range, y_range and z_range take 2 values and cell_size 3, "
                               f"got {lengths}")
-        self.dims  # checks every axis
+        w, h, z = self.dims  # checks every axis
+        if w * h * z > 2 ** 31:
+            raise ConfigError(f"cell_size {self.cell_size} gives a {w}x{h}x{z} grid; "
+                              f"voxelize needs W*H*Z <= 2^31 cells")
 
     @property
     def dims(self):
@@ -151,9 +154,9 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
         keys = keys * z + cell[2]
 
     # Point perm[j] gets random rank j; sorting key * n + rank groups the
-    # points by cell, in random order inside a cell. keys < W*H*Z <= 2^26 on
-    # the largest shipped grid (1024x1024x40), so the product stays below
-    # 2^63 for any frame under 2^37 points.
+    # points by cell, in random order inside a cell. keys < W*H*Z <= 2^31
+    # (GridConfig's bound) and a frame file holds n < 2^32 points (a uint32),
+    # so key * n + rank stays below 2^63.
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     ranked = np.sort(keys[perm] * n + np.arange(n))

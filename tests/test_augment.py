@@ -3,11 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fmfdet.augment import (AugmentConfig, AugTransform, apply_transform,
-                            sample_transform)
+from fmfdet.augment import (ROTATION_RANGE, SCALE_RANGE, AugmentConfig,
+                            AugTransform, apply_transform, sample_transform)
 from fmfdet.geometry import Pose2D, relative_pose, rot2d
 from fmfdet.scene import Box3D, PointCloudFrame
+
+POSES = st.builds(Pose2D, st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+                  st.floats(-10.0, 10.0))
+TRANSFORMS = st.builds(AugTransform, st.booleans(), st.booleans(),
+                       st.floats(-ROTATION_RANGE, ROTATION_RANGE), st.floats(*SCALE_RANGE))
 
 
 def demo_frame(seed=0, pose=Pose2D(1.0, -2.0, 0.4)):
@@ -118,17 +125,18 @@ class TestLabelConsistency:
             w1 = a1.ego_pose.apply(a1.points[:, :2])
             assert np.allclose(w0, w1, atol=1e-9)
 
-    def test_relative_pose_conjugation(self):
-        p0 = Pose2D(0.4, 0.1, -0.2)
-        p1 = Pose2D(0.9, -0.3, 0.25)
-        q_prev = np.array([[2.0, -1.0]])
+    @given(POSES, POSES, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), TRANSFORMS)
+    @example(Pose2D(0.4, 0.1, -0.2), Pose2D(0.9, -0.3, 0.25), 2.0, -1.0,
+             AugTransform(flip_x=True, rotation=0.3, scale=1.02))
+    @settings(max_examples=50, deadline=None)
+    def test_relative_pose_conjugation(self, p0, p1, qx, qy, tf):
+        q_prev = np.array([[qx, qy]])
         rel = relative_pose(p0, p1)
         q_cur = rel.apply(q_prev)
         f_prev = PointCloudFrame(np.concatenate([q_prev, [[0.0]], [[0.0]]], 1),
                                  0.0, p0, [])
         f_cur = PointCloudFrame(np.concatenate([q_cur, [[0.0]], [[0.0]]], 1),
                                 0.1, p1, [])
-        tf = AugTransform(flip_x=True, rotation=0.3, scale=1.02)
         a_prev = apply_transform(f_prev, tf)
         a_cur = apply_transform(f_cur, tf)
         rel_aug = relative_pose(a_prev.ego_pose, a_cur.ego_pose)

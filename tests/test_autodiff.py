@@ -100,18 +100,17 @@ class TestForwardSemantics:
     def test_scatter_gather_inverse(self):
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(5, 3))
-        coords = np.array([[0, 0], [3, 2], [1, 1], [2, 0], [3, 0]])
-        grid = ad.scatter_to_grid(leaf(feats), coords, dims=(4, 3))
+        cells = np.array([0, 2, 3, 5, 11])  # iy * 4 + ix
+        grid = ad.scatter_to_grid(leaf(feats), cells, dims=(4, 3))
         assert grid.data.shape == (1, 3, 3, 4)
-        back = ad.gather_pixels(grid, coords[:, 1], coords[:, 0])
+        back = ad.gather_pixels(grid, *np.divmod(cells, 4))
         assert np.array_equal(back.data, feats)
 
     def test_scatter_rejects_duplicates_and_out_of_grid(self):
         feats = leaf(np.ones((2, 1)))
-        with pytest.raises(IndexError):
-            ad.scatter_to_grid(feats, np.array([[0, 0], [0, 0]]), (2, 2))
-        with pytest.raises(IndexError):
-            ad.scatter_to_grid(feats, np.array([[0, 0], [2, 0]]), (2, 2))
+        for cells in ([0, 0], [3, 1], [-1, 0], [0, 4]):  # duplicate, unsorted, outside
+            with pytest.raises(IndexError):
+                ad.scatter_to_grid(feats, np.array(cells), (2, 2))
 
     def test_bilinear_sample_interpolates(self):
         m = np.zeros((1, 1, 2, 2))

@@ -449,6 +449,21 @@ class TestInferEval:
                          capsys.readouterr().err)
         assert not out.exists()
 
+    def test_degenerate_decoded_size_is_data_error(self, workspace, tmp_path, capsys):
+        """A size bias of -1000 underflows decode's exp to 0: infer exits 3,
+        naming the class and cell, and writes no detections file."""
+        with np.load(workspace["ckpt"]) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["param.head.size.final.bias"][:] = -1000.0
+        bad = tmp_path / "tiny.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "d.jsonl"
+        assert main(["infer", "--ckpt", str(bad), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 3
+        assert re.search(r"decoded box size \[0\.0, 0\.0, 0\.0\] is not positive: "
+                         r"class \d+, cell", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_finite_pose_is_format_error(self, workspace, tmp_path, capsys):
         bad = poisoned_copy(workspace["data"], tmp_path / "data", "pose",
                             float("nan"))

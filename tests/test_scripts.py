@@ -1,0 +1,101 @@
+"""scripts/ab_pairs.py on fake checkouts: each holds a BENCHMARK.json and a stub
+perfbench/run.py that prints what the real one prints, a detail line and then
+a result line, so the parser and the verdict run without a real benchmark."""
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
+_spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+BENCHMARK = {
+    "command": ["python3", "perfbench/run.py"],
+    "paths": ["perfbench"],
+    "run_seconds": 1,
+    "workloads": [{"name": "tiny", "why": "stub"}],
+    "end_to_end": [
+        {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "quality_loss", "unit": "1", "better": "lower", "bound": 0.1},
+    ],
+}
+
+STUB = """import json, sys
+args = sys.argv[1:]
+seed = int(args[args.index("--seed") + 1])
+print("warming up")
+print(json.dumps({{"detail": {{"argv": args, "env": {{
+    "git_commit": {commit!r}, "src_lines": {lines}, "python": "3"}}}}}}))
+print(json.dumps({{"correct": {correct}, "attempted": 4, "failed": 0, "metrics": {{
+    "latency_p50_ms": {{"value": {p50} + 0.01 * seed, "unit": "ms"}},
+    "quality_loss": {{"value": 0.5, "unit": "1"}}}}}}))
+sys.exit(0 if {correct} else 1)
+"""
+
+GARBAGE = """import sys
+print("no json here")
+print("workload crashed", file=sys.stderr)
+sys.exit(1)
+"""
+
+
+def checkout(root, name, p50=2.0, correct=True, garbage=False):
+    """A fake checkout under root/name whose stub reports `p50` + 0.01 * seed."""
+    path = root / name
+    (path / "perfbench").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK), encoding="utf-8")
+    source = GARBAGE if garbage else STUB.format(
+        commit=name, lines=100 + len(name), correct=correct, p50=p50)
+    (path / "perfbench" / "run.py").write_text(source, encoding="utf-8")
+    return path
+
+
+def run_main(capsys, base, change, pairs=2):
+    """main's exit status, its last stdout line as JSON, and its stderr."""
+    code = ab_pairs.main([str(base), str(change), "--workload", "tiny",
+                          "--seed", "5", "--pairs", str(pairs)])
+    out, err = capsys.readouterr()
+    return code, json.loads(out.strip().splitlines()[-1]), err
+
+
+class TestRunPerfbench:
+    def test_parses_detail_and_result_and_attaches_env(self, tmp_path):
+        run = ab_pairs.run_perfbench(checkout(tmp_path, "abc"), "tiny", 3, 1, timeout=60)
+        assert run["exit_code"] == 0 and "stderr_tail" not in run
+        assert run["detail"]["argv"] == ["--workload", "tiny", "--seed", "3",
+                                         "--seconds", "1", "--trace", "0"]
+        assert run["result"]["env"] == {"git_commit": "abc", "src_lines": 103}
+        assert run["result"]["metrics"]["latency_p50_ms"]["value"] == pytest.approx(2.03)
+        assert run["result"]["correct"] is True
+
+    def test_garbage_output_gives_stderr_tail(self, tmp_path):
+        run = ab_pairs.run_perfbench(checkout(tmp_path, "abc", garbage=True), "tiny", 3, 1,
+                                     timeout=60)
+        assert run["exit_code"] == 1
+        assert "workload crashed" in run["stderr_tail"]
+        assert "result" not in run and "detail" not in run
+
+
+class TestMain:
+    def test_every_run_good_exits_0(self, tmp_path, capsys):
+        code, last, err = run_main(capsys, checkout(tmp_path, "base", p50=2.0),
+                                   checkout(tmp_path, "change", p50=1.0))
+        assert code == 0 and not err
+        assert last["wins"] == 2 and last["pairs"] == 2
+        assert last["env"] == {"base": {"git_commit": "base", "src_lines": 104},
+                               "change": {"git_commit": "change", "src_lines": 106}}
+        assert last["summary"]["quality_loss"]["largest_pair_relative_change"] == 0.0
+        assert [r["metrics"]["latency_p50_ms"]["value"] for r in last["runs"]["base"]] \
+            == pytest.approx([2.05, 2.06])
+
+    @pytest.mark.parametrize("broken", [{"correct": False}, {"garbage": True}],
+                             ids=["incorrect", "unparsable"])
+    def test_one_bad_run_exits_1(self, tmp_path, capsys, broken):
+        code, last, err = run_main(capsys, checkout(tmp_path, "base"),
+                                   checkout(tmp_path, "change", p50=1.0, **broken))
+        assert code == 1
+        assert last["wins"] == 0  # a pair with a bad run counts for neither side
+        assert "2 of 4 runs missing, incorrect or with failed operations" in err

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmfdet.config import from_dict
 from fmfdet.errors import ConfigError
 from fmfdet.scene import PointCloudFrame
+from fmfdet.train import TrainConfig
 from fmfdet.voxelizer import (PILLAR_FEATURE_DIM, VOXEL_FEATURE_DIM,
                               GridConfig, desk_pillar_config,
                               desk_voxel_config, voxelize)
@@ -69,6 +71,18 @@ class TestGridConfig:
     def test_empty_range_rejected(self):
         with pytest.raises(ConfigError):
             GridConfig(y_range=(2.0, 2.0))
+
+    def test_cell_count_over_2_31_rejected(self):
+        """voxelize sorts key * n + rank in int64, which stays below 2^63 only
+        for W*H*Z <= 2^31. Only configs are built: such a grid's map would
+        take hundreds of GB."""
+        xy = dict(x_range=(0.0, 2048.0), y_range=(0.0, 2048.0), cell_size=(1.0, 1.0, 1.0))
+        assert GridConfig(z_range=(0.0, 512.0), **xy).dims == (2048, 2048, 512)
+        with pytest.raises(ConfigError, match=r"cell_size \(1\.0, 1\.0, 1\.0\) gives a "
+                                              r"2048x2048x513 grid"):
+            GridConfig(z_range=(0.0, 513.0), **xy)
+        with pytest.raises(ConfigError, match=r"^grid: cell_size"):
+            from_dict(TrainConfig, {"grid": {"cell_size": [0.001, 0.001, 0.001]}})
 
 
 class TestBinning:
