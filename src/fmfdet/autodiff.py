@@ -77,7 +77,7 @@ class Tensor:
     """N-dimensional value with an optional gradient.
 
     ``grad`` is populated by ``backward`` and accumulates across calls until
-    its owner resets it (e.g. ``AdamW.zero_grad``). Tensors produced by ops
+    its owner resets it (e.g. ``Module.zero_grad``). Tensors produced by ops
     are treated as immutable; mutate ``data`` only on leaves you own, and
     only once the backward through them has run (e.g. optimizer steps, which
     rebind it).
@@ -187,10 +187,8 @@ def relu(a):
 
 def sigmoid(a):
     a = _wrap(a)
-    # numerically stable two-sided form
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
-                    np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))))
+    e = np.exp(-np.abs(a.data))     # stable two-sided form: exp(-|x|) never overflows
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g):
         return (g * data * (1.0 - data),)

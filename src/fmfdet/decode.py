@@ -42,17 +42,19 @@ class Detection:
     score: float
     class_id: int
 
+    def rank(self):
+        """The one detection order: score descending, then class, cx, cy."""
+        return (-self.score, self.class_id, self.box.cx, self.box.cy)
+
 
 def find_peaks(heatmap):
-    """Boolean [K,h,w] mask of 3x3 local maxima with the lexicographic tie rule."""
-    k, h, w = heatmap.shape
-    pooled = ad.maxpool2d(heatmap[None]).data[0]
-    peaks = heatmap >= pooled
-    padded = np.full((k, h + 2, w + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = heatmap
-    for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
-        neighbor = padded[:, 1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-        peaks &= neighbor != heatmap
+    """Boolean [K,h,w] mask of 3x3 local maxima with the lexicographic tie rule:
+    a cell equal to its left, up-left, up or up-right in-map neighbour loses."""
+    peaks = heatmap >= ad.maxpool2d(heatmap[None]).data[0]
+    peaks[:, :, 1:] &= heatmap[:, :, 1:] != heatmap[:, :, :-1]
+    peaks[:, 1:, 1:] &= heatmap[:, 1:, 1:] != heatmap[:, :-1, :-1]
+    peaks[:, 1:, :] &= heatmap[:, 1:, :] != heatmap[:, :-1, :]
+    peaks[:, 1:, :-1] &= heatmap[:, 1:, :-1] != heatmap[:, :-1, 1:]
     return peaks
 
 
@@ -91,5 +93,5 @@ def decode(head: HeadOutput, geom: MapGeometry, cfg: MatchConfig):
             *rots.tolist(), *vels.tolist()):
         box = Box3D(cx, cy, cz, bw, bl, bh, math.atan2(r0, r1), vx, vy, k)
         dets.append(Detection(box, score, k))
-    dets.sort(key=lambda d: (-d.score, d.class_id, d.box.cx, d.box.cy))
+    dets.sort(key=Detection.rank)
     return dets

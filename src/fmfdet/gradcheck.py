@@ -300,7 +300,7 @@ def check_pipeline(full=False):
     model.train()
 
     def forward():
-        return total_loss(*pair_losses(model, prev, cur, cfg, (11, 12)), cfg.loss_weights)
+        return total_loss(pair_losses(model, prev, cur, cfg, (11, 12)), cfg.loss_weights)
 
     loss = forward()
     ad.backward(loss)

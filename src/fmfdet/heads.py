@@ -233,12 +233,10 @@ def regression_losses(head: HeadOutput, target: TargetMaps):
                  for name in LOSS_TERMS)
 
 
-def total_loss(l_hm, l_offset, l_size, l_height, l_rotation, l_velocity,
-               weights: LossWeights):
-    """Weighted sum of the six loss components: the heatmap loss, then the
+def total_loss(parts, weights: LossWeights):
+    """Weighted sum of `train.pair_losses`' parts: the heatmap loss, then the
     regression losses in LOSS_TERMS order."""
-    out = l_hm
-    terms = (l_offset, l_size, l_height, l_rotation, l_velocity)
-    for term, name in zip(terms, LOSS_TERMS):
+    out = parts[0]
+    for term, name in zip(parts[1:], LOSS_TERMS, strict=True):
         out = ad.add(out, ad.mul(term, getattr(weights, name)))
     return out

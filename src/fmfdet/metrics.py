@@ -58,8 +58,7 @@ def _group_by_frame(dets, gts):
     groups = []
     for cid, frame_gts in sorted(gt_by_class.items()):
         class_dets = sorted((d for d in dets if d[1].class_id == cid),
-                            key=lambda fd: (-fd[1].score, fd[1].class_id,
-                                            fd[1].box.cx, fd[1].box.cy))
+                            key=lambda fd: fd[1].rank())
         rows = []
         for fi, det in class_dets:
             boxes = frame_gts.get(fi, ())
@@ -187,15 +186,16 @@ def evaluate(det_frames, gt_frames, class_names, cfg: MatchConfig) -> EvalResult
     classes_with_gt = sorted({g.class_id for _, g in gts})
     per_class_ap = {class_names[c]: {} for c in classes_with_gt}
     groups = _group_by_frame(dets, gts)
+    matches = {t: _match_groups(groups, t) for t in {*cfg.distance_thresholds, _TP_THRESHOLD}}
     ap_values = []
     for thr in cfg.distance_thresholds:
-        ap, _ = _match_groups(groups, thr)
+        ap, _ = matches[thr]
         for c in classes_with_gt:
             per_class_ap[class_names[c]][float(thr)] = ap[c]
             ap_values.append(ap[c])
     mAP = float(np.mean(ap_values)) if ap_values else 0.0
 
-    _, errors = _match_groups(groups, _TP_THRESHOLD)
+    _, errors = matches[_TP_THRESHOLD]
     if classes_with_gt:
         means = {name: float(np.mean([errors[c][name] for c in classes_with_gt]))
                  for name in TP_ERROR_NAMES}

@@ -85,6 +85,7 @@ def run_inference(model: Detector, sequence, match_cfg, stamp=_no_stamp):
     """Frame-ordered inference over one sequence; returns per-frame detections.
     `stamp(stage)` is called as in Detector.forward_frame, then after decode.
     The head evaluates its regression maps at the peaks decode then reads."""
+    # imported per call, so a wrapper set on the decode module's decode is the one run
     from .decode import decode, select_peaks
 
     model.eval()

@@ -44,10 +44,6 @@ class AdamW:
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data = p.data * (1.0 - self.lr * self.weight_decay) - self.lr * update
 
-    def zero_grad(self):
-        for _, p in self.params:
-            p.grad = None
-
     def state_dict(self):
         state = {"t": self.t}
         for name in self.m:

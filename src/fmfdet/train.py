@@ -161,7 +161,7 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
                 prev = apply_transform(prev, tf)
                 cur = apply_transform(cur, tf)
             parts = pair_losses(model, prev, cur, cfg, (int(seeds[1]), int(seeds[2])))
-            loss = total_loss(*parts, cfg.loss_weights)
+            loss = total_loss(parts, cfg.loss_weights)
             values = [t.item() for t in parts + (loss,)]
             if not all(np.isfinite(values)):
                 raise DivergenceError(f"non-finite loss at step {step}: {values}")
@@ -169,13 +169,13 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
             sums = values[:-1] if sums is None else [a + v for a, v in zip(sums, values)]
 
         means = [s * scale for s in sums]
-        values = means + [total_loss(*means, cfg.loss_weights).item()]
+        values = means + [total_loss(means, cfg.loss_weights).item()]
         grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
                                   for p in model.parameters() if p.grad is not None))
         if not math.isfinite(grad_norm):
             raise DivergenceError(f"non-finite gradient norm at step {step}: {grad_norm}")
         opt.step()
-        opt.zero_grad()
+        model.zero_grad()
 
         trace.append((step, lr) + tuple(values))
         if print_every and step % print_every == 0:

@@ -599,6 +599,24 @@ class TestBench:
                      for f in seq.frames)
         assert report["points_mb"] == 16 * points / 2 ** 20
 
+    def test_run_inference_calls_the_decode_module_attribute(self, workspace, monkeypatch):
+        """run_inference imports decode per call, so a wrapper set on the
+        decode module's `decode` runs once per frame (the package attribute
+        `fmfdet.decode` is the function, so the module comes from importlib)."""
+        model, cfg, _names, _step, _opt = load_checkpoint(workspace["ckpt"])
+        seq = load_dataset(workspace["data"])[0]
+        expect = run_inference(model, seq, cfg.match)
+        decode_mod = importlib.import_module("fmfdet.decode")
+        real, calls = decode_mod.decode, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decode_mod, "decode", counting)
+        assert run_inference(model, seq, cfg.match) == expect
+        assert len(calls) == len(seq.frames)
+
     def test_parallel_and_sequential_match_run_inference(self, workspace):
         model, cfg, _names, _step, _opt = load_checkpoint(workspace["ckpt"])
         scenes = load_dataset(workspace["data"]) * 3

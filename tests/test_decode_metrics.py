@@ -98,6 +98,9 @@ class TestFindPeaks:
         for _ in range(5):
             hm = rng.integers(0, 5, size=(2, 12, 12)) / 4.0
             assert np.array_equal(find_peaks(hm), oracle_peaks(hm))
+            # infinite plateaus: outside the map is not a neighbour, -inf or not
+            hm[hm == 0.0], hm[hm == 1.0] = -np.inf, np.inf
+            assert np.array_equal(find_peaks(hm), oracle_peaks(hm))
 
     def test_plateau_keeps_lexicographic_first(self):
         hm = np.zeros((1, 8, 8))
@@ -106,8 +109,9 @@ class TestFindPeaks:
         # the zero background is a plateau too; each keeps its first cell
         assert peaks.tolist() == [[0, 0, 0], [0, 2, 3]]
 
-    def test_constant_map_keeps_origin_only(self):
-        peaks = np.argwhere(find_peaks(np.full((1, 5, 5), 0.3)))
+    @pytest.mark.parametrize("level", [0.3, -np.inf, np.inf])
+    def test_constant_map_keeps_origin_only(self, level):
+        peaks = np.argwhere(find_peaks(np.full((1, 5, 5), level)))
         assert peaks.tolist() == [[0, 0, 0]]
 
     def test_isolated_maxima_all_found(self):

@@ -302,14 +302,14 @@ class TestLossTail:
 class TestTotalLoss:
     def test_hand_sum(self):
         w = LossWeights()
-        t = total_loss(ad.Tensor(5.0), ad.Tensor(0.2), ad.Tensor(0.0),
-                       ad.Tensor(0.0), ad.Tensor(0.0), ad.Tensor(0.0), w)
+        t = total_loss((ad.Tensor(5.0), ad.Tensor(0.2), ad.Tensor(0.0),
+                        ad.Tensor(0.0), ad.Tensor(0.0), ad.Tensor(0.0)), w)
         assert t.data == pytest.approx(5.2, rel=1e-12)
 
     def test_rotation_weight_applies(self):
         w = LossWeights()
-        t = total_loss(ad.Tensor(0.0), ad.Tensor(0.0), ad.Tensor(0.0),
-                       ad.Tensor(0.0), ad.Tensor(1.0), ad.Tensor(0.0), w)
+        t = total_loss((ad.Tensor(0.0), ad.Tensor(0.0), ad.Tensor(0.0),
+                        ad.Tensor(0.0), ad.Tensor(1.0), ad.Tensor(0.0)), w)
         assert t.data == pytest.approx(0.2, rel=1e-12)
 
     def test_negative_weight_rejected(self):

@@ -196,7 +196,7 @@ class TestTrainLoop:
         per_pair = [real_pair_losses(model, prev, cur, cfg, seeds)
                     for prev, cur, seeds in inputs]
         means = [ad.mul(ad.add(a, b), 0.5) for a, b in zip(*per_pair)]
-        loss = total_loss(*means, cfg.loss_weights)
+        loss = total_loss(means, cfg.loss_weights)
         ad.backward(loss)
         assert trace[0][2:] == tuple(m.item() for m in means) + (loss.item(),)
         joint = dict(model.named_parameters())
