@@ -13,12 +13,19 @@ and parses one perfbench run, is also how `bench_snapshot.py` runs it.
 It prints each pair's end-to-end values; each side's commit and
 `wc -l src/fmfdet/*.py` total (`env.git_commit` and `env.src_lines` of the
 detail line perfbench prints before its result); each side's median and
-quartiles; how many pairs the change wins on the claimed metric (--metric;
-a tie counts for neither side); whether the medians differ by more than
-BASE's interquartile range; every metric's median change against its bound;
-and every metric's largest relative change within one pair, which for the
-per-seed deterministic quality_loss is the change's own effect. The last
-line is one JSON object with both sides' env and every run.
+quartiles; every metric's median change against its bound, and its largest
+relative change within one pair, which for the per-seed deterministic
+quality_loss is the change's own effect. The last line is one JSON object
+with both sides' env, every run and every metric's verdict:
+
+- the claimed metric (--metric) reads "claim met" only when the change is
+  better in at least 9/10 of the pairs run (a tie counts for neither side)
+  and its median is better than BASE's by more than BASE's interquartile
+  range; otherwise "claim not met";
+- every other metric reads "unresolved" when BASE's interquartile range,
+  relative to its median, is wider than the metric's bound and not every
+  change run is better than every BASE run; otherwise "within bound" or
+  "WORSE than bound", by its median change.
 
 Medians and pair counts use good runs only: a run that reported, is
 correct and had no failed operations. The exit status is 1 when any run
@@ -133,6 +140,10 @@ def main(argv=None):
               f"src_lines {envs[side].get('src_lines')}; {len(ok)}/{args.pairs} runs reported, "
               f"{sum(bool(r.get('correct')) for r in ok)} correct, "
               f"failed operations {failed_ops}/{attempted}")
+    sign = 1.0 if metrics[args.metric]["better"] == "lower" else -1.0
+    pairs = pair_values(runs, args.metric)
+    wins = sum(sign * (b - c) > 0 for b, c in pairs)
+    losses = sum(sign * (b - c) < 0 for b, c in pairs)
     summary = {}
     for name, m in metrics.items():
         base, change = values_of(runs["base"], name), values_of(runs["change"], name)
@@ -142,32 +153,32 @@ def main(argv=None):
         bq, cq = quartiles(base), quartiles(change)
         sign = 1.0 if m["better"] == "lower" else -1.0
         worse = sign * (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
-        verdict = "WORSE than bound" if worse > m["bound"] else "within bound"
+        if name == args.metric:
+            gap, iqr = sign * (bq[1] - cq[1]), bq[2] - bq[0]
+            met = wins >= 0.9 * args.pairs and gap > iqr
+            verdict = "claim met" if met else "claim not met"
+            print(f"claim {name}: change better in {wins}/{args.pairs} pairs "
+                  f"({losses} worse); median gain {gap:.4g} against base IQR {iqr:.4g}: "
+                  f"{verdict}")
+        elif bq[2] - bq[0] > m["bound"] * abs(bq[1]) and not (
+                max(change) < min(base) if sign > 0 else min(change) > max(base)):
+            verdict = "unresolved"   # spread wider than the bound, and runs overlap
+        else:
+            verdict = "WORSE than bound" if worse > m["bound"] else "within bound"
         pair_changes = [(cv - bv) / bv for bv, cv in pair_values(runs, name) if bv]
         largest = max(pair_changes, key=abs, default=None)
         summary[name] = {"base": bq, "change": cq, "relative_change": (cq[1] - bq[1]) / bq[1]
                          if bq[1] else None, "largest_pair_relative_change": largest,
-                         "bound": m["bound"]}
+                         "bound": m["bound"], "verdict": verdict}
         print(f"{name} [{m['unit']}]: base {bq[1]:.4g} [{bq[0]:.4g}, {bq[2]:.4g}]  "
               f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  "
               f"median {100 * (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0:+.1f}% "
-              f"(bound {100 * m['bound']:.0f}% worse: {verdict}); largest pair change "
+              f"(bound {100 * m['bound']:.0f}% worse): {verdict}; largest pair change "
               f"{'n/a' if largest is None else format(largest, '+.3e')}")
-
-    m = metrics[args.metric]
-    sign = 1.0 if m["better"] == "lower" else -1.0
-    pairs = pair_values(runs, args.metric)
-    wins = sum(sign * (b - c) > 0 for b, c in pairs)
-    losses = sum(sign * (b - c) < 0 for b, c in pairs)
-    if args.metric in summary:
-        bq, cq = summary[args.metric]["base"], summary[args.metric]["change"]
-        gap, iqr = abs(bq[1] - cq[1]), bq[2] - bq[0]
-        print(f"claim {args.metric}: change better in {wins}/{len(pairs)} pairs "
-              f"({losses} worse); median gap {gap:.4g} against base IQR {iqr:.4g}: "
-              f"{'gap exceeds IQR' if gap > iqr else 'gap within IQR'}")
+    claim = summary.get(args.metric, {}).get("verdict", "claim not met")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                       "seconds": seconds, "metric": args.metric, "wins": wins,
-                      "env": envs, "summary": summary, "runs": runs}))
+                      "claim": claim, "env": envs, "summary": summary, "runs": runs}))
     bad = sum(not good(r) for side in runs.values() for r in side)
     if bad:
         print(f"{bad} of {2 * args.pairs} runs missing, incorrect or with failed "

@@ -10,10 +10,13 @@ on every tensor created with ``requires_grad=True``.
 Memory contract: an op's backward function saves only what the graph already
 holds (its parents and its own output, plus per-channel or index arrays) and
 recomputes anything map-sized from them; a loss op also keeps the target
-array it was given and recomputes its masks and weights from it. So the
+array it was given and recomputes its masks and weights from it, and
+`bilinear_sample` keeps its corner table, which has no channel axis. So the
 inputs of an op must not be mutated between its forward and the backward
 through it. A training conv -> batch norm -> ReLU block keeps two maps, the
 conv output and the batch norm's: `batchnorm` ends in its ReLU, in place.
+In eval mode under no_grad the block keeps none: `conv2d` applies batch norm
+and its ReLU in its epilogue.
 `backward` frees the graph as it walks it, like PyTorch's
 ``retain_graph=False``: one backward per graph, and a second one through a
 freed node raises StateError.
@@ -32,6 +35,7 @@ Forward results are plain numpy and bit-deterministic for fixed inputs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import numbers
 import threading
@@ -62,6 +66,11 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = prev
+
+
+def grad_enabled():
+    """Whether ops in this thread record the graph (False inside no_grad)."""
+    return _grad_mode.enabled
 
 
 def _as_array(data, dtype=None):
@@ -271,6 +280,7 @@ def concat_channels(*maps):
 # --------------------------------------------------------------------------
 
 _scratch = threading.local()
+_BN_EPS = 1e-5
 
 
 def _buffer(role, shape, dtype):
@@ -289,22 +299,37 @@ def _buffer(role, shape, dtype):
     return buf[:size].reshape(shape)
 
 
-def _phase_runs(size, pad, s):
-    """For each phase a of a zero-padded axis split with stride s: (a, first
-    phase index, first input index, count) of the input pixels it holds."""
+@functools.lru_cache(maxsize=64)
+def _conv_plan(h, w, kh, kw, s, pad):
+    """conv2d's per-shape constants, cached since a model runs few shapes:
+    the phase grid (hq, wq); for each phase a of the rows, then of the
+    columns, (a, first phase index, first input index, count) of the input
+    pixels it holds; and the taps (i, j, phase, offset)."""
+    # one spare phase row: the last taps' slices run past the final row
+    hq, wq = -(-(h + 2 * pad) // s) + 1, -(-(w + 2 * pad) // s)
     runs = []
-    for a in range(s):
-        first = max(0, -((a - pad) // s))
-        start = a + s * first - pad
-        runs.append((a, first, start, len(range(start, size, s))))
-    return runs
+    for size in (h, w):
+        runs.append([])
+        for a in range(s):
+            first = max(0, -((a - pad) // s))
+            start = a + s * first - pad
+            runs[-1].append((a, first, start, len(range(start, size, s))))
+    taps = tuple((i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
+                 for i in range(kh) for j in range(kw))
+    return hq, wq, tuple(runs[0]), tuple(runs[1]), taps
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0):
+def conv2d(x, weight, bias=None, stride=1, padding=0, bn_relu=None):
     """Cross-correlation of x [N,C,H,W] with weight [F,C,kh,kw].
 
     `padding` is symmetric zero padding in pixels; the output is
     H' = (H + 2 padding - kh) // stride + 1 (likewise W').
+
+    `bn_relu` is for `layers.ConvBNReLU` in eval mode under no_grad alone:
+    the (gamma, beta, running_mean, running_var) tensors of the batch norm
+    that follows. The conv then writes batch norm's eval arithmetic and its
+    ReLU straight from the accumulator, the same float ops in the same order
+    as `batchnorm` on the conv's output, and returns a detached result.
 
     Kernel-offset form: the zero-padded input is split into stride x stride
     phases xp[a::s, b::s], each flattened with row width wq. Tap (i, j) then
@@ -338,12 +363,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         parents.append(bias)
     s, pad = stride, padding
     dtype = np.result_type(x.data, weight.data)
-    # one spare phase row: the last taps' slices run past the final row
-    hq, wq = -(-(h + 2 * pad) // s) + 1, -(-(w + 2 * pad) // s)
+    hq, wq, rows, cols, taps = _conv_plan(h, w, kh, kw, s, pad)
     length = oh * wq
-    rows, cols = _phase_runs(h, pad, s), _phase_runs(w, pad, s)
 
     def phases():
+        if kh == kw == s == 1 and pad == 0 and x.data.dtype == dtype:
+            return x.data.reshape(n, cin, 1, h * w)     # a 1x1 kernel reads x as it is
         xq = _buffer("phases", (n, cin, s, s, hq, wq), dtype)
         for a, ra, ha, na in rows:
             for b, qb, wb, nb in cols:
@@ -354,8 +379,6 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         return xq.reshape(n, cin, s * s, hq * wq)
 
     xq = phases()
-    taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
-            for i in range(kh) for j in range(kw)]
 
     def taps_weight():
         return np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1), dtype=dtype)
@@ -370,7 +393,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         np.matmul(wt[i, j], xq[:, :, ph, off:off + length], out=acc if t == 0 else prod)
         if t:
             acc += prod
-    out = acc.reshape(n, f, oh, wq)[..., :ow]
+    out = acc.reshape(n, f, oh, wq)
+    if bn_relu is not None:
+        if _grad_mode.enabled or bias is not None:
+            raise StateError("conv2d's batch-norm epilogue takes no bias and runs under no_grad")
+        stats = [t.data for t in bn_relu]
+        # in place on the whole accumulator, unless the statistics widen its dtype
+        into = out if np.result_type(dtype, *stats) == dtype else None
+        out = _eval_norm(out, *stats, _BN_EPS, out=into)[0]
+        return _node(np.maximum(out[..., :ow], 0), (), None)
+    out = out[..., :ow]
     out = out + bias.data.reshape(1, f, 1, 1) if bias is not None else out.copy()
 
     def bw(g):
@@ -422,7 +454,20 @@ def maxpool2d(x):
     return Tensor(np.maximum(np.maximum(rows[:, :, :-2], rows[:, :, 1:-1]), rows[:, :, 2:]))
 
 
-def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
+def _eval_norm(x, gamma, beta, running_mean, running_var, eps, out=None):
+    """Eval batch norm of x (channels on axis 1) before its ReLU, as
+    x * scale + shift with scale = gamma / sqrt(running_var + eps), into
+    `out` (a fresh map by default; it may be x): returns the map and
+    1 / sqrt(running_var + eps)."""
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    scale = gamma * inv_std
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    out = np.multiply(x, scale.reshape(shape), out=out)
+    out += (beta - running_mean * scale).reshape(shape)
+    return out, inv_std
+
+
+def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=_BN_EPS,
               momentum=0.1):
     """Normalize over all axes except channel axis 1, then apply ReLU in
     place (every batch norm in the model feeds one): backward first masks g
@@ -458,10 +503,8 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=1e-5,
         out *= (gamma.data * inv_std).reshape(shape)
         out += beta.data.reshape(shape)
     else:
-        mu, inv_std = running_mean.data, 1.0 / np.sqrt(running_var.data + eps)
-        scale = gamma.data * inv_std
-        out = x.data * scale.reshape(shape)
-        out += (beta.data - mu * scale).reshape(shape)
+        mu = running_mean.data
+        out, inv_std = _eval_norm(x.data, gamma.data, beta.data, mu, running_var.data, eps)
     np.maximum(out, 0, out=out)
 
     def bw(g):
@@ -606,6 +649,7 @@ def conv_rows(rows, weight, bias=None):
 
 
 _SNAP_TOL = 1e-7
+_CORNER_STEP = np.array([0, 1])[:, None, None]
 
 
 def bilinear_sample(feature_map, sample_grid):
@@ -614,49 +658,57 @@ def bilinear_sample(feature_map, sample_grid):
     Grid entries are (x, y) source coordinates in pixel units; out-of-map
     samples read as zero. Coordinates within 1e-7 of an integer are snapped
     so integer translations degenerate to exact index shifts. Differentiable
-    in the map only; the grid is treated as a constant. Backward is one
-    segment sum: the four corners' weighted gradient rows are stably sorted
-    by flat target pixel and summed with ``np.add.reduceat``.
+    in the map only; the grid is treated as a constant.
+
+    The four corners, (dy, dx) = (0, 0), (0, 1), (1, 0), (1, 1), are one
+    table: flat pixel indices [4, Hg*Wg], clipped into the map, and weights,
+    zero for a corner outside it. The forward gathers all four with one take
+    from a channels-last copy of the map, then weights each corner into a
+    channel-first sum that starts at +0.0 and adds the corners in table
+    order, so a -0.0 product comes out +0.0. Backward is one segment sum over
+    the same table: the weighted gradient rows are stably sorted by flat
+    target pixel and summed with ``np.add.reduceat``.
     """
     feature_map = _wrap(feature_map)
     grid = np.asarray(sample_grid, dtype=np.float64)
     n, c, h, w = feature_map.data.shape
     if grid.ndim != 3 or grid.shape[2] != 2:
         raise ShapeError("sample_grid must be [Hg,Wg,2]")
-    gx = grid[..., 0]
-    gy = grid[..., 1]
-    gx = np.where(np.abs(gx - np.round(gx)) < _SNAP_TOL, np.round(gx), gx)
-    gy = np.where(np.abs(gy - np.round(gy)) < _SNAP_TOL, np.round(gy), gy)
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    wx = gx - x0
-    wy = gy - y0
     dtype = feature_map.data.dtype
-    corners = []
-    for dy, dx, cw in ((0, 0, (1 - wy) * (1 - wx)), (0, 1, (1 - wy) * wx),
-                       (1, 0, wy * (1 - wx)), (1, 1, wy * wx)):
-        yy = y0 + dy
-        xx = x0 + dx
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        corners.append((np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1),
-                        (cw * valid).astype(dtype, copy=False)))
+    g = np.moveaxis(grid, 2, 0).copy()          # [2 (x, y), Hg, Wg]
+    snapped = np.round(g)
+    np.copyto(g, snapped, where=np.abs(g - snapped) < _SNAP_TOL)
+    lo = np.floor(g)
+    lo += 0.0       # floor(-0.0) is -0.0, and g - lo must keep g's sign there
+    frac = np.empty((2, 2) + g.shape[1:])       # [axis, step, Hg, Wg]
+    np.subtract(g, lo, out=frac[:, 1])
+    np.subtract(1, frac[:, 1], out=frac[:, 0])
+    xx, yy = lo.astype(np.int64)[:, None] + _CORNER_STEP
+    # a negative index reads as a huge unsigned one, so one compare per axis
+    weight = frac[1][:, None] * frac[0]
+    weight *= (yy.view(np.uint64) < h)[:, None] & (xx.view(np.uint64) < w)
+    weight = weight.astype(dtype, copy=False).reshape(4, -1)
+    flat = (np.clip(yy, 0, h - 1)[:, None] * w + np.clip(xx, 0, w - 1)).reshape(4, -1)
 
-    out = np.zeros((n, c) + grid.shape[:2], dtype=dtype)
-    for yy, xx, cw in corners:
-        out += feature_map.data[:, :, yy, xx] * cw
+    channels_last = np.ascontiguousarray(
+        feature_map.data.reshape(n, c, h * w).transpose(0, 2, 1))
+    picked = channels_last.take(flat, axis=1).transpose(0, 3, 1, 2)   # [N, C, 4, Hg*Wg]
+    out = np.multiply(picked[:, :, 0], weight[0])
+    out += 0.0
+    term = np.empty_like(out)
+    for k in range(1, 4):
+        out += np.multiply(picked[:, :, k], weight[k], out=term)
 
     def bw(g):
-        flat = np.concatenate([(yy * w + xx).ravel() for yy, xx, _ in corners])
-        rows = np.concatenate([(g * cw).reshape(n, c, -1) for _, _, cw in corners],
-                              axis=2).astype(dtype, copy=False)
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        rows = (g.reshape(n, c, 1, -1) * weight).reshape(n, c, -1).astype(dtype, copy=False)
+        order = np.argsort(flat, axis=None, kind="stable")
+        target = flat.ravel()[order]
+        starts = np.flatnonzero(np.r_[True, target[1:] != target[:-1]])
         gm = np.zeros((n, c, h * w), dtype=dtype)
-        gm[:, :, flat[starts]] = np.add.reduceat(rows[:, :, order], starts, axis=2)
+        gm[:, :, target[starts]] = np.add.reduceat(rows[:, :, order], starts, axis=2)
         return (gm.reshape(n, c, h, w),)
 
-    return _node(out, (feature_map,), bw)
+    return _node(out.reshape((n, c) + grid.shape[:2]), (feature_map,), bw)
 
 
 def resample_nearest(x, out_hw):

@@ -17,7 +17,7 @@ from .bench import bench
 from .config import (apply_overrides, coerce, from_dict, load_config,
                      read_json_object)
 from .decode import MatchConfig
-from .errors import ConfigError, DataError, DivergenceError, writing
+from .errors import ConfigError, DataError, DivergenceError, atomic_file, writing
 from .frameio import MANIFEST_NAME, read_sequence, write_sequence
 from .gradcheck import run_gradcheck
 from .metrics import evaluate, read_detections, write_detections
@@ -61,9 +61,8 @@ def _output(path):
 
 
 def _write_report(path, report):
-    with writing(path):
-        pathlib.Path(path).write_text(json.dumps(report, indent=2) + "\n",
-                                      encoding="utf-8")
+    with atomic_file(path, encoding="utf-8") as f:
+        f.write(json.dumps(report, indent=2) + "\n")
 
 
 def cmd_gen_data(args):

@@ -59,12 +59,14 @@ def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
     if origin is None:
         origin = (-w * cell_size_out / 2.0, -h * cell_size_out / 2.0)
     x_min, y_min = origin
-    xs = x_min + (np.arange(w) + 0.5) * cell_size_out
-    ys = y_min + (np.arange(h) + 0.5) * cell_size_out
-    src = rel.inverse_apply(np.stack(np.meshgrid(xs, ys), axis=-1))
-    sx = (src[..., 0] - x_min) / cell_size_out - 0.5
-    sy = (src[..., 1] - y_min) / cell_size_out - 0.5
-    return ad.bilinear_sample(feature_map, np.stack([sx, sy], axis=-1))
+    centres = np.empty((h, w, 2))
+    centres[..., 0] = x_min + (np.arange(w) + 0.5) * cell_size_out
+    centres[..., 1] = (y_min + (np.arange(h) + 0.5) * cell_size_out)[:, None]
+    src = rel.inverse_apply(centres)     # a fresh array: shifted to pixels in place
+    src -= origin
+    src /= cell_size_out
+    src -= 0.5
+    return ad.bilinear_sample(feature_map, src)
 
 
 def fmf_step(current, state: FMFState, block, pose=None, geom=None):

@@ -30,7 +30,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DataError, writing
+from .errors import ConfigError, DataError, atomic_file, writing
 from .geometry import Pose2D
 from .scene import Box3D, PointCloudFrame, SceneSequence
 
@@ -81,7 +81,8 @@ def write_frame(frame: PointCloudFrame, path) -> None:
         rec = np.empty(len(boxes), dtype=_BOX_DTYPE)
         rec["fields"], rec["class_id"] = fields32, [b.class_id for b in boxes]
         buf += rec.tobytes()
-    pathlib.Path(path).write_bytes(bytes(buf))
+    with atomic_file(path, "wb") as f:
+        f.write(buf)
 
 
 class _Reader:
@@ -154,8 +155,8 @@ def write_sequence(seq: SceneSequence, out_dir) -> None:
         out.mkdir(parents=True, exist_ok=True)
         for frame, name in zip(seq.frames, names):
             write_frame(frame, out / name)
-        (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n",
-                                         encoding="utf-8")
+        with atomic_file(out / MANIFEST_NAME, encoding="utf-8") as f:
+            f.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def read_sequence(data_dir) -> SceneSequence:

@@ -18,7 +18,7 @@ import pathlib
 import numpy as np
 
 from .decode import Detection, MatchConfig
-from .errors import ConfigError, DataError, writing
+from .errors import ConfigError, DataError, atomic_file
 from .geometry import wrap_angle
 from .scene import Box3D
 
@@ -228,9 +228,8 @@ def write_detections(det_frames, class_names, path):
             except ValueError as e:
                 raise DataError(f"{path}: frame {i}: non-finite values in "
                                 f"detection {rec}") from e
-    with writing(path):
-        pathlib.Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                                      encoding="utf-8")
+    with atomic_file(path, encoding="utf-8") as f:
+        f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def _numbers(rec, key, n=None):

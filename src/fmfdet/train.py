@@ -17,7 +17,7 @@ from .augment import AugmentConfig, apply_transform, sample_transform
 from .backbone import BackboneConfig
 from .config import from_dict, to_dict
 from .decode import MatchConfig
-from .errors import ConfigError, DataError, DivergenceError, ShapeError, writing
+from .errors import ConfigError, DataError, DivergenceError, ShapeError, atomic_file
 from .fmf import FMFConfig
 from .heads import (FocalParams, LossWeights, focal_loss, regression_losses,
                     render_targets, total_loss)
@@ -187,7 +187,7 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
 
 
 def write_trace(path, rows):
-    with writing(path), open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_file(path, newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(TRACE_COLUMNS)
         for row in rows:
@@ -213,7 +213,7 @@ def save_checkpoint(path, model, cfg: TrainConfig, class_names, step=0,
     arrays["meta.step"] = np.array(step, dtype=np.int64)
     arrays["meta.config"] = np.array(json.dumps(to_dict(cfg)))
     arrays["meta.class_names"] = np.array(list(class_names))
-    with writing(path), open(path, "wb") as f:
+    with atomic_file(path, "wb") as f:
         np.savez(f, **arrays)
 
 

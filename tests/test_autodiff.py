@@ -125,6 +125,19 @@ class TestForwardSemantics:
         out = ad.bilinear_sample(m, grid)
         assert np.array_equal(out.data[0, 0, 0], [0.0, 0.0])
 
+    def test_bilinear_sample_sums_from_positive_zero(self):
+        """A sample whose corner products are all -0.0 (a -0.0 pixel at an
+        integer point, or a negative map read outside it, where every weight
+        is zero) comes out +0.0: the corner sum starts at +0.0."""
+        m = -np.arange(1.0, 13.0).reshape(1, 1, 3, 4)
+        m[0, 0, 1, 1] = -0.0
+        grid = np.array([[[1.0, 1.0], [-5.0, 0.0], [1.0, 9.0]],
+                         [[3.5, 1.0], [-0.5, 0.0], [2.0, 2.0]]])
+        for dtype in (np.float32, np.float64):
+            out = ad.bilinear_sample(ad.Tensor(m.astype(dtype)), grid).data[0, 0]
+            want = np.array([[0.0, 0.0, 0.0], [-4.0, -0.5, -11.0]], dtype)
+            assert out.tobytes() == want.tobytes()
+
     def test_resample_down_keeps_block_corners_and_rejects_up(self):
         x = leaf(np.arange(48.0).reshape(1, 1, 6, 8))
         down = ad.resample_nearest(x, (3, 2))
@@ -180,6 +193,14 @@ class TestBackwardMechanics:
         ad.backward(ad.sum(ad.relu(y)))
         with pytest.raises(StateError, match="already freed"):
             ad.backward(ad.sum(y * 2.0))
+
+    def test_second_backward_through_a_warp_raises(self):
+        rng = np.random.default_rng(8)
+        m = leaf(rng.normal(size=(1, 2, 4, 5)))
+        out = ad.bilinear_sample(m, rng.uniform(-1, 5, size=(3, 4, 2)))
+        ad.backward(ad.sum(ad.mul(out, rng.normal(size=out.data.shape))))
+        with pytest.raises(StateError, match="already freed"):
+            ad.backward(ad.sum(out))
 
     def test_backward_frees_every_reached_node(self):
         rng = np.random.default_rng(2)
@@ -270,6 +291,25 @@ class TestBackwardMechanics:
         arrays = [v for v in saved if isinstance(v, np.ndarray)]
         assert not any(a.dtype.kind == "f" for a in arrays)
         assert (op == "conv_rows") == (not arrays)
+
+    def test_bilinear_backward_saves_its_corner_table_only(self):
+        """bilinear_sample's backward holds the integer flat indices of the
+        four corners and their weights, [4, Hg*Wg] each, with no channel or
+        batch axis: nothing map-sized and no tensor (the graph holds its
+        parent)."""
+        rng = np.random.default_rng(7)
+        m = leaf(rng.normal(size=(2, 3, 5, 6)))
+        out = ad.bilinear_sample(m, rng.uniform(-2, 7, size=(4, 5, 2)))
+        fns, saved = [out._backward_fn], []
+        while fns:
+            for cell in fns.pop().__closure__ or ():
+                saved.append(cell.cell_contents)
+                if isinstance(saved[-1], types.FunctionType):
+                    fns.append(saved[-1])
+        assert not any(isinstance(v, ad.Tensor) for v in saved)
+        arrays = [v for v in saved if isinstance(v, np.ndarray)]
+        assert sorted(a.dtype.kind for a in arrays) == ["f", "i"]
+        assert all(a.shape == (4, 20) for a in arrays)
 
     @pytest.mark.parametrize("op", ["focal", "l1_mean"])
     def test_loss_ops_save_no_float_array_but_the_target(self, op):
@@ -710,3 +750,74 @@ class TestProperties:
         g = rng.normal(size=out.data.shape)
         ad.backward(ad.sum(ad.mul(out, g)))
         _close(m.grad, _bilinear_backward_reference(m.data.shape, grid, g), 1e-12)
+
+
+def _eval_block(rng, cin, cout, stride, dtype):
+    """An eval-mode ConvBNReLU in `dtype` with batch-norm statistics and
+    affine parameters far from the identity, so a fold would round."""
+    block = ConvBNReLU(cin, cout, 3, rng, stride=stride)
+    bn = block.bn
+    bn.gamma.data = rng.uniform(0.3, 1.7, size=cout)
+    bn.beta.data = rng.normal(size=cout)
+    bn.running_mean.data = rng.normal(size=cout)
+    bn.running_var.data = rng.uniform(0.2, 3.0, size=cout)
+    for _key, t in block.named_state():
+        t.data = t.data.astype(dtype)
+    return block.eval()
+
+
+class TestFusedEvalEpilogue:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_the_recorded_conv_batchnorm_chain(self, dtype, stride, n):
+        """In eval mode under no_grad a ConvBNReLU runs batch norm and its
+        relu in the conv's epilogue: the result equals the recorded
+        conv2d -> batchnorm chain in eval mode bit for bit, signed zeros
+        included. Folding the scale into the weights, or reordering the
+        scale, shift and relu, rounds differently and fails this."""
+        rng = np.random.default_rng(100 * stride + n)
+        block = _eval_block(rng, 3, 5, stride, dtype)
+        x = rng.normal(size=(n, 3, 9, 10)).astype(dtype)
+        x[:, :, 0] = -0.0
+        x[:, 1, :, ::3] = 0.0
+        reference = block.bn(block.conv(ad.Tensor(x)))
+        assert reference._backward_fn is not None     # two recorded nodes
+        with ad.no_grad():
+            fused = block(ad.Tensor(x))
+        assert fused.data.dtype == reference.data.dtype == dtype
+        assert np.array_equal(fused.data, reference.data)
+        assert fused.data.tobytes() == reference.data.tobytes()
+        assert (fused.data == 0).any() and (fused.data > 0).any()
+
+    def test_is_one_conv2d_call_and_no_batchnorm(self, monkeypatch):
+        """The fused block calls the autodiff module's conv2d, where a
+        wrapper (a tracer's) sees it, and no batchnorm; outside no_grad, or
+        in train mode, the block is the two nodes."""
+        calls = []
+        for name in ("conv2d", "batchnorm"):
+            def spy(*args, _fn=getattr(ad, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ad, name, spy)
+        rng = np.random.default_rng(3)
+        block = _eval_block(rng, 2, 3, 1, np.float64)
+        x = ad.Tensor(rng.normal(size=(1, 2, 5, 5)))
+        with ad.no_grad():
+            block(x)
+        assert calls == ["conv2d"]
+        block(x)
+        with ad.no_grad():
+            block.train()(x)
+        assert calls == ["conv2d"] + ["conv2d", "batchnorm"] * 2
+
+    def test_epilogue_refuses_a_recorded_graph_or_a_bias(self):
+        rng = np.random.default_rng(4)
+        block = _eval_block(rng, 2, 3, 1, np.float64)
+        bn = block.bn
+        stats = (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+        x = ad.Tensor(rng.normal(size=(1, 2, 5, 5)))
+        with pytest.raises(StateError, match="no_grad"):
+            ad.conv2d(x, block.conv.weight, padding=1, bn_relu=stats)
+        with ad.no_grad(), pytest.raises(StateError, match="no bias"):
+            ad.conv2d(x, block.conv.weight, np.zeros(3), padding=1, bn_relu=stats)

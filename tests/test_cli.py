@@ -1,6 +1,8 @@
 """End-to-end CLI flows in a temp workspace, plus exit-code mapping."""
 import dataclasses
+import errno
 import importlib
+import os
 import json
 import pkgutil
 import re
@@ -22,14 +24,15 @@ from fmfdet.bench import bench
 from fmfdet.cli import load_dataset, main
 from fmfdet.config import to_dict
 from fmfdet.fmf import FMFConfig
-from fmfdet.frameio import read_frame, write_frame
+from fmfdet.decode import Detection
+from fmfdet.frameio import read_frame, read_sequence, write_frame, write_sequence
 from fmfdet.geometry import Pose2D
-from fmfdet.metrics import read_detections
+from fmfdet.metrics import read_detections, write_detections
 from fmfdet.model import run_inference
 from fmfdet.optim import AdamW
-from fmfdet.scene import PointCloudFrame
+from fmfdet.scene import Box3D, PointCloudFrame, SceneSpec, generate_scene
 from fmfdet.train import (TrainConfig, build_model, load_checkpoint, read_trace,
-                          save_checkpoint)
+                          save_checkpoint, write_trace)
 from fmfdet.voxelizer import GridConfig, desk_pillar_config
 
 TINY_SPEC = {
@@ -720,6 +723,110 @@ class TestOutputPaths:
         monkeypatch.setattr(cli, "run_inference", lambda *a: pytest.fail("inference ran"))
         assert main(output_command(workspace, tmp_path, "infer", "--out", tmp_path)) == 3
         assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
+
+class HalfWriter:
+    """A file whose first write stores half its bytes and then fails, as on
+    a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def fail_halfway(monkeypatch, after=0):
+    """Let `errors.atomic_file` open `after` files as usual and give every
+    later one a HalfWriter."""
+    opened = []
+
+    def fake_open(path, *args, **kwargs):
+        opened.append(path)
+        f = open(path, *args, **kwargs)
+        return HalfWriter(f) if len(opened) > after else f
+    monkeypatch.setattr(errors, "open", fake_open, raising=False)
+
+
+def _write_checkpoint(path):
+    cfg = tiny_train_config()
+    save_checkpoint(path, build_model(cfg, 2), cfg, ("car", "pedestrian"), step=3)
+
+
+ATOMIC_WRITERS = {
+    "report": lambda path: cli._write_report(path, {"nds": 0.25, "mAP": 0.5}),
+    "detections": lambda path: write_detections(
+        [[Detection(Box3D(1.0, 2.0, 0.5, 1.8, 4.2, 1.5, 0.3, 0.1, 0.0), 0.9, 0)]],
+        ("car",), path),
+    "trace": lambda path: write_trace(path, [(1, 0.001) + (0.5,) * 7] * 3),
+    "checkpoint": _write_checkpoint,
+    "frame": lambda path: write_frame(
+        PointCloudFrame(np.ones((50, 4), np.float32), 0.5, Pose2D(1.0, 2.0, 0.1)), path),
+}
+
+
+class TestAtomicOutputs:
+    """Every output goes to a sibling temporary file that replaces the
+    output only once it is complete: a writer that fails halfway leaves an
+    existing output byte-identical, a new one absent, and no temporary file."""
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    @pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+    def test_failed_write_leaves_the_old_bytes_or_nothing(
+            self, tmp_path, monkeypatch, writer, existing):
+        path = tmp_path / "out.bin"
+        if existing:
+            path.write_bytes(b"the previous output\n")
+        fail_halfway(monkeypatch)
+        with pytest.raises(errors.DataError, match=f"cannot write {path}: No space"):
+            ATOMIC_WRITERS[writer](path)
+        assert os.listdir(tmp_path) == (["out.bin"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"the previous output\n"
+
+    @pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+    def test_complete_write_replaces_the_output(self, tmp_path, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"the previous output\n")
+        ATOMIC_WRITERS[writer](path)
+        assert os.listdir(tmp_path) == ["out.bin"]
+        assert path.read_bytes() != b"the previous output\n"
+
+    def test_sequence_writes_frames_atomically_and_the_manifest_last(
+            self, tmp_path, monkeypatch):
+        """A write_sequence that fails at its third frame keeps that frame's
+        and the manifest's old bytes; into a new directory it leaves the two
+        finished frames and no manifest, so no reader takes it for a
+        sequence."""
+        old = generate_scene(SceneSpec(**dict(TINY_SPEC, seed=12)))
+        new = generate_scene(SceneSpec(**TINY_SPEC))
+        existing, fresh = tmp_path / "existing", tmp_path / "fresh"
+        write_sequence(old, existing)
+        before = {p.name: p.read_bytes() for p in existing.iterdir()}
+        fail_halfway(monkeypatch, after=2)
+        with pytest.raises(errors.DataError, match="frame_000002.bin: No space"):
+            write_sequence(new, existing)
+        after = {p.name: p.read_bytes() for p in existing.iterdir()}
+        assert sorted(after) == sorted(before)
+        assert {name for name in after if after[name] != before[name]} == {
+            "frame_000000.bin", "frame_000001.bin"}
+        fail_halfway(monkeypatch, after=2)
+        with pytest.raises(errors.DataError):
+            write_sequence(new, fresh)
+        assert sorted(os.listdir(fresh)) == ["frame_000000.bin", "frame_000001.bin"]
+        with pytest.raises(errors.DataError, match="not a sequence directory"):
+            read_sequence(fresh)
 
 
 class TestGradCheckCommand:

@@ -4,6 +4,7 @@ trip keep the configured dtype, and the finite-difference checks stay float64.
 `voxelize` returns float64 point rows (they are geometry); the PFN casts them,
 so every map from the PFN on must carry the compute dtype.
 """
+import contextlib
 import dataclasses
 import json
 
@@ -116,6 +117,29 @@ def test_eval_maps_after_checkpoint_round_trip_have_compute_dtype(
     assert_all(seen, np.dtype(dtype),
                ("op", "pfn", "neck", "warp", "fmf")
                + tuple(f"head.{n}" for n in HEAD_MAPS))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_no_grad_eval_frames_equal_the_recorded_eval_frames(dtype):
+    """In eval mode under no_grad every ConvBNReLU (neck and fusion) runs its
+    batch norm in the conv's epilogue; every head map of every frame, warped
+    ones included, equals the grad-enabled eval run's bit for bit."""
+    cfg = tiny_cfg(dtype)
+    scene = moving_scene()
+    model = train(cfg, [scene])[0].eval()
+    runs = []
+    for recording in (True, False):
+        with contextlib.nullcontext() if recording else ad.no_grad():
+            state, maps = None, []
+            for frame in scene.frames:
+                out, state = model.forward_frame(frame, state)
+                maps.append([getattr(out, name) for name in HEAD_MAPS])
+        assert (maps[0][0]._backward_fn is not None) == recording
+        runs.append(maps)
+    for recorded, fused in zip(*runs):
+        for a, b in zip(recorded, fused):
+            assert a.data.dtype == b.data.dtype == np.dtype(dtype)
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

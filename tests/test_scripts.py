@@ -43,7 +43,8 @@ sys.exit(1)
 
 
 def checkout(root, name, p50=2.0, correct=True, garbage=False):
-    """A fake checkout under root/name whose stub reports `p50` + 0.01 * seed."""
+    """A fake checkout under root/name whose stub reports `p50` + 0.01 * seed;
+    `p50` may be a Python expression in `seed`."""
     path = root / name
     (path / "perfbench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK), encoding="utf-8")
@@ -53,10 +54,10 @@ def checkout(root, name, p50=2.0, correct=True, garbage=False):
     return path
 
 
-def run_main(capsys, base, change, pairs=2):
+def run_main(capsys, base, change, pairs=2, metric="latency_p50_ms"):
     """main's exit status, its last stdout line as JSON, and its stderr."""
     code = ab_pairs.main([str(base), str(change), "--workload", "tiny",
-                          "--seed", "5", "--pairs", str(pairs)])
+                          "--seed", "5", "--pairs", str(pairs), "--metric", metric])
     out, err = capsys.readouterr()
     return code, json.loads(out.strip().splitlines()[-1]), err
 
@@ -99,3 +100,44 @@ class TestMain:
         assert code == 1
         assert last["wins"] == 0  # a pair with a bad run counts for neither side
         assert "2 of 4 runs missing, incorrect or with failed operations" in err
+
+
+class TestVerdicts:
+    """Seeds 5..14: BASE's p50 values are 2.05..2.14, an IQR of 0.045."""
+
+    @pytest.mark.parametrize("change,verdict", [
+        ("1.0", "claim met"),
+        ("1.99", "claim not met"),                              # 10/10, gain within IQR
+        ("2.0 - (0.5 if seed % 5 else 0.0)", "claim not met"),  # 2 ties: 8/10
+        ("3.0", "claim not met"),
+    ], ids=["met", "gain-within-iqr", "eight-of-ten", "worse"])
+    def test_claim_needs_nine_tenths_of_pairs_and_a_gain_beyond_the_iqr(
+            self, tmp_path, capsys, change, verdict):
+        code, last, _ = run_main(capsys, checkout(tmp_path, "base"),
+                                 checkout(tmp_path, "change", p50=change), pairs=10)
+        assert code == 0
+        assert last["claim"] == last["summary"]["latency_p50_ms"]["verdict"] == verdict
+        assert last["summary"]["quality_loss"]["verdict"] == "within bound"
+
+    @pytest.mark.parametrize("change,verdict", [
+        ("[1.0, 2.0][seed % 2]", "unresolved"),   # base spread > 25%, runs overlap
+        ("[0.1, 0.2][seed % 2]", "within bound"),  # every change run is better
+        ("[2.9, 3.0][seed % 2]", "unresolved"),
+    ], ids=["overlap", "every-run-better", "worse-but-wide"])
+    def test_wide_base_spread_is_unresolved_unless_every_change_run_is_better(
+            self, tmp_path, capsys, change, verdict):
+        base = checkout(tmp_path, "base", p50="[1.0, 2.0][seed % 2]")
+        code, last, _ = run_main(capsys, base, checkout(tmp_path, "change", p50=change),
+                                 pairs=4, metric="quality_loss")
+        assert code == 0
+        assert last["summary"]["latency_p50_ms"]["verdict"] == verdict
+        assert last["claim"] == "claim not met"   # quality_loss ties in every pair
+
+    @pytest.mark.parametrize("change,verdict", [("2.4", "within bound"),
+                                                ("2.6", "WORSE than bound")])
+    def test_narrow_spread_is_judged_by_the_bound(self, tmp_path, capsys, change, verdict):
+        code, last, _ = run_main(capsys, checkout(tmp_path, "base"),
+                                 checkout(tmp_path, "change", p50=change),
+                                 pairs=4, metric="quality_loss")
+        assert code == 0
+        assert last["summary"]["latency_p50_ms"]["verdict"] == verdict
