@@ -1,31 +1,36 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one perfbench workload.
+"""Alternating parent/change pairs of perfbench workloads.
 
-    python3 scripts/ab_pairs.py BASE CHANGE --workload train-demo --seed 931 --pairs 10
+    python3 scripts/ab_pairs.py BASE CHANGE --workload stream-dense \
+        --workload stream-demo --workload train-demo --seed 931 --pairs 10
 
-BASE and CHANGE are two checkout directories. Pair i runs
-`perfbench/run.py --workload W --seed S+i --seconds T --trace 0` in each,
-one after the other: BASE first in even pairs, CHANGE first in odd ones.
-T is BENCHMARK.json's run_seconds. The script only calls perfbench's
-command line and reads BASE's BENCHMARK.json. `run_perfbench`, which runs
-and parses one perfbench run, is also how `bench_snapshot.py` runs it.
+BASE and CHANGE are two checkout directories. For each --workload W in
+turn, pair i runs `perfbench/run.py --workload W --seed S+i --seconds T
+--trace 0` in each, one after the other: BASE first in even pairs, CHANGE
+first in odd ones. T is BENCHMARK.json's run_seconds. The script only calls
+perfbench's command line and reads BASE's BENCHMARK.json. `run_perfbench`,
+which runs and parses one perfbench run, is also how `bench_snapshot.py`
+runs it.
 
-It prints each pair's end-to-end values; each side's commit and
-`wc -l src/fmfdet/*.py` total (`env.git_commit` and `env.src_lines` of the
-detail line perfbench prints before its result); each side's median and
-quartiles; every metric's median change against its bound, and its largest
-relative change within one pair, which for the per-seed deterministic
-quality_loss is the change's own effect. The last line is one JSON object
-with both sides' env, every run and every metric's verdict:
+It prints each pair's end-to-end values, then one block per workload: each
+side's commit and `wc -l src/fmfdet/*.py` total (`env.git_commit` and
+`env.src_lines` of the detail line perfbench prints before its result);
+each side's median and quartiles; every metric's median change against its
+bound, and its largest relative change within one pair, which for the
+per-seed deterministic quality_loss is the change's own effect. The last
+line is one JSON object: the first workload's block (both sides' env, every
+run and every metric's verdict) at the top level, and every other
+workload's block under "no_regression", keyed by its name.
 
-- the claimed metric (--metric) reads "claim met" only when the change is
-  better in at least 9/10 of the pairs run (a tie counts for neither side)
-  and its median is better than BASE's by more than BASE's interquartile
-  range; otherwise "claim not met";
-- every other metric reads "unresolved" when BASE's interquartile range,
-  relative to its median, is wider than the metric's bound and not every
-  change run is better than every BASE run; otherwise "within bound" or
-  "WORSE than bound", by its median change.
+- the first workload's claimed metric (--metric) reads "claim met" only
+  when the change is better in at least 9/10 of the pairs run (a tie
+  counts for neither side) and its median is better than BASE's by more
+  than BASE's interquartile range; otherwise "claim not met";
+- every other metric, and on the other workloads every metric, reads
+  "unresolved" when BASE's interquartile range, relative to its median, is
+  wider than the metric's bound and not every change run is better than
+  every BASE run; otherwise "within bound" or "WORSE than bound", by its
+  median change.
 
 Medians and pair counts use good runs only: a run that reported, is
 correct and had no failed operations. The exit status is 1 when any run
@@ -90,46 +95,32 @@ def pair_values(runs, name):
             if good(b) and good(c) and name in b["metrics"] and name in c["metrics"]]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", type=pathlib.Path, help="parent checkout")
-    parser.add_argument("change", type=pathlib.Path, help="changed checkout")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True, help="first pair's seed")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--metric", default="latency_p50_ms",
-                        help="the claimed end-to-end metric")
-    args = parser.parse_args(argv)
-    spec = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m for m in spec["end_to_end"]}
-    if args.metric not in metrics:
-        parser.error(f"--metric must be one of {sorted(metrics)}")
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        parser.error(f"unknown workload {args.workload!r}")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    seconds = spec["run_seconds"]
-    timeout = 20 * seconds + 600
-
-    sides = {"base": args.base, "change": args.change}
+def run_pairs(sides, workload, first_seed, pairs, seconds, timeout, metrics):
+    """Alternating runs of one workload; prints each pair's end-to-end values
+    and returns {"base": [result, ...], "change": [...]}."""
     runs = {"base": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed + i
+    for i in range(pairs):
+        seed = first_seed + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            run = run_perfbench(sides[side], args.workload, seed, seconds, timeout)
+            run = run_perfbench(sides[side], workload, seed, seconds, timeout)
             result = run.get("result")
             runs[side].append(result)
             if not good(result):
-                print(f"pair {i} seed {seed} {side}: exit {run['exit_code']}: "
+                print(f"{workload} pair {i} seed {seed} {side}: exit {run['exit_code']}: "
                       f"{run.get('stderr_tail', '')[-500:]}, result {result}")
         row = "  ".join(
             f"{name} {_fmt(runs['base'][-1], name)} -> {_fmt(runs['change'][-1], name)}"
             for name in metrics)
-        print(f"pair {i} seed {seed} ({order[0]} first): {row}", flush=True)
+        print(f"{workload} pair {i} seed {seed} ({order[0]} first): {row}", flush=True)
+    return runs
 
-    print(f"\n{args.workload}, {args.pairs} pairs, seeds {args.seed}-"
-          f"{args.seed + args.pairs - 1}, {seconds:g} s runs")
+
+def summarize(workload, runs, metrics, claimed):
+    """Prints one workload's block and returns it as a JSON-ready dict. The
+    `claimed` metric (None on a no-regression workload) gets the claim
+    verdict; every other metric gets a bound verdict."""
+    pairs = len(runs["base"])
     envs = {}
     for side in ("base", "change"):
         ok = [r for r in runs[side] if r is not None]
@@ -137,13 +128,10 @@ def main(argv=None):
         attempted = sum(r.get("attempted", 0) for r in ok)
         envs[side] = ok[0]["env"] if ok else {}
         print(f"{side}: commit {envs[side].get('git_commit')}, "
-              f"src_lines {envs[side].get('src_lines')}; {len(ok)}/{args.pairs} runs reported, "
+              f"src_lines {envs[side].get('src_lines')}; {len(ok)}/{pairs} runs reported, "
               f"{sum(bool(r.get('correct')) for r in ok)} correct, "
               f"failed operations {failed_ops}/{attempted}")
-    sign = 1.0 if metrics[args.metric]["better"] == "lower" else -1.0
-    pairs = pair_values(runs, args.metric)
-    wins = sum(sign * (b - c) > 0 for b, c in pairs)
-    losses = sum(sign * (b - c) < 0 for b, c in pairs)
+    wins = None
     summary = {}
     for name, m in metrics.items():
         base, change = values_of(runs["base"], name), values_of(runs["change"], name)
@@ -153,11 +141,14 @@ def main(argv=None):
         bq, cq = quartiles(base), quartiles(change)
         sign = 1.0 if m["better"] == "lower" else -1.0
         worse = sign * (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
-        if name == args.metric:
+        if name == claimed:
+            paired = pair_values(runs, name)
+            wins = sum(sign * (b - c) > 0 for b, c in paired)
+            losses = sum(sign * (b - c) < 0 for b, c in paired)
             gap, iqr = sign * (bq[1] - cq[1]), bq[2] - bq[0]
-            met = wins >= 0.9 * args.pairs and gap > iqr
+            met = wins >= 0.9 * pairs and gap > iqr
             verdict = "claim met" if met else "claim not met"
-            print(f"claim {name}: change better in {wins}/{args.pairs} pairs "
+            print(f"claim {name}: change better in {wins}/{pairs} pairs "
                   f"({losses} worse); median gain {gap:.4g} against base IQR {iqr:.4g}: "
                   f"{verdict}")
         elif bq[2] - bq[0] > m["bound"] * abs(bq[1]) and not (
@@ -175,14 +166,55 @@ def main(argv=None):
               f"median {100 * (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0:+.1f}% "
               f"(bound {100 * m['bound']:.0f}% worse): {verdict}; largest pair change "
               f"{'n/a' if largest is None else format(largest, '+.3e')}")
-    claim = summary.get(args.metric, {}).get("verdict", "claim not met")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-                      "seconds": seconds, "metric": args.metric, "wins": wins,
-                      "claim": claim, "env": envs, "summary": summary, "runs": runs}))
-    bad = sum(not good(r) for side in runs.values() for r in side)
+    block = {"workload": workload, "env": envs, "summary": summary, "runs": runs}
+    if claimed is not None:
+        block.update(wins=wins or 0, claim=summary.get(claimed, {}).get("verdict",
+                                                                      "claim not met"))
+    return block
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=pathlib.Path, help="parent checkout")
+    parser.add_argument("change", type=pathlib.Path, help="changed checkout")
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to pair; repeat it for more: the first carries "
+                             "the --metric claim, the others get no-regression verdicts")
+    parser.add_argument("--seed", type=int, required=True, help="first pair's seed")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default="latency_p50_ms",
+                        help="the claimed end-to-end metric")
+    args = parser.parse_args(argv)
+    spec = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    if args.metric not in metrics:
+        parser.error(f"--metric must be one of {sorted(metrics)}")
+    for workload in args.workload:
+        if workload not in {w["name"] for w in spec["workloads"]}:
+            parser.error(f"unknown workload {workload!r}")
+    if len(set(args.workload)) < len(args.workload):
+        parser.error("each --workload may be given once")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    seconds = spec["run_seconds"]
+    timeout = 20 * seconds + 600
+
+    sides = {"base": args.base, "change": args.change}
+    blocks = []
+    for k, workload in enumerate(args.workload):
+        runs = run_pairs(sides, workload, args.seed, args.pairs, seconds, timeout, metrics)
+        role = "claim" if k == 0 else "no regression"
+        print(f"\n{workload} ({role}), {args.pairs} pairs, seeds {args.seed}-"
+              f"{args.seed + args.pairs - 1}, {seconds:g} s runs")
+        blocks.append(summarize(workload, runs, metrics, args.metric if k == 0 else None))
+        print(flush=True)
+    print(json.dumps({"seed": args.seed, "pairs": args.pairs, "seconds": seconds,
+                      "metric": args.metric, **blocks[0],
+                      "no_regression": {b["workload"]: b for b in blocks[1:]}}))
+    bad = sum(not good(r) for b in blocks for side in b["runs"].values() for r in side)
     if bad:
-        print(f"{bad} of {2 * args.pairs} runs missing, incorrect or with failed "
-              f"operations; medians leave them out", file=sys.stderr)
+        print(f"{bad} of {2 * args.pairs * len(blocks)} runs missing, incorrect or with "
+              f"failed operations; medians leave them out", file=sys.stderr)
         return 1
     return 0
 

@@ -281,6 +281,7 @@ def concat_channels(*maps):
 
 _scratch = threading.local()
 _BN_EPS = 1e-5
+_ROW_BLOCK = 32     # rows per long row in eval batch norm of [M, C] rows
 
 
 def _buffer(role, shape, dtype):
@@ -457,13 +458,32 @@ def maxpool2d(x):
 def _eval_norm(x, gamma, beta, running_mean, running_var, eps, out=None):
     """Eval batch norm of x (channels on axis 1) before its ReLU, as
     x * scale + shift with scale = gamma / sqrt(running_var + eps), into
-    `out` (a fresh map by default; it may be x): returns the map and
-    1 / sqrt(running_var + eps)."""
+    `out` (a fresh map by default; it may be x, but not for [M, C] rows):
+    returns the map and 1 / sqrt(running_var + eps).
+
+    [M, C] rows run as [M / 32, 32 * C] blocks against scale and shift tiled
+    32 times, then the remaining rows: the same products and sums, in long
+    contiguous loops instead of M loops of C."""
     inv_std = 1.0 / np.sqrt(running_var + eps)
     scale = gamma * inv_std
+    shift = beta - running_mean * scale
+    if x.ndim == 2:
+        c = x.shape[1]
+        lanes = np.arange(_ROW_BLOCK * c) % c       # the channel of each block column
+        scale_rows, shift_rows = scale[lanes], shift[lanes]
+        out = np.empty(x.shape, np.result_type(x, scale))
+        cut = (x.shape[0] - x.shape[0] % _ROW_BLOCK) * c
+        flat_x, flat = x.reshape(-1), out.reshape(-1)
+        blocks = (-1, _ROW_BLOCK * c)
+        for part_x, part in ((flat_x[:cut].reshape(blocks), flat[:cut].reshape(blocks)),
+                             (flat_x[cut:], flat[cut:])):
+            width = part.shape[-1]
+            np.multiply(part_x, scale_rows[:width], out=part)
+            part += shift_rows[:width]
+        return out, inv_std
     shape = (1, -1) + (1,) * (x.ndim - 2)
     out = np.multiply(x, scale.reshape(shape), out=out)
-    out += (beta - running_mean * scale).reshape(shape)
+    out += shift.reshape(shape)
     return out, inv_std
 
 
@@ -541,13 +561,36 @@ def _segment_bounds(starts, total):
 def segment_max(x, starts):
     """Per-segment max over contiguous row segments of x [M,C].
 
+    The forward runs in rank-major rounds. The segments are ordered by
+    descending length (stably), so the ones holding an r-th row form a
+    prefix of that order, widths[r] long. One take gathers the rows
+    rank-major, and round r is one np.maximum of the prefix's r-th rows into
+    its running maxima: each segment folds its rows in order, as
+    np.maximum.reduceat does, in one contiguous pass per rank instead of one
+    short loop per segment. There is one round per row of the longest
+    segment. The maxima equal reduceat's; where +0.0 ties -0.0 the sign may
+    differ, as it does between numpy's own reduce loops.
+
     Gradient routes to the first maximal row of each segment (per channel).
     That row index is built in backward, so inference without grads skips it.
     """
     x = _wrap(x)
     m, c = x.data.shape
     starts, ends = _segment_bounds(starts, m)
-    data = np.maximum.reduceat(x.data, starts, axis=0)
+    lengths = ends - starts
+    by_length = np.argsort(-lengths, kind="stable")
+    widths = len(starts) - np.cumsum(np.bincount(lengths))[:-1]   # segments longer than r
+    offsets = np.cumsum(widths) - widths
+    rank = np.repeat(np.arange(widths.size), widths)      # of each row, rank-major
+    segment = by_length[np.arange(m) - offsets[rank]]
+    rows = x.data.take(starts[segment] + rank, axis=0)
+    acc = rows[:len(starts)]
+    for lo, width in zip(offsets.tolist()[1:], widths.tolist()[1:]):
+        prefix = acc[:width]
+        np.maximum(prefix, rows[lo:lo + width], out=prefix)
+    position = np.empty_like(by_length)     # of each segment in by_length
+    position[by_length] = np.arange(len(starts))
+    data = acc.take(position, axis=0)
 
     def bw(g):
         seg_ids = np.repeat(np.arange(len(starts)), ends - starts)

@@ -10,9 +10,15 @@ draw over the cells. A cell's key is iy*W + ix for a pillar and
 (iy*W + ix)*Z + iz for a voxel, so the voxels of one BEV column sit together in
 ascending z. Kept points come out in ascending cell key, then input index, so
 the result is a pure function of (frame, config, seed).
-Points are widened to float64 before any arithmetic, so a float32 frame and
-its float64 cast give the same result bit for bit: a float32 compare would
-round the range bounds to float32 and move the points at the bounds.
+
+Every pass runs on contiguous rows: the points are widened once into a
+float64 [4, N] block of coordinate rows, and the range test, cell indices,
+kept-point gather, per-cell means and decoration each work along those rows.
+The features are written as a [D, M] block, and `PillarTensor.features` is
+its transpose, so it reads [M, D] with M as the long axis in memory.
+Widening to float64 comes before any arithmetic, so a float32 frame and its
+float64 cast give the same result bit for bit: a float32 compare would round
+the range bounds to float32 and move the points at the bounds.
 """
 from __future__ import annotations
 
@@ -102,15 +108,23 @@ def desk_voxel_config() -> GridConfig:
 class PillarTensor:
     """Occupied cells of one frame, as flat point rows.
 
-    features: [M, D] decorated rows of the kept points, cell by cell in cell
-    order, so cell p owns rows starts[p]:starts[p] + point_counts[p] with
-    starts the exclusive cumulative sum of point_counts;
-    coords: [P, 2] (ix, iy) in pillar mode, [P, 3] (ix, iy, iz) in voxel mode,
-    in ascending cell key: pillars row-major over the BEV grid, voxels grouped
-    by BEV column (columns row-major, ascending iz inside a column);
-    grid_dims: (W, H) BEV extent; points_in_range: points inside the grid's ranges; points_dropped_cap:
-    points over max_points_per_cell in their cell, counted before the cell
-    cut; cells_dropped: occupied cells cut by max_cells.
+    features: [M, D] float64 decorated rows of the kept points (x, y, z,
+        intensity, the offsets to the cell's mean, then in pillar mode the
+        x, y offsets to the cell's centre), cell by cell in cell order, so
+        cell p owns rows starts[p]:starts[p] + point_counts[p] with starts the
+        exclusive cumulative sum of point_counts. It is the transpose of a
+        C-contiguous [D, M] block, so it is F-ordered: each feature column
+        is contiguous (np.ascontiguousarray gives a row-major copy).
+    coords: [P, 2] (ix, iy) in pillar mode, [P, 3] (ix, iy, iz) in voxel
+        mode, in ascending cell key: pillars row-major over the BEV grid,
+        voxels grouped by BEV column (columns row-major, ascending iz inside
+        a column).
+    point_counts: [P] kept points per cell, at most max_points_per_cell.
+    grid_dims: (W, H) BEV extent.
+    points_in_range: points inside the grid's ranges.
+    points_dropped_cap: points over max_points_per_cell in their cell,
+        counted before the cell cut.
+    cells_dropped: occupied cells cut by max_cells.
     """
 
     features: np.ndarray
@@ -126,29 +140,41 @@ class PillarTensor:
         return self.point_counts.shape[0]
 
 
-def _decorate(pts, ix, iy, means_per_point, cfg):
-    """Per-point feature rows: raw point, offsets to cell mean, cell center."""
-    out = [pts, pts[:, :3] - means_per_point]
-    if cfg.mode == "pillar":
-        ccx = cfg.x_min + (ix + 0.5) * cfg.cell_size[0]
-        ccy = cfg.y_min + (iy + 0.5) * cfg.cell_size[1]
-        out.append(np.stack([pts[:, 0] - ccx, pts[:, 1] - ccy], axis=1))
-    return np.concatenate(out, axis=1)
+def _first_in_cell(sorted_keys, k):
+    """Whether each point of a run of sorted cell keys is among the first k of
+    its cell: the key k places before it differs, or there is none."""
+    first = np.ones(sorted_keys.size, dtype=bool)
+    np.not_equal(sorted_keys[k:], sorted_keys[:-k], out=first[k:])
+    return first
+
+
+def _split(packed, n):
+    """(packed // n, packed % n) for non-negative packed keys: numpy divides
+    by a scalar fast, and the remainder costs one multiply and subtract."""
+    high = packed // n
+    low = high * n
+    np.subtract(packed, low, out=low)
+    return high, low
 
 
 def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTensor:
     w, h, z = dims = cfg.dims
     n_max = cfg.max_points_per_cell
-    ranges = (cfg.x_range, cfg.y_range, cfg.z_range)
-    pts = frame.points.astype(np.float64, copy=False)
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for axis, (lo, hi) in enumerate(ranges):
-        inside &= (pts[:, axis] >= lo) & (pts[:, axis] < hi)
-    pts = pts.compress(inside, axis=0)
-    n = pts.shape[0]
     num_axes = 2 if cfg.mode == "pillar" else 3
-    cell = [np.minimum(np.floor((pts[:, a] - ranges[a][0]) / cfg.cell_size[a])
-                       .astype(np.int64), dims[a] - 1) for a in range(num_axes)]
+    ranges = (cfg.x_range, cfg.y_range, cfg.z_range)
+    pts = np.array(frame.points.T, dtype=np.float64, order="C")
+    inside = np.ones(pts.shape[1], dtype=bool)
+    for axis, (lo, hi) in enumerate(ranges):
+        inside &= (pts[axis] >= lo) & (pts[axis] < hi)
+    index = np.flatnonzero(inside)
+    n = index.size
+    # cell indices of the points in range, on [axis, point] rows
+    axes = slice(0, num_axes)
+    cell = pts[axes].take(index, axis=1)
+    cell -= np.array([lo for lo, _ in ranges])[axes, None]
+    cell /= np.array(cfg.cell_size)[axes, None]
+    np.minimum(np.floor(cell, out=cell), np.array(dims)[axes, None] - 1, out=cell)
+    cell = cell.astype(np.int64)
     keys = cell[1] * w + cell[0]
     if num_axes == 3:
         keys = keys * z + cell[2]
@@ -159,10 +185,10 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
     # so key * n + rank stays below 2^63.
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    ranked = np.sort(keys[perm] * n + np.arange(n))
-    starts = np.flatnonzero(np.diff(ranked // n, prepend=-1))
+    sorted_keys, rank = _split(np.sort(keys[perm] * n + np.arange(n)), n)
+    starts = np.flatnonzero(_first_in_cell(sorted_keys, 1))
     counts = np.diff(np.append(starts, n))
-    keep = np.arange(n) - np.repeat(starts, counts) < n_max
+    keep = _first_in_cell(sorted_keys, n_max)
     points_dropped_cap = n - int(np.count_nonzero(keep))
     capped_counts = np.minimum(counts, n_max)
     cells_dropped = max(starts.size - cfg.max_cells, 0)
@@ -173,14 +199,27 @@ def voxelize(frame: PointCloudFrame, cfg: GridConfig, seed: int = 0) -> PillarTe
         capped_counts = capped_counts[cell_mask]
 
     # Back to cell order with ascending input index inside each cell.
-    sel = perm[ranked[keep] % n]
-    kept = np.sort(keys[sel] * n + sel)
-    pts = pts.take(kept % n, axis=0)
-    col_keys, iz = (kept // n, None) if num_axes == 2 else divmod(kept // n, z)
-    cols = [col_keys % w, col_keys // w, iz][:num_axes]
+    sel = perm[rank[keep]]
+    kept_keys, kept = _split(np.sort(keys[sel] * n + sel), n)
     offsets = np.cumsum(capped_counts) - capped_counts
-    means = np.add.reduceat(pts[:, :3], offsets, axis=0) / capped_counts[:, None]
-    features = _decorate(pts, *cols[:2], np.repeat(means, capped_counts, axis=0), cfg)
-    return PillarTensor(features, np.stack([c[offsets] for c in cols], axis=1),
-                        capped_counts, (w, h), points_in_range=n,
-                        points_dropped_cap=points_dropped_cap, cells_dropped=cells_dropped)
+    cell_keys = kept_keys[offsets]
+    col_keys, iz = (cell_keys, None) if num_axes == 2 else divmod(cell_keys, z)
+    cols = [col_keys % w, col_keys // w, iz][:num_axes]
+
+    # Feature rows [D, M], filled in place: the point, then its offsets to
+    # its cell's mean and, for a pillar, to its cell's centre in x and y.
+    features = np.empty((cfg.feature_dim, kept.size))
+    # every index is in range; the default mode="raise" would copy `out` first
+    pts.take(index[kept], axis=1, out=features[:4], mode="clip")
+    per_cell = np.add.reduceat(features[:3], offsets, axis=1) / capped_counts
+    if num_axes == 2:
+        per_cell = np.concatenate([per_cell, [cfg.x_min + (cols[0] + 0.5) * cfg.cell_size[0],
+                                              cfg.y_min + (cols[1] + 0.5) * cfg.cell_size[1]]])
+    per_cell.take(np.repeat(np.arange(offsets.size), capped_counts), axis=1,
+                  out=features[4:], mode="clip")
+    np.subtract(features[:3], features[4:7], out=features[4:7])
+    if num_axes == 2:
+        np.subtract(features[:2], features[7:], out=features[7:])
+    return PillarTensor(features.T, np.stack(cols, axis=1), capped_counts, (w, h),
+                        points_in_range=n, points_dropped_cap=points_dropped_cap,
+                        cells_dropped=cells_dropped)

@@ -821,3 +821,51 @@ class TestFusedEvalEpilogue:
             ad.conv2d(x, block.conv.weight, padding=1, bn_relu=stats)
         with ad.no_grad(), pytest.raises(StateError, match="no bias"):
             ad.conv2d(x, block.conv.weight, np.zeros(3), padding=1, bn_relu=stats)
+
+
+class TestSegmentMaxForward:
+    @given(lengths=st.lists(st.integers(1, 25), min_size=1, max_size=12),
+           c=st.sampled_from([1, 12, 24]), dtype=st.sampled_from([np.float32, np.float64]),
+           order=st.sampled_from("CF"),
+           specials=st.sampled_from([(), (-0.0,), (np.inf, -np.inf), (np.nan,),
+                                     (np.nan, np.inf, -np.inf, -0.0)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_maximum_reduceat(self, lengths, c, dtype, order, specials, seed):
+        """The rank-major rounds give np.maximum.reduceat's maxima. Values come
+        from a pool of six, so rows tie often. With no -0.0 in the input the
+        bytes agree too; with it they need not, since numpy's own reduce
+        paths disagree on the sign of a +-0 tie (seen with C = 1 or
+        F-ordered input, where reduceat takes a different loop)."""
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([rng.normal(size=4).round(1), [0.0, 1.0], specials])
+        x = np.asarray(rng.choice(pool, size=(sum(lengths), c)), dtype=dtype, order=order)
+        starts = np.cumsum(lengths) - lengths
+        got = ad.segment_max(ad.Tensor(x), starts).data
+        want = np.maximum.reduceat(x, starts, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        if not np.signbit(x[x == 0]).any():
+            assert got.tobytes() == want.tobytes()
+
+
+class TestEvalBatchNormRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 1000])
+    @pytest.mark.parametrize("c", [3, 12])
+    def test_equals_relu_of_scale_and_shift(self, m, c, dtype):
+        """Eval batch norm of [M, C] rows runs 32-row blocks as long rows and
+        the rest as rows; every element is still x * scale + shift, then the
+        ReLU, with scale = gamma * (1 / sqrt(running_var + eps))."""
+        rng = np.random.default_rng(m * c)
+        x = rng.normal(size=(m, c)).astype(dtype)
+        x[::5] = -0.0
+        gamma, beta, mean = (rng.uniform(0.3, 1.7, c).astype(dtype),
+                             rng.normal(size=c).astype(dtype), rng.normal(size=c).astype(dtype))
+        var = rng.uniform(0.2, 3.0, c).astype(dtype)
+        out = ad.batchnorm(ad.Tensor(x), gamma, beta, ad.Tensor(mean), ad.Tensor(var),
+                           training=False).data
+        scale = gamma * (1.0 / np.sqrt(var + 1e-5))
+        want = np.maximum(x * scale + (beta - mean * scale), 0)
+        assert out.dtype == want.dtype == dtype
+        assert out.tobytes() == want.tobytes()

@@ -195,3 +195,30 @@ class TestNeck:
                        + block(20, 10))                # fuse
         assert neck.param_count() == expect_neck
         assert pfn.param_count() == 9 * 8 + 2 * 8
+
+
+class TestPillarFeatureNetEval:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_equals_the_recorded_eval_chain(self, dtype):
+        """On a crowded frame (the 20-point cap binds), the eval PFN under
+        no_grad gives the bytes of the grad-recording eval chain."""
+        rng = np.random.default_rng(12)
+        centers = rng.uniform(-11, 11, size=(15, 2))
+        xy = (centers[:, None] + rng.normal(0, 0.5, size=(15, 600, 2))).reshape(-1, 2)
+        pts = np.concatenate([xy, rng.uniform(-1.5, 1.5, size=(9000, 1)),
+                              rng.uniform(0, 1, size=(9000, 1))], axis=1)
+        pillars = voxelize(frame_of(pts), desk_pillar_config(), seed=3)
+        assert pillars.points_dropped_cap > 0
+        pfn = PillarFeatureNet(9, 12, np.random.default_rng(13))
+        pfn.bn.running_mean.data = rng.normal(size=12)
+        pfn.bn.running_var.data = rng.uniform(0.2, 3.0, size=12)
+        for _key, t in pfn.named_state():
+            t.data = t.data.astype(dtype)
+        pfn.eval()
+        recorded = pfn(pillars)
+        assert recorded._backward_fn is not None
+        with ad.no_grad():
+            fast = pfn(pillars)
+        assert fast.data.dtype == recorded.data.dtype == dtype
+        assert fast.data.tobytes() == recorded.data.tobytes()
+        assert (fast.data > 0).any()

@@ -16,7 +16,7 @@ BENCHMARK = {
     "command": ["python3", "perfbench/run.py"],
     "paths": ["perfbench"],
     "run_seconds": 1,
-    "workloads": [{"name": "tiny", "why": "stub"}],
+    "workloads": [{"name": "tiny", "why": "stub"}, {"name": "small", "why": "stub"}],
     "end_to_end": [
         {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
         {"name": "quality_loss", "unit": "1", "better": "lower", "bound": 0.1},
@@ -26,6 +26,7 @@ BENCHMARK = {
 STUB = """import json, sys
 args = sys.argv[1:]
 seed = int(args[args.index("--seed") + 1])
+workload = args[args.index("--workload") + 1]
 print("warming up")
 print(json.dumps({{"detail": {{"argv": args, "env": {{
     "git_commit": {commit!r}, "src_lines": {lines}, "python": "3"}}}}}}))
@@ -44,7 +45,7 @@ sys.exit(1)
 
 def checkout(root, name, p50=2.0, correct=True, garbage=False):
     """A fake checkout under root/name whose stub reports `p50` + 0.01 * seed;
-    `p50` may be a Python expression in `seed`."""
+    `p50` may be a Python expression in `seed` and `workload`."""
     path = root / name
     (path / "perfbench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK), encoding="utf-8")
@@ -54,12 +55,21 @@ def checkout(root, name, p50=2.0, correct=True, garbage=False):
     return path
 
 
-def run_main(capsys, base, change, pairs=2, metric="latency_p50_ms"):
+def run_main(capsys, base, change, pairs=2, metric="latency_p50_ms", workloads=("tiny",)):
     """main's exit status, its last stdout line as JSON, and its stderr."""
-    code = ab_pairs.main([str(base), str(change), "--workload", "tiny",
-                          "--seed", "5", "--pairs", str(pairs), "--metric", metric])
-    out, err = capsys.readouterr()
+    code, out, err = run_main_output(capsys, base, change, pairs, metric, workloads)
     return code, json.loads(out.strip().splitlines()[-1]), err
+
+
+def run_main_output(capsys, base, change, pairs=2, metric="latency_p50_ms",
+                    workloads=("tiny",)):
+    """main's exit status, its whole stdout and its stderr."""
+    argv = [str(base), str(change), "--seed", "5", "--pairs", str(pairs), "--metric", metric]
+    for workload in workloads:
+        argv += ["--workload", workload]
+    code = ab_pairs.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 class TestRunPerfbench:
@@ -141,3 +151,42 @@ class TestVerdicts:
                                  pairs=4, metric="quality_loss")
         assert code == 0
         assert last["summary"]["latency_p50_ms"]["verdict"] == verdict
+
+
+class TestSeveralWorkloads:
+    """The first --workload carries the claim; the others get bound verdicts."""
+
+    def test_claim_on_the_first_and_bound_verdicts_on_the_rest(self, tmp_path, capsys):
+        change = checkout(tmp_path, "change", p50="1.0 if workload == 'tiny' else 2.6")
+        code, out, err = run_main_output(capsys, checkout(tmp_path, "base"), change,
+                                         pairs=10, workloads=("tiny", "small"))
+        assert code == 0 and not err
+        assert "tiny (claim), 10 pairs" in out and "small (no regression), 10 pairs" in out
+        last = json.loads(out.strip().splitlines()[-1])
+        assert last["workload"] == "tiny" and last["claim"] == "claim met"
+        assert last["wins"] == 10
+        assert list(last["no_regression"]) == ["small"]
+        small = last["no_regression"]["small"]
+        assert "claim" not in small and "wins" not in small
+        assert small["summary"]["latency_p50_ms"]["verdict"] == "WORSE than bound"
+        assert small["summary"]["quality_loss"]["verdict"] == "within bound"
+        assert len(small["runs"]["base"]) == len(small["runs"]["change"]) == 10
+        assert small["runs"]["base"][0]["env"]["git_commit"] == "base"
+
+    def test_a_bad_run_in_a_later_workload_exits_1(self, tmp_path, capsys):
+        change = checkout(tmp_path, "change",
+                          p50="1.0 if workload == 'tiny' else 1 / (seed % 2)")
+        code, last, err = run_main(capsys, checkout(tmp_path, "base"), change,
+                                   workloads=("tiny", "small"))
+        assert code == 1
+        assert last["claim"] == "claim met"     # the first workload's runs are all good
+        assert last["no_regression"]["small"]["runs"]["change"][1] is None   # seed 6 crashed
+        assert "1 of 8 runs missing, incorrect or with failed operations" in err
+
+    @pytest.mark.parametrize("workloads", [("tiny", "tiny"), ("tiny", "huge")],
+                             ids=["repeated", "unknown"])
+    def test_a_repeated_or_unknown_workload_is_refused(self, tmp_path, capsys, workloads):
+        with pytest.raises(SystemExit) as exc:
+            run_main(capsys, checkout(tmp_path, "base"), checkout(tmp_path, "change"),
+                     workloads=workloads)
+        assert exc.value.code == 2

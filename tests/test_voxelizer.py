@@ -401,3 +401,96 @@ class TestCapCounts:
         assert out.num_cells == len(bins) - out.cells_dropped
         for key, count in zip(map(tuple, out.coords.tolist()), out.point_counts):
             assert count == min(len(bins[key]), n_max)
+
+
+def dense_clutter_points(seed, dtype):
+    """A crowded desk frame: 20 object clusters of 1200 points, some tight
+    enough to fill 0.1 m voxels, and 3000 clutter points, some of them outside
+    the grid's ranges."""
+    rng = np.random.default_rng(seed)
+    centers = np.concatenate([rng.uniform(-11.0, 11.0, size=(20, 2)),
+                              rng.uniform(-1.0, 1.0, size=(20, 1))], axis=1)
+    spread = [0.6, 0.3, 0.4] * rng.uniform(0.05, 1.0, size=(20, 1, 1))
+    objects = (centers[:, None] + spread * rng.normal(size=(20, 1200, 3))).reshape(-1, 3)
+    clutter = rng.uniform([-13.5, -13.5, -2.5], [13.5, 13.5, 4.5], size=(3000, 3))
+    xyz = np.concatenate([objects, clutter])
+    pts = np.concatenate([xyz, rng.uniform(0, 1, size=(xyz.shape[0], 1))], axis=1)
+    return pts[rng.permutation(pts.shape[0])].astype(dtype)
+
+
+def digest(a):
+    import hashlib
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def capped_digests(cfg_name, dtype):
+    """sha256 of the features (C order), coords and counts of a capped draw,
+    and the three counters."""
+    out = voxelize(PointCloudFrame(dense_clutter_points(5, dtype), 0.0),
+                   CAPPED_CONFIGS[cfg_name], seed=11)
+    return (digest(out.features), digest(out.coords), digest(out.point_counts),
+            (out.points_in_range, out.points_dropped_cap, out.cells_dropped))
+
+
+CAPPED_CONFIGS = {
+    "pillar": desk_pillar_config(),
+    "pillar-cells": dataclasses.replace(desk_pillar_config(), max_cells=900),
+    "voxel": desk_voxel_config(),
+    "voxel-cells": dataclasses.replace(desk_voxel_config(), max_cells=6000),
+}
+
+# Recorded from the sort-based draw as first written (one seeded permutation,
+# one sort on key * n + rank, one sort back): any later rewrite of voxelize
+# must reproduce these bytes on capped frames, where TestUncappedFrames has
+# no reference.
+CAPPED_DIGESTS = {
+    ("pillar", "float64"): (
+        "23e97418ad9291a4dbd91c82beaff156401f4ef9335be09015bb76339cbac6d7",
+        "e2619efad81b2a4436a574ea97402857e8abed480deaeecb31c9dc21d78676af",
+        "4801ac7db59d7b86bfd43293901947d7d5653e117df420bd0533982dc71ffb40",
+        (26302, 17641, 0)),
+    ("pillar", "float32"): (
+        "db0a8f13d4f35f93d1c2de30883eef8938c712542f7d06f3f74a6bb2bf84405e",
+        "e2619efad81b2a4436a574ea97402857e8abed480deaeecb31c9dc21d78676af",
+        "4801ac7db59d7b86bfd43293901947d7d5653e117df420bd0533982dc71ffb40",
+        (26302, 17641, 0)),
+    ("pillar-cells", "float64"): (
+        "a222130fd31cffa72017381e741af32bfeca831ea16e313f7d4265fc7e0a4718",
+        "1a71c54d615465460c20ef88243abf54ab92490d834de3d216d4446fa3909dd2",
+        "64948d54a965abedddf803864a9786cf8a4fdeab13ddafebba375cdfb6d7b9ee",
+        (26302, 17641, 1424)),
+    ("pillar-cells", "float32"): (
+        "8f777f798408b3965010fa3bc257f34fb67c7d5b18b35cb71ac958483e84a7ec",
+        "1a71c54d615465460c20ef88243abf54ab92490d834de3d216d4446fa3909dd2",
+        "64948d54a965abedddf803864a9786cf8a4fdeab13ddafebba375cdfb6d7b9ee",
+        (26302, 17641, 1424)),
+    ("voxel", "float64"): (
+        "6d6398aa4a05286162cf6a4aa09d5db42934747d778cbfe29a3f6a5294ddb85f",
+        "a545bec2d721887fe2872dc58ed591f5462f109eb0736ddc6b2026116e21de39",
+        "3a77d096a8e9bb281c60c7318ce6a4109311559215841f3758991bf26036ba45",
+        (26302, 3398, 0)),
+    ("voxel", "float32"): (
+        "0e54000c4b6ff49ec2d6915db3215ed3bb8d8eb28841726d89094141d58e5a67",
+        "a545bec2d721887fe2872dc58ed591f5462f109eb0736ddc6b2026116e21de39",
+        "3a77d096a8e9bb281c60c7318ce6a4109311559215841f3758991bf26036ba45",
+        (26302, 3398, 0)),
+    ("voxel-cells", "float64"): (
+        "05e7d917624dcdf940bce949fcaac5258ac5b716d1645fc40462abd6045b5326",
+        "ed1915973cd3a772e14adf18453d69100f120b90986485988c2cda1954347894",
+        "9ab2d2dde016a4968d9804681fcbee7b6917931fec7e274e4976b62c7648ebb1",
+        (26302, 3398, 6892)),
+    ("voxel-cells", "float32"): (
+        "0e564e104d1aef15980ff0fad9a9003aa1e1f08a4e47af3dfa43d3cfa99f92ca",
+        "ed1915973cd3a772e14adf18453d69100f120b90986485988c2cda1954347894",
+        "9ab2d2dde016a4968d9804681fcbee7b6917931fec7e274e4976b62c7648ebb1",
+        (26302, 3398, 6892)),
+}
+
+
+class TestCappedDigests:
+    @pytest.mark.parametrize("cfg_name,dtype", list(CAPPED_DIGESTS))
+    def test_capped_draw_bytes_are_pinned(self, cfg_name, dtype):
+        features, coords, counts, counters = CAPPED_DIGESTS[cfg_name, dtype]
+        assert counters[1] > 0 and (counters[2] > 0) == cfg_name.endswith("-cells")
+        assert capped_digests(cfg_name, np.dtype(dtype)) == (features, coords, counts,
+                                                             counters)
