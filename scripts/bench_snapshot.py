@@ -46,6 +46,9 @@ import time
 from ab_pairs import run_perfbench  # this script's directory is on sys.path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))   # this checkout's fmfdet, as its child processes run
+from fmfdet.errors import atomic_file  # noqa: E402
+
 SEEDS = (911,)
 BENCH_FRAMES = 200
 # perfbench's stream-demo scene, four sequences with their own motion.
@@ -222,7 +225,8 @@ def main(argv=None):
                 "src_lines": source_lines(), "seeds": list(SEEDS),
                 "perfbench": perfbench_runs(SEEDS), "bench": stage_bench(),
                 "train_peak": train_peak(), "tier1": tier1()}
-    path.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
+    with atomic_file(path, encoding="utf-8") as f:
+        f.write(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

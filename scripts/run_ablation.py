@@ -10,11 +10,12 @@ import pathlib
 import sys
 
 from fmfdet.ablate import ablation_run, format_ablation, make_scene_set
+from fmfdet.errors import atomic_file
 from fmfdet.fmf import FMFConfig
 from overfit_demo import build_config  # this script's directory is on sys.path
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=300,
                         help="training steps per config")
@@ -23,7 +24,7 @@ def main():
     parser.add_argument("--eval-sequences", type=int, default=2)
     parser.add_argument("--bench-frames", type=int, default=40)
     parser.add_argument("--out", default=None, help="JSON report path")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     cfg_a = build_config(args.steps, args.seed)
     cfg_b = dataclasses.replace(cfg_a, fmf=FMFConfig(enabled=False))
@@ -39,8 +40,8 @@ def main():
     if args.out:
         path = pathlib.Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2) + "\n",
-                        encoding="utf-8")
+        with atomic_file(path, encoding="utf-8") as f:
+            f.write(json.dumps(report, indent=2) + "\n")
         print(f"\nreport -> {path}")
     return 0
 

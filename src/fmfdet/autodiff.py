@@ -281,6 +281,7 @@ def concat_channels(*maps):
 
 _scratch = threading.local()
 _BN_EPS = 1e-5
+_BN_MOMENTUM = 0.1
 _ROW_BLOCK = 32     # rows per long row in eval batch norm of [M, C] rows
 
 
@@ -401,7 +402,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, bn_relu=None):
         stats = [t.data for t in bn_relu]
         # in place on the whole accumulator, unless the statistics widen its dtype
         into = out if np.result_type(dtype, *stats) == dtype else None
-        out = _eval_norm(out, *stats, _BN_EPS, out=into)[0]
+        out = _eval_norm(out, *stats, out=into)[0]
         return _node(np.maximum(out[..., :ow], 0), (), None)
     out = out[..., :ow]
     out = out + bias.data.reshape(1, f, 1, 1) if bias is not None else out.copy()
@@ -455,16 +456,16 @@ def maxpool2d(x):
     return Tensor(np.maximum(np.maximum(rows[:, :, :-2], rows[:, :, 1:-1]), rows[:, :, 2:]))
 
 
-def _eval_norm(x, gamma, beta, running_mean, running_var, eps, out=None):
+def _eval_norm(x, gamma, beta, running_mean, running_var, out=None):
     """Eval batch norm of x (channels on axis 1) before its ReLU, as
-    x * scale + shift with scale = gamma / sqrt(running_var + eps), into
+    x * scale + shift with scale = gamma / sqrt(running_var + _BN_EPS), into
     `out` (a fresh map by default; it may be x, but not for [M, C] rows):
-    returns the map and 1 / sqrt(running_var + eps).
+    returns the map and 1 / sqrt(running_var + _BN_EPS).
 
     [M, C] rows run as [M / 32, 32 * C] blocks against scale and shift tiled
     32 times, then the remaining rows: the same products and sums, in long
     contiguous loops instead of M loops of C."""
-    inv_std = 1.0 / np.sqrt(running_var + eps)
+    inv_std = 1.0 / np.sqrt(running_var + _BN_EPS)
     scale = gamma * inv_std
     shift = beta - running_mean * scale
     if x.ndim == 2:
@@ -487,16 +488,15 @@ def _eval_norm(x, gamma, beta, running_mean, running_var, eps, out=None):
     return out, inv_std
 
 
-def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=_BN_EPS,
-              momentum=0.1):
+def batchnorm(x, gamma, beta, running_mean, running_var, training):
     """Normalize over all axes except channel axis 1, then apply ReLU in
     place (every batch norm in the model feeds one): backward first masks g
     by ``out > 0``, so the pair keeps one map (in-place activated BN, Rota
     Bulo et al., arXiv 1712.02616).
 
     Train mode uses batch statistics (biased variance) and moves the running
-    statistics, two non-differentiated tensors, toward them by rebinding their
-    ``data``; eval mode normalizes by the running statistics, as
+    statistics, two non-differentiated tensors, toward them by _BN_MOMENTUM,
+    rebinding their ``data``; eval mode normalizes by the running statistics, as
     x * scale + shift. One backward serves both: it recomputes the normalized
     input from x rather than saving it, and gx = gamma * inv_std * g, less
     sum(g) / m + x_hat * sum(g * x_hat) / m in train mode.
@@ -516,15 +516,15 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training, eps=_BN_EPS,
         mu = x.data.mean(axis=axes)
         out = x.data - mu.reshape(shape)
         var = np.mean(out * out, axis=axes)     # two-pass: no float32 cancellation
-        running_mean.data = (1.0 - momentum) * running_mean.data + momentum * mu
-        running_var.data = (1.0 - momentum) * running_var.data + momentum * var
-        inv_std = 1.0 / np.sqrt(var + eps)
+        running_mean.data = (1.0 - _BN_MOMENTUM) * running_mean.data + _BN_MOMENTUM * mu
+        running_var.data = (1.0 - _BN_MOMENTUM) * running_var.data + _BN_MOMENTUM * var
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         out = out.astype(np.result_type(out, gamma.data, beta.data), copy=False)
         out *= (gamma.data * inv_std).reshape(shape)
         out += beta.data.reshape(shape)
     else:
         mu = running_mean.data
-        out, inv_std = _eval_norm(x.data, gamma.data, beta.data, mu, running_var.data, eps)
+        out, inv_std = _eval_norm(x.data, gamma.data, beta.data, mu, running_var.data)
     np.maximum(out, 0, out=out)
 
     def bw(g):

@@ -98,12 +98,18 @@ def cmd_train(args):
     return 0
 
 
-def cmd_infer(args):
+def _load_model_and_data(args):
+    """(model, config, class names, scenes) of --ckpt and --data, whose class names agree."""
     model, cfg, class_names, _step, _opt = load_checkpoint(args.ckpt)
     scenes = load_dataset(args.data)
     if scenes[0].class_names != class_names:
-        raise ConfigError(f"data classes {scenes[0].class_names} do not "
-                          f"match checkpoint classes {class_names}")
+        raise DataError(f"--data {args.data} lists classes {scenes[0].class_names}, "
+                        f"--ckpt {args.ckpt} lists {class_names}")
+    return model, cfg, class_names, scenes
+
+
+def cmd_infer(args):
+    model, cfg, class_names, scenes = _load_model_and_data(args)
     _output(args.out)
     det_frames = [dets for seq in scenes
                   for dets in run_inference(model, seq, cfg.match)]
@@ -159,8 +165,7 @@ def cmd_grad_check(args):
 
 
 def cmd_bench(args):
-    model, cfg, _names, _step, _opt = load_checkpoint(args.ckpt)
-    scenes = load_dataset(args.data)
+    model, cfg, _names, scenes = _load_model_and_data(args)
     report, _ = bench(model, scenes, cfg.match, min_frames=args.min_frames)
     print(json.dumps(report, indent=2))
     return 0

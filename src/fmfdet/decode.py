@@ -78,8 +78,7 @@ def decode(head: HeadOutput, geom: MapGeometry, cfg: MatchConfig):
     ks, iys, ixs, scores = chosen if made_under == cfg else select_peaks(head.heatmap.data[0], cfg)
     offs, sizes, rots, vels = (m.data[0][:, iys, ixs] for m in
                                (head.offset, head.size, head.rotation, head.velocity))
-    cxs = (ixs + offs[0]) * geom.cell + geom.x_min
-    cys = (iys + offs[1]) * geom.cell + geom.y_min
+    cxs, cys = geom.to_world(ixs + offs[0], iys + offs[1])
     dims = np.exp(sizes)
     bad = np.flatnonzero(~(dims > 0).all(axis=0))
     if bad.size:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, StateError
-from .geometry import Pose2D, relative_pose
+from .geometry import MapGeometry, Pose2D, relative_pose
 
 __all__ = ["FMFConfig", "FMFState", "warp_feature_map", "fmf_step"]
 
@@ -50,21 +50,16 @@ def warp_feature_map(feature_map, rel: Pose2D, cell_size_out, origin=None):
     `rel` maps previous-frame coordinates to current-frame coordinates
     (relative_pose(prev, cur)); for every output cell center p the source is
     read at R(-yaw) (p - t) with bilinear interpolation and zero padding.
-    `origin` is the world xy of the map's (min, min) corner; by default the
-    map is taken as ego-centered.
+    `origin` is the world xy of the map's (min, min) corner, ego-centered by
+    default; the map's MapGeometry rejects a cell size that is not positive.
     """
     h, w = feature_map.data.shape[2:]
-    if cell_size_out <= 0:
-        raise ConfigError(f"cell_size_out must be positive, got {cell_size_out}")
-    if origin is None:
-        origin = (-w * cell_size_out / 2.0, -h * cell_size_out / 2.0)
-    x_min, y_min = origin
-    centres = np.empty((h, w, 2))
-    centres[..., 0] = x_min + (np.arange(w) + 0.5) * cell_size_out
-    centres[..., 1] = (y_min + (np.arange(h) + 0.5) * cell_size_out)[:, None]
-    src = rel.inverse_apply(centres)     # a fresh array: shifted to pixels in place
-    src -= origin
-    src /= cell_size_out
+    origin = (-w * cell_size_out / 2.0, -h * cell_size_out / 2.0) if origin is None else origin
+    geom = MapGeometry(*origin, cell_size_out, h, w)
+    grid = np.empty((h, w, 2))          # each output cell's centre, in world xy
+    grid[..., 0], grid[..., 1] = geom.to_world(np.arange(w) + 0.5, np.arange(h)[:, None] + 0.5)
+    src = rel.inverse_apply(grid)       # a fresh array: its cells are written back into it
+    src[..., 0], src[..., 1] = geom.to_cell(src[..., 0], src[..., 1])
     src -= 0.5
     return ad.bilinear_sample(feature_map, src)
 

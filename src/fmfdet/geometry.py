@@ -1,8 +1,8 @@
 """Planar (SE(2)) pose math and BEV map geometry.
 
 Poses map ego coordinates to world coordinates: p_world = R(yaw) p_ego + t.
-Feature maps index cells as [row, col] = [iy, ix] with world position
-x = x_min + (ix + 0.5) * cell, y = y_min + (iy + 0.5) * cell.
+Feature maps index cells as [row, col] = [iy, ix]; `MapGeometry.to_world` puts
+cell (ix, iy)'s centre at x = x_min + (ix + 0.5) * cell, y = y_min + (iy + 0.5) * cell.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ def relative_pose(prev: Pose2D, cur: Pose2D) -> Pose2D:
 
 @dataclasses.dataclass(frozen=True)
 class MapGeometry:
-    """Metric layout of a BEV feature map.
+    """Metric layout of a BEV feature map, and the one world <-> cell map.
 
     `cell` is meters per map cell along both axes; the map covers
     [x_min, x_min + w*cell) x [y_min, y_min + h*cell).
@@ -78,6 +78,14 @@ class MapGeometry:
             raise ConfigError(f"cell size must be positive, got {self.cell}")
         if self.h <= 0 or self.w <= 0:
             raise ConfigError(f"map dims must be positive, got {self.h}x{self.w}")
+
+    def to_cell(self, x, y):
+        """World xy (m) to continuous cells (px, py); cell ix spans px in [ix, ix + 1)."""
+        return (x - self.x_min) / self.cell, (y - self.y_min) / self.cell
+
+    def to_world(self, px, py):
+        """Continuous cells (px, py) to world xy (m); the inverse of to_cell."""
+        return px * self.cell + self.x_min, py * self.cell + self.y_min
 
     @classmethod
     def from_grid(cls, grid, stride=1):

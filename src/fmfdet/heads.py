@@ -53,7 +53,7 @@ class LossWeights:
     velocity: float = 1.0
 
     def __post_init__(self):
-        if min(self.offset, self.size, self.height, self.rotation, self.velocity) < 0:
+        if min(dataclasses.astuple(self)) < 0:
             raise ConfigError("loss weights must be nonnegative")
 
 
@@ -181,8 +181,7 @@ def render_targets(gt_boxes, geom: MapGeometry, num_classes, min_overlap=0.1):
     for obj_idx, box in enumerate(gt_boxes):
         if not (0 <= box.class_id < num_classes):
             raise ConfigError(f"class_id {box.class_id} outside [0, {num_classes})")
-        px = (box.cx - geom.x_min) / geom.cell
-        py = (box.cy - geom.y_min) / geom.cell
+        px, py = geom.to_cell(box.cx, box.cy)
         ix, iy = int(math.floor(px)), int(math.floor(py))
         if not (0 <= ix < w and 0 <= iy < h):
             continue

@@ -196,18 +196,9 @@ def evaluate(det_frames, gt_frames, class_names, cfg: MatchConfig) -> EvalResult
     mAP = float(np.mean(ap_values)) if ap_values else 0.0
 
     _, errors = matches[_TP_THRESHOLD]
-    if classes_with_gt:
-        means = {name: float(np.mean([errors[c][name] for c in classes_with_gt]))
-                 for name in TP_ERROR_NAMES}
-    else:
-        means = {name: 1.0 for name in TP_ERROR_NAMES}
-    mAAE = 0.0
-    result = EvalResult(mAP=mAP, mATE=means["ate"], mASE=means["ase"],
-                        mAOE=means["aoe"], mAVE=means["ave"], mAAE=mAAE,
-                        nds=nds(mAP, means["ate"], means["ase"], means["aoe"],
-                                means["ave"], mAAE),
-                        per_class_ap=per_class_ap)
-    return result
+    tp = [float(np.mean([errors[c][name] for c in classes_with_gt])) if classes_with_gt
+          else 1.0 for name in TP_ERROR_NAMES]
+    return EvalResult(mAP, *tp, 0.0, nds(mAP, *tp, 0.0), per_class_ap)
 
 
 # -- detection file serialization -------------------------------------------

@@ -48,6 +48,10 @@ class Detector(Module):
         for _key, t in self.named_state():
             t.data = t.data.astype(dtype, copy=False)
 
+    def fusion_pose(self, frame):
+        """The ego pose fusion sees: `frame.ego_pose`, or None with odometry off."""
+        return frame.ego_pose if self.fmf_cfg.use_odometry else None
+
     def extract(self, frame, vox_seed=0, stamp=_no_stamp):
         """Point cloud -> BEV feature map [1, C, h, w]."""
         pillars = voxelize(frame, self.grid, vox_seed)
@@ -66,18 +70,17 @@ class Detector(Module):
         head's (see DetectionHead)."""
         bev = self.extract(frame, vox_seed, stamp)
         if self.fmf is not None:
-            pose = frame.ego_pose if self.fmf_cfg.use_odometry else None
-            bev, state = fmf_step(bev, state, self.fmf, pose, self.geometry)
+            bev, state = fmf_step(bev, state, self.fmf, self.fusion_pose(frame), self.geometry)
         stamp("fmf")
         out = self.head(bev, cells)
         stamp("head")
         return out, state
 
     def forward_pair(self, prev_frame, cur_frame, vox_seeds=(0, 0), cells=None):
-        """Training-style pair forward: features of both frames stay in the
-        gradient graph; the head runs on the current frame only."""
+        """Training-style pair forward from the state a streaming step leaves after
+        `prev_frame`; both frames' features stay in the graph, the head sees `cur_frame`."""
         state = FMFState(prev_map=self.extract(prev_frame, vox_seeds[0]),
-                         prev_pose=prev_frame.ego_pose)
+                         prev_pose=self.fusion_pose(prev_frame))
         return self.forward_frame(cur_frame, state, vox_seeds[1], cells=cells)[0]
 
 

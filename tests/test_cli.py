@@ -484,15 +484,23 @@ class TestInferEval:
         err = capsys.readouterr().err
         assert str(bad) in err and "point 2" in err
 
-    def test_class_mismatch_is_config_error(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_class_mismatch_is_data_error(self, workspace, tmp_path, capsys, command):
+        """Data whose class names differ from the checkpoint's exits 3, naming
+        both paths, and infer writes no detections file."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict(TINY_SPEC, class_names=["truck"])))
         other = tmp_path / "other"
         assert main(["gen-data", "--spec", str(spec),
                      "--out", str(other)]) == 0
-        assert main(["infer", "--ckpt", str(workspace["ckpt"]),
-                     "--data", str(other),
-                     "--out", str(tmp_path / "d.jsonl")]) == 2
+        out = tmp_path / "d.jsonl"
+        extra = ["--out", str(out)] if command == "infer" else []
+        capsys.readouterr()
+        assert main([command, "--ckpt", str(workspace["ckpt"]),
+                     "--data", str(other)] + extra) == 3
+        err = capsys.readouterr().err
+        assert str(workspace["ckpt"]) in err and str(other) in err
+        assert not out.exists()
 
     def test_eval_writes_report(self, workspace, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -1,5 +1,4 @@
 """Temporal fusion: selector oracle, ego-motion warp, state semantics."""
-import inspect
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ SMALL_POSES = st.builds(Pose2D, st.floats(-0.75, 0.75), st.floats(-0.75, 0.75),
                         st.floats(-0.15, 0.15))
 
 
-BN_EPS = inspect.signature(ad.batchnorm).parameters["eps"].default
+BN_EPS = ad._BN_EPS
 
 
 def fusion_block(c, seed):

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fmfdet.autodiff as ad
 from fmfdet.errors import ConfigError
+from fmfdet.fmf import warp_feature_map
 from fmfdet.geometry import MapGeometry, Pose2D, relative_pose, rot2d, wrap_angle
 from fmfdet.voxelizer import desk_pillar_config
 
@@ -97,3 +99,41 @@ class TestMapGeometry:
             MapGeometry(0.0, 0.0, -1.0, 4, 4)
         with pytest.raises(ConfigError):
             MapGeometry(0.0, 0.0, 1.0, 0, 4)
+
+
+map_geometries = st.builds(MapGeometry, st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+                           st.floats(0.01, 2.0), st.integers(1, 200), st.integers(1, 200))
+
+
+class TestWorldCellMap:
+    """`to_cell` and `to_world`: the one world <-> cell map that targets,
+    decode and the warp go through."""
+
+    @given(map_geometries)
+    @settings(max_examples=100, deadline=None)
+    def test_every_cell_centre_maps_back_to_its_cell(self, geom):
+        iy, ix = np.mgrid[0:geom.h, 0:geom.w]
+        px, py = geom.to_cell(*geom.to_world(ix + 0.5, iy + 0.5))
+        assert np.array_equal(np.floor(px), ix) and np.array_equal(np.floor(py), iy)
+
+    @given(map_geometries, coords, coords)
+    @settings(max_examples=100, deadline=None)
+    def test_to_world_inverts_to_cell(self, geom, x, y):
+        wx, wy = geom.to_world(*geom.to_cell(x, y))
+        assert wx == pytest.approx(x, rel=0.0, abs=1e-9)
+        assert wy == pytest.approx(y, rel=0.0, abs=1e-9)
+
+    def test_cells_are_half_open_from_the_origin(self):
+        geom = MapGeometry(-10.0, -3.25, 0.5, 4, 6)
+        assert geom.to_cell(-10.0, -3.25) == (0.0, 0.0)
+        assert geom.to_world(1.5, 2.5) == (-9.25, -2.0)
+
+    @given(map_geometries, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example(MapGeometry(-10.0, -3.2, 0.32, 24, 40), 0)
+    def test_identity_warp_is_bit_exact_at_any_origin(self, geom, seed):
+        """c06 checks the ego-centred default origin; here the origin is the
+        geometry's own."""
+        fmap = ad.Tensor(np.random.default_rng(seed).normal(size=(1, 2, geom.h, geom.w)))
+        out = warp_feature_map(fmap, Pose2D(0.0, 0.0, 0.0), geom.cell, (geom.x_min, geom.y_min))
+        assert out.data.tobytes() == fmap.data.tobytes()

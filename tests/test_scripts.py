@@ -1,11 +1,20 @@
-"""scripts/ab_pairs.py on fake checkouts: each holds a BENCHMARK.json and a stub
+"""The scripts on fake checkouts and stubbed work.
+
+scripts/ab_pairs.py: each checkout holds a BENCHMARK.json and a stub
 perfbench/run.py that prints what the real one prints, a detail line and then
-a result line, so the parser and the verdict run without a real benchmark."""
+a result line, so the parser and the verdict run without a real benchmark.
+scripts/same_outputs.py: each checkout holds a stub fmfdet package whose
+command line writes fixed bytes to every output. scripts/run_ablation.py and
+scripts/bench_snapshot.py: their measurements are monkeypatched, and only
+their report writing runs."""
 import importlib.util
 import json
+import os
 import pathlib
 
 import pytest
+
+from fmfdet.errors import DataError
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "ab_pairs.py"
 _spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
@@ -190,3 +199,140 @@ class TestSeveralWorkloads:
             run_main(capsys, checkout(tmp_path, "base"), checkout(tmp_path, "change"),
                      workloads=workloads)
         assert exc.value.code == 2
+
+
+# -- report writers and scripts/same_outputs.py --------------------------------
+
+SCRIPTS = SCRIPT.parent
+
+
+def load_script(name, monkeypatch):
+    """scripts/<name>.py as a module, with its directory on sys.path."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def failing_replace(src, dst):
+    raise OSError(28, "No space left on device")
+
+
+class TestReportsAreAtomic:
+    """The scripts' reports go through errors.atomic_file: a failed move
+    leaves neither the report nor its temporary file."""
+
+    REPORT = {"nds_a": 0.5, "nds_b": 0.25}
+
+    def ablation(self, monkeypatch):
+        module = load_script("run_ablation", monkeypatch)
+        monkeypatch.setattr(module, "make_scene_set", lambda seed, count: [])
+        monkeypatch.setattr(module, "ablation_run", lambda *args, **kw: self.REPORT)
+        monkeypatch.setattr(module, "format_ablation", lambda report: "table")
+        return module
+
+    def test_ablation_writes_its_report(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "reports" / "ablation.json"
+        assert self.ablation(monkeypatch).main(["--steps", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8")) == self.REPORT
+        assert [p.name for p in out.parent.iterdir()] == ["ablation.json"]
+
+    def test_ablation_leaves_nothing_when_the_move_fails(self, tmp_path, monkeypatch, capsys):
+        module = self.ablation(monkeypatch)
+        monkeypatch.setattr(os, "replace", failing_replace)
+        out = tmp_path / "reports" / "ablation.json"
+        with pytest.raises(DataError, match="ablation.json"):
+            module.main(["--steps", "1", "--out", str(out)])
+        assert list(out.parent.iterdir()) == []
+
+    def test_snapshot_leaves_nothing_when_the_move_fails(self, tmp_path, monkeypatch, capsys):
+        module = load_script("bench_snapshot", monkeypatch)
+        monkeypatch.setattr(module, "ROOT", tmp_path)
+        for name in ("environment", "source_lines", "stage_bench", "train_peak", "tier1"):
+            monkeypatch.setattr(module, name, lambda: {})
+        monkeypatch.setattr(module, "perfbench_runs", lambda seeds: [])
+        assert module.main(["--tag", "ok"]) == 0
+        assert json.loads((tmp_path / "BENCH_ok.json").read_text())["tag"] == "ok"
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(DataError, match="BENCH_failed.json"):
+            module.main(["--tag", "failed"])
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_ok.json"]
+
+
+STUB_CLI = """import pathlib, sys, time
+args = sys.argv[1:]
+command = args[0]
+if command == {fail!r}:
+    print("stub {{}} failed".format(command), file=sys.stderr)
+    sys.exit(3)
+if command == "grad-check":
+    print("pipeline worst 1e-9 in {{:.1f}}s".format(time.perf_counter()))
+    print("gradient check PASSED")
+    sys.exit(0)
+out = pathlib.Path(args[args.index("--out") + 1])
+if command == "gen-data":
+    out.mkdir(parents=True)
+    out = out / "frame_000000.bin"
+out.write_text(command + (" changed" if out.suffix == {changed!r} else ""))
+if command == "train":
+    pathlib.Path(str(out) + ".trace.csv").write_text("step,loss")
+"""
+
+
+def stub_checkout(root, name, fail=None, changed=None):
+    """A checkout whose src/fmfdet/cli.py writes a fixed text to each output;
+    `fail` names a command that exits 3, and outputs with suffix `changed`
+    get other bytes. Its grad-check prints a time that differs every run."""
+    package = root / name / "src" / "fmfdet"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB_CLI.format(fail=fail, changed=changed))
+    return root / name
+
+
+def run_same_outputs(monkeypatch, capsys, base, change):
+    """same_outputs.main's exit status, its printed lines and its JSON summary,
+    on two of its scene specs and two of its runs, to keep the test short."""
+    module = load_script("same_outputs", monkeypatch)
+    monkeypatch.setattr(module, "SPECS", {k: module.SPECS[k] for k in ("dense", "flow")})
+    monkeypatch.setattr(module, "RUNS", [("float32", "on"), ("float64", "off")])
+    code = module.main([str(base), str(change)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    return code, lines[:-1], json.loads(lines[-1])
+
+
+class TestSameOutputs:
+    def test_identical_outputs_exit_0(self, tmp_path, monkeypatch, capsys):
+        code, lines, summary = run_same_outputs(monkeypatch, capsys,
+                                                stub_checkout(tmp_path, "base"),
+                                                stub_checkout(tmp_path, "change"))
+        assert code == 0 and lines == []
+        # per spec: 1 frame file, then 2 runs of checkpoint, trace, detections
+        # and report; plus the grad-check printout, whose seconds are stripped
+        assert summary["files"] == summary["identical"] == 2 * (1 + 2 * 4) + 1
+        assert summary["differ"] == summary["failed"] == []
+
+    def test_a_differing_file_is_named_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        code, lines, summary = run_same_outputs(monkeypatch, capsys,
+                                                stub_checkout(tmp_path, "base"),
+                                                stub_checkout(tmp_path, "change",
+                                                              changed=".json"))
+        assert code == 1 and summary["failed"] == []
+        assert summary["differ"] == [f"{spec}/{run}.json" for spec in ("dense", "flow")
+                                     for run in ("float32-fusion-on", "float64-fusion-off")]
+        assert lines[0].startswith("differs: dense/float32-fusion-on.json: base ")
+
+    def test_a_failing_command_is_named_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        change = stub_checkout(tmp_path, "change", fail="infer")
+        code, lines, summary = run_same_outputs(monkeypatch, capsys,
+                                                stub_checkout(tmp_path, "base"), change)
+        assert code == 1
+        assert len(summary["failed"]) == 4      # 2 specs x 2 runs
+        assert all(f.startswith(f"{change}: fmfdet infer --ckpt ") and
+                   f.endswith("exit 3: stub infer failed") for f in summary["failed"])
+        # the detections are missing on the change side; the stub's eval
+        # does not read them, so its reports still match
+        assert len(summary["differ"]) == 4
+        assert all(n.endswith(".jsonl") for n in summary["differ"])
+        assert any(line.startswith("failed: ") for line in lines)
