@@ -31,6 +31,12 @@ NumPy float64 scalar or 0-d array under NumPy 2's promotion rules (NumPy 1.x
 keeps float32 for those two).
 
 Forward results are plain numpy and bit-deterministic for fixed inputs.
+
+The running statistics of training-mode `batchnorm` are the one state a
+forward writes. Inside a `deferred_stats` block (a per-thread context shaped
+like `no_grad`) it records each move instead, so the forwards of a batch can
+run in other processes and their moves still be replayed, in the batch's
+order, onto one model (see `train.train`).
 """
 from __future__ import annotations
 
@@ -48,10 +54,12 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 
 class _GradMode(threading.local):
-    """Whether ops record the graph, per thread: one thread's no_grad block
-    must not switch recording off (or on) under another thread."""
+    """Whether ops record the graph, and the list deferred_stats collects
+    into (None: none), per thread: one thread's block must not switch
+    either under another thread."""
 
     enabled = True
+    stats = None
 
 
 _grad_mode = _GradMode()
@@ -71,6 +79,34 @@ def no_grad():
 def grad_enabled():
     """Whether ops in this thread record the graph (False inside no_grad)."""
     return _grad_mode.enabled
+
+
+@contextlib.contextmanager
+def deferred_stats():
+    """Inside the block, training-mode `batchnorm` in this thread leaves the
+    running statistics as they are and appends (running_mean, running_var,
+    batch mean, batch var) to the list the block yields, in call order.
+    Replaying the records in that order through `update_running_stats`
+    gives the bytes the updates would have: training never reads a running
+    statistic, so when they move does not matter."""
+    prev = _grad_mode.stats
+    _grad_mode.stats = records = []
+    try:
+        yield records
+    finally:
+        _grad_mode.stats = prev
+
+
+def update_running_stats(running_mean, running_var, mu, var):
+    """Move batch norm's running statistics toward a batch's mean `mu` and
+    variance `var` by _BN_MOMENTUM, rebinding their ``data``."""
+    running_mean.data = (1.0 - _BN_MOMENTUM) * running_mean.data + _BN_MOMENTUM * mu
+    running_var.data = (1.0 - _BN_MOMENTUM) * running_var.data + _BN_MOMENTUM * var
+
+
+def accumulate_grad(tensor, g):
+    """Add `g` into ``tensor.grad`` (a copy of `g` when it has none)."""
+    tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
 
 
 def _as_array(data, dtype=None):
@@ -495,8 +531,9 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training):
     Bulo et al., arXiv 1712.02616).
 
     Train mode uses batch statistics (biased variance) and moves the running
-    statistics, two non-differentiated tensors, toward them by _BN_MOMENTUM,
-    rebinding their ``data``; eval mode normalizes by the running statistics, as
+    statistics, two non-differentiated tensors, toward them by
+    `update_running_stats` (inside `deferred_stats`, records the move
+    instead); eval mode normalizes by the running statistics, as
     x * scale + shift. One backward serves both: it recomputes the normalized
     input from x rather than saving it, and gx = gamma * inv_std * g, less
     sum(g) / m + x_hat * sum(g * x_hat) / m in train mode.
@@ -516,8 +553,10 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training):
         mu = x.data.mean(axis=axes)
         out = x.data - mu.reshape(shape)
         var = np.mean(out * out, axis=axes)     # two-pass: no float32 cancellation
-        running_mean.data = (1.0 - _BN_MOMENTUM) * running_mean.data + _BN_MOMENTUM * mu
-        running_var.data = (1.0 - _BN_MOMENTUM) * running_var.data + _BN_MOMENTUM * var
+        if _grad_mode.stats is None:
+            update_running_stats(running_mean, running_var, mu, var)
+        else:
+            _grad_mode.stats.append((running_mean, running_var, mu, var))
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         out = out.astype(np.result_type(out, gamma.data, beta.data), copy=False)
         out *= (gamma.data * inv_std).reshape(shape)
@@ -822,7 +861,7 @@ def backward(loss):
         node = topo.pop()
         g = grads.pop(id(node), None)
         if g is not None and node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            accumulate_grad(node, g)
         if node._backward_fn is None:
             continue
         if g is not None:

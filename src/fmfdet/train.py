@@ -1,12 +1,16 @@
-"""Training loop: paired-frame batches, one-cycle AdamW, loss traces,
-and npz checkpoints that restore a model bit-exactly.
+"""Training loop: paired-frame batches (a batch's pairs spread over forked
+worker processes where fork is safe), one-cycle AdamW, loss traces, and npz
+checkpoints that restore a model bit-exactly.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
+import pickle
 import tokenize
 import zipfile
 
@@ -118,15 +122,152 @@ def pair_losses(model, prev, cur, cfg: TrainConfig, vox_seeds):
     return (focal_loss(out.heatmap, target, cfg.focal),) + regression_losses(out, target)
 
 
+def _can_fork():
+    """The one fork predicate: whether `train` may fork workers here. It needs
+    os.fork, two usable CPUs, and a process with exactly one OS thread, the
+    state in which fork is safe: an unpinned OpenBLAS (a thread pool) or any
+    other thread keeps training in-process, as do Windows and macOS, which
+    lack sched_getaffinity or /proc."""
+    try:
+        return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2
+                and len(os.listdir("/proc/self/task")) == 1)
+    except (AttributeError, OSError):
+        return False
+
+
+def _run_pairs(model, cfg, scenes, jobs):
+    """Run `jobs`, (step, scale, (scene, prev, cur), seeds) each, in order:
+    the one path of every pair, in the parent or in a worker. A pair is
+    augmented, run forward with its batch-norm statistic moves deferred,
+    checked for a finite loss, and backpropagated scaled by `scale`.
+
+    Returns one result per pair: (its loss values, its gradient of each
+    parameter or None, its statistic records with `named_state` positions
+    for the running tensors), and leaves ``.grad`` None. The first pair
+    that raises ends the list with its exception."""
+    params = model.parameters()
+    where = {id(t): i for i, (_key, t) in enumerate(model.named_state())}
+    results = []
+    for step, scale, (si, tp, tc), seeds in jobs:
+        try:
+            prev, cur = scenes[si].frames[tp], scenes[si].frames[tc]
+            if cfg.augment.enabled:
+                tf = sample_transform(np.random.default_rng(seeds[0]), cfg.augment)
+                prev = apply_transform(prev, tf)
+                cur = apply_transform(cur, tf)
+            with ad.deferred_stats() as stats:
+                parts = pair_losses(model, prev, cur, cfg, (int(seeds[1]), int(seeds[2])))
+            loss = total_loss(parts, cfg.loss_weights)
+            values = [t.item() for t in parts + (loss,)]
+            if not all(np.isfinite(values)):
+                raise DivergenceError(f"non-finite loss at step {step}: {values}")
+            ad.backward(ad.mul(loss, scale))
+        except Exception as e:
+            results.append(e)
+            break
+        results.append((values, [p.grad for p in params],
+                        [(where[id(m)], where[id(v)], mu, var) for m, v, mu, var in stats]))
+        model.zero_grad()
+    return results
+
+
+def _portable(exc):
+    """`exc` if it survives pickling, else a RuntimeError with its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _send(f, obj):
+    pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
+    f.flush()
+
+
+class _Worker:
+    """A forked worker as the parent sees it: its process id, and the pipes
+    that carry pickled messages to it (`down`) and back (`up`)."""
+
+    def __init__(self, pid, down, up):
+        self.pid, self.down, self.up = pid, down, up
+
+    def receive(self):
+        try:
+            return pickle.load(self.up)
+        except EOFError:
+            raise RuntimeError(f"training worker {self.pid} exited without "
+                               f"a result") from None
+
+    def close(self):
+        for f in (self.down, self.up):
+            with contextlib.suppress(OSError):
+                f.close()
+
+
+@contextlib.contextmanager
+def _forked(n, serve):
+    """Fork `n` workers, each running serve(down, up) on its ends of two
+    pipes, and yield them as `_Worker`s. A worker leaves by os._exit, never
+    into the caller. On the way out the pipes close, so an idle worker
+    reads EOF and returns; if the block raised, workers still busy are
+    killed first. Either way every worker is reaped."""
+    workers = []
+    try:
+        for _ in range(n):
+            fds = down_r, down_w, up_r, up_w = os.pipe() + os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in fds:
+                    os.close(fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    for w in workers:   # a sibling's pipe held here would hide its EOF
+                        w.close()
+                    os.close(down_w)
+                    os.close(up_r)
+                    serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(down_r)
+            os.close(up_w)
+            workers.append(_Worker(pid, os.fdopen(down_w, "wb"), os.fdopen(up_r, "rb")))
+        yield workers
+    except BaseException:
+        import signal   # only here: a module train would otherwise not load
+
+        for w in workers:
+            os.kill(w.pid, signal.SIGKILL)
+        raise
+    finally:
+        for w in workers:
+            w.close()
+            os.waitpid(w.pid, 0)
+
+
 def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     """Train a detector on scene sequences. Returns (model, opt, trace rows).
 
     Every batch draws temporally adjacent frame pairs, applies one shared
     augmentation per pair, and supervises the current frame only. Each pair's
-    `pair_losses` total, times 1/batch size, is backpropagated before the next
-    pair is built, so gradients sum in `.grad` and one pair's graph is alive
-    at a time; the trace row holds the batch means. The learning rate and
-    beta1 follow a one-cycle schedule over the whole run.
+    `pair_losses` total, times 1/batch size, is backpropagated before its
+    process builds its next pair, so one pair's graph per process is alive at
+    a time; the trace row holds the batch means. The learning rate and beta1
+    follow a one-cycle schedule over the whole run.
+
+    A batch's pairs are independent until their gradients are summed, so they
+    run across this process and up to min(batch_size, usable CPUs) - 1
+    workers, forked once per call where `_can_fork` allows (else every pair
+    runs here). Each step sends the workers the parameters and their pairs.
+    This process then takes every pair's result in pair order: it adds the
+    gradients into ``.grad`` as one backward after another would, replays the
+    deferred batch-norm statistic moves, sums the loss values, and raises the
+    first failing pair's exception. So the trace and every parameter, buffer
+    and optimizer array are byte-identical to a run without workers.
     """
     class_names = shared_class_names(scenes)
     model = build_model(cfg, len(class_names))
@@ -134,52 +275,82 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     opt = AdamW(model.named_parameters(), lr=cfg.lr_init,
                 weight_decay=cfg.weight_decay, beta1=cfg.momentum_range[1],
                 beta2=cfg.beta2, eps=cfg.adam_eps)
+    params = model.parameters()
+    state = [t for _key, t in model.named_state()]
 
     pairs = _frame_pairs(scenes)
     n_batches = math.ceil(len(pairs) / cfg.batch_size)
     planned = cfg.epochs * n_batches
     total_steps = min(planned, cfg.max_steps) if cfg.max_steps else planned
+    per_batch = min(cfg.batch_size, len(pairs))
+    n_workers = 0
+    if per_batch >= 2 and _can_fork():
+        n_workers = min(per_batch, len(os.sched_getaffinity(0))) - 1
+
+    def serve(down, up):
+        while True:
+            try:
+                data, jobs = pickle.load(down)
+            except EOFError:
+                return
+            for p, d in zip(params, data):
+                p.data = d.copy()   # numpy's own allocation, as the parent's arrays are
+            results = _run_pairs(model, cfg, scenes, jobs)
+            if results and isinstance(results[-1], BaseException):
+                results[-1] = _portable(results[-1])
+            _send(up, results)
 
     rng = np.random.default_rng(cfg.seed)
     trace = []
-    for step in range(total_steps):
-        b = step % n_batches
-        if b == 0:
-            order = rng.permutation(len(pairs))
-        batch = [pairs[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
-        lr, momentum = one_cycle_lr(step, total_steps, cfg.lr_init, cfg.momentum_range)
-        opt.lr = lr
-        opt.beta1 = momentum
+    with _forked(n_workers, serve) as workers:
+        for step in range(total_steps):
+            b = step % n_batches
+            if b == 0:
+                order = rng.permutation(len(pairs))
+            batch = [pairs[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
+            lr, momentum = one_cycle_lr(step, total_steps, cfg.lr_init, cfg.momentum_range)
+            opt.lr = lr
+            opt.beta1 = momentum
 
-        scale = 1.0 / len(batch)
-        sums = None
-        for si, tp, tc in batch:
-            seeds = rng.integers(0, 2 ** 31 - 1, size=3)
-            prev, cur = scenes[si].frames[tp], scenes[si].frames[tc]
-            if cfg.augment.enabled:
-                tf = sample_transform(np.random.default_rng(seeds[0]), cfg.augment)
-                prev = apply_transform(prev, tf)
-                cur = apply_transform(cur, tf)
-            parts = pair_losses(model, prev, cur, cfg, (int(seeds[1]), int(seeds[2])))
-            loss = total_loss(parts, cfg.loss_weights)
-            values = [t.item() for t in parts + (loss,)]
-            if not all(np.isfinite(values)):
-                raise DivergenceError(f"non-finite loss at step {step}: {values}")
-            ad.backward(ad.mul(loss, scale))
-            sums = values[:-1] if sums is None else [a + v for a, v in zip(sums, values)]
+            scale = 1.0 / len(batch)
+            jobs = [(step, scale, pair, rng.integers(0, 2 ** 31 - 1, size=3))
+                    for pair in batch]
+            # pair i runs in process owner[i]: 0 is this one, w the w-th worker
+            procs = min(1 + len(workers), len(jobs))
+            owner = [(i + 1) % procs for i in range(len(jobs))]
+            for w, worker in enumerate(workers, 1):
+                if w in owner:
+                    _send(worker.down, ([p.data for p in params],
+                                        [job for job, o in zip(jobs, owner) if o == w]))
+            results = {0: iter(_run_pairs(model, cfg, scenes,
+                                          [job for job, o in zip(jobs, owner) if o == 0]))}
+            sums = None
+            for o in owner:
+                if o not in results:
+                    results[o] = iter(workers[o - 1].receive())
+                result = next(results[o])
+                if isinstance(result, BaseException):
+                    raise result
+                values, grads, stats = result
+                for p, g in zip(params, grads):
+                    if g is not None:
+                        ad.accumulate_grad(p, g)
+                for i, j, mu, var in stats:
+                    ad.update_running_stats(state[i], state[j], mu, var)
+                sums = values[:-1] if sums is None else [a + v for a, v in zip(sums, values)]
 
-        means = [s * scale for s in sums]
-        values = means + [total_loss(means, cfg.loss_weights).item()]
-        grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                                  for p in model.parameters() if p.grad is not None))
-        if not math.isfinite(grad_norm):
-            raise DivergenceError(f"non-finite gradient norm at step {step}: {grad_norm}")
-        opt.step()
-        model.zero_grad()
+            means = [s * scale for s in sums]
+            values = means + [total_loss(means, cfg.loss_weights).item()]
+            grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                      for p in params if p.grad is not None))
+            if not math.isfinite(grad_norm):
+                raise DivergenceError(f"non-finite gradient norm at step {step}: {grad_norm}")
+            opt.step()
+            model.zero_grad()
 
-        trace.append((step, lr) + tuple(values))
-        if print_every and step % print_every == 0:
-            print(f"step {step}/{total_steps} lr {lr:.6f} loss {values[-1]:.6f}")
+            trace.append((step, lr) + tuple(values))
+            if print_every and step % print_every == 0:
+                print(f"step {step}/{total_steps} lr {lr:.6f} loss {values[-1]:.6f}")
 
     if trace_path is not None:
         write_trace(trace_path, trace)

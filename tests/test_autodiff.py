@@ -402,6 +402,28 @@ class TestBackwardMechanics:
         assert np.allclose(ref.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
         assert np.allclose(out.data, np.maximum(ref, 0.0), rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_deferred_running_stats_replay_to_the_same_bytes(self, dtype):
+        """Inside deferred_stats training batch norm leaves the running
+        statistics alone and records its moves; replaying them in order
+        gives the bytes of moving them in place, and the output is unchanged."""
+        rng = np.random.default_rng(4)
+        xs = [leaf(rng.normal(loc=1.0, size=(2, 3, 4, 4)).astype(dtype)) for _ in range(2)]
+        gamma, beta = leaf(np.ones(3, dtype)), leaf(np.zeros(3, dtype))
+        stats = [ad.Tensor(np.zeros(3, dtype)), ad.Tensor(np.ones(3, dtype))]
+        deferred = [ad.Tensor(np.zeros(3, dtype)), ad.Tensor(np.ones(3, dtype))]
+        direct = [ad.batchnorm(x, gamma, beta, *stats, training=True) for x in xs]
+        with ad.deferred_stats() as records:
+            moved = [ad.batchnorm(x, gamma, beta, *deferred, training=True) for x in xs]
+        assert np.array_equal(deferred[0].data, np.zeros(3))
+        assert np.array_equal(deferred[1].data, np.ones(3))
+        assert [r[:2] for r in records] == [tuple(deferred)] * 2
+        for record in records:
+            ad.update_running_stats(*record)
+        assert ad._grad_mode.stats is None
+        for a, b in zip(stats + direct, deferred + moved):
+            assert a.data.tobytes() == b.data.tobytes()
+
     @pytest.mark.parametrize("shape", [(37, 5), (1, 3, 8, 8), (2, 4, 6, 5)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batchnorm_train_cancels_a_per_channel_shift(self, seed, shape):

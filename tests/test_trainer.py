@@ -153,6 +153,10 @@ class TestTrainLoop:
         assert all(np.array_equal(p.data, at_backward[id(p)]) for p in params)
 
     def test_each_pair_is_backpropagated_before_the_next_is_built(self, monkeypatch):
+        """In one process; tests/test_workers.py checks each process of a
+        forked run, which these spies cannot see into."""
+        monkeypatch.setattr(importlib.import_module("fmfdet.train"), "_can_fork",
+                            lambda: False)
         calls = []
         real_forward, real_backward = Detector.forward_pair, ad.backward
 
@@ -171,8 +175,11 @@ class TestTrainLoop:
 
     def test_pairwise_backward_equals_one_joint_loss(self, monkeypatch):
         """Gradients summed in .grad pair by pair equal those of one graph
-        over the batch means, and the trace holds those means exactly."""
+        over the batch means, and the trace holds those means exactly. In
+        one process, so the spy sees both pairs' inputs; a forked run gives
+        the same bytes (tests/test_workers.py)."""
         train_mod = importlib.import_module("fmfdet.train")
+        monkeypatch.setattr(train_mod, "_can_fork", lambda: False)
         cfg = tiny_cfg(max_steps=1, batch_size=2, compute_dtype="float64",
                        augment=AugmentConfig())
         inputs, stepped = [], {}
