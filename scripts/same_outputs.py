@@ -4,8 +4,13 @@
     python3 scripts/same_outputs.py BASE CHANGE
 
 BASE and CHANGE are two checkout directories. In each, one after the other,
-the fmfdet command line runs the same flow into its own temporary
-directory, with that checkout's src on PYTHONPATH and one BLAS thread:
+the fmfdet command line runs the same flow twice, each time into its own
+temporary directory with that checkout's src on PYTHONPATH and one BLAS
+thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS at 1):
+"forked" with the CPUs this script has, so that `train` forks workers where
+it has two, and "in-process" with each command bound to one CPU, so that
+`train` runs every pair in one process. Only the training path differs
+between the modes; the BLAS thread count is the same in both. The flow:
 
 - gen-data on two scene specs: `flow`, 2 sequences of 6 frames with ego
   motion (ego_speed 2.0, ego_yaw_rate 0.3), and `dense`, where the per-cell
@@ -16,11 +21,12 @@ directory, with that checkout's src on PYTHONPATH and one BLAS thread:
   then infer (score threshold 0.05) and eval --out;
 - grad-check, its printout saved with the seconds stripped.
 
-It compares the sha256 of every file the two flows wrote: frame files and
+It compares the sha256 of every file the four flows wrote: frame files and
 manifests, checkpoints, trace CSVs, detections, reports and the grad-check
-printout. It prints each file that differs or exists on one side only, then
-each command that failed, then one JSON line. The exit status is 0 when
-every file matches and every command ran, and 1 otherwise.
+printout. It prints each file that differs or is missing from some flow,
+then each command that failed, then one JSON line. The exit status is 0
+when every file matches in all four flows and every command ran, and 1
+otherwise.
 """
 from __future__ import annotations
 
@@ -46,6 +52,17 @@ TRAIN = {"backbone": {"pfn_channels": 12, "neck_channels": [12, 24],
          "head_channels": 24, "max_steps": 6, "augment": {"enabled": True},
          "match": {"score_threshold": 0.05}}
 RUNS = [(dtype, fusion) for dtype in ("float32", "float64") for fusion in ("on", "off")]
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def one_cpu():
+    """Bind the calling process to the lowest of its CPUs: `train` then sees
+    one usable CPU and forks no worker."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+# each mode's preexec_fn; where there is no sched_setaffinity, `train` never forks
+MODES = {"forked": None, "in-process": one_cpu if hasattr(os, "sched_setaffinity") else None}
 
 
 def write_inputs(inputs):
@@ -58,19 +75,19 @@ def write_inputs(inputs):
         (inputs / f"{dtype}-fusion-{fusion}.json").write_text(json.dumps(cfg), encoding="utf-8")
 
 
-def run_flow(checkout, inputs, out):
-    """Every command of the flow, run by `checkout`'s fmfdet with its outputs
-    under `out`; returns the failed commands, each with its exit code and the
-    tail of its stderr."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
+def run_flow(checkout, inputs, out, pin):
+    """Every command of the flow, run by `checkout`'s fmfdet with one BLAS
+    thread, its outputs under `out` and `pin`, one of MODES, run in the child
+    before it starts; returns the failed commands, each with its exit code
+    and the tail of its stderr."""
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREADS, "1"), PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(checkout.resolve() / "src"))
     failed = []
 
     def fmfdet(*args):
         args = [str(a) for a in args]
         done = subprocess.run([sys.executable, "-m", "fmfdet.cli", *args], cwd=out, env=env,
-                              capture_output=True, text=True)
+                              preexec_fn=pin, capture_output=True, text=True)
         if done.returncode:
             failed.append(f"{checkout}: fmfdet {' '.join(args)}: exit {done.returncode}: "
                           f"{done.stderr.strip()[-300:]}")
@@ -112,14 +129,16 @@ def main(argv=None):
         work = pathlib.Path(tmp)
         write_inputs(work / "inputs")
         for side, checkout in sides.items():
-            (work / side).mkdir()
-            failed += run_flow(checkout, work / "inputs", work / side)
-            sums[side] = digests(work / side)
-    names = sorted(sums["base"].keys() | sums["change"].keys())
-    differ = [n for n in names if sums["base"].get(n) != sums["change"].get(n)]
+            for mode, pin in MODES.items():
+                out = work / side / mode
+                out.mkdir(parents=True)
+                failed += run_flow(checkout, work / "inputs", out, pin)
+                sums[f"{side} {mode}"] = digests(out)
+    names = sorted(set().union(*sums.values()))
+    differ = [n for n in names if len({flow.get(n) for flow in sums.values()}) > 1]
     for name in differ:
-        base, change = (sums[side].get(name, "missing")[:16] for side in sides)
-        print(f"differs: {name}: base {base}, change {change}")
+        print(f"differs: {name}: " + ", ".join(f"{flow} {got.get(name, 'missing')[:16]}"
+                                               for flow, got in sums.items()))
     for command in failed:
         print(f"failed: {command}")
     print(json.dumps({"base": str(args.base), "change": str(args.change), "files": len(names),

@@ -2,7 +2,7 @@
 
 Subcommands: gen-data, train, infer, eval, ablate, grad-check, bench.
 Exit codes: 0 success, 2 ConfigError, 3 DataError (also for an output path
-that cannot be written), 4 DivergenceError.
+that cannot be written), 4 DivergenceError, 5 WorkerError.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .bench import bench
 from .config import (apply_overrides, coerce, from_dict, load_config,
                      read_json_object)
 from .decode import MatchConfig
-from .errors import ConfigError, DataError, DivergenceError, atomic_file, writing
+from .errors import ConfigError, DataError, DivergenceError, WorkerError, atomic_file, writing
 from .frameio import MANIFEST_NAME, read_sequence, write_sequence
 from .gradcheck import run_gradcheck
 from .metrics import evaluate, read_detections, write_detections
@@ -249,6 +249,9 @@ def main(argv=None):
     except DivergenceError as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return 4
+    except WorkerError as e:
+        print(f"worker error: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 CLI exit codes, one class each (see cli.py): ConfigError -> 2, DataError -> 3,
-DivergenceError -> 4. ShapeError and StateError are programming errors.
+DivergenceError -> 4, WorkerError -> 5. ShapeError and StateError mean a bug.
 """
 import contextlib
 import os
@@ -27,6 +27,10 @@ class StateError(RuntimeError):
 
 class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss or gradient."""
+
+
+class WorkerError(RuntimeError):
+    """A forked training worker exited mid-run (killed, say)."""
 
 
 @contextlib.contextmanager

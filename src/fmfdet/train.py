@@ -21,7 +21,7 @@ from .augment import AugmentConfig, apply_transform, sample_transform
 from .backbone import BackboneConfig
 from .config import from_dict, to_dict
 from .decode import MatchConfig
-from .errors import ConfigError, DataError, DivergenceError, ShapeError, atomic_file
+from .errors import ConfigError, DataError, DivergenceError, ShapeError, WorkerError, atomic_file
 from .fmf import FMFConfig
 from .heads import (FocalParams, LossWeights, focal_loss, regression_losses,
                     render_targets, total_loss)
@@ -180,38 +180,31 @@ def _portable(exc):
     return exc
 
 
-def _send(f, obj):
-    pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
-    f.flush()
+def _send(pid, f, obj):
+    """Pickle `obj` into pipe `f`, read by process `pid`: a WorkerError if it exited."""
+    try:
+        pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
+        f.flush()
+    except BrokenPipeError:
+        raise WorkerError(f"training process {pid} exited before a step reached it") from None
 
 
-class _Worker:
-    """A forked worker as the parent sees it: its process id, and the pipes
-    that carry pickled messages to it (`down`) and back (`up`)."""
-
-    def __init__(self, pid, down, up):
-        self.pid, self.down, self.up = pid, down, up
-
-    def receive(self):
-        try:
-            return pickle.load(self.up)
-        except EOFError:
-            raise RuntimeError(f"training worker {self.pid} exited without "
-                               f"a result") from None
-
-    def close(self):
-        for f in (self.down, self.up):
-            with contextlib.suppress(OSError):
-                f.close()
+def _receive(pid, f):
+    """The next object process `pid` pickled into pipe `f`: a WorkerError if it exited."""
+    try:
+        return pickle.load(f)
+    except (EOFError, pickle.UnpicklingError):   # UnpicklingError: it died mid-object
+        raise WorkerError(f"training process {pid} exited without a result") from None
 
 
 @contextlib.contextmanager
 def _forked(n, serve):
     """Fork `n` workers, each running serve(down, up) on its ends of two
-    pipes, and yield them as `_Worker`s. A worker leaves by os._exit, never
-    into the caller. On the way out the pipes close, so an idle worker
-    reads EOF and returns; if the block raised, workers still busy are
-    killed first. Either way every worker is reaped."""
+    pipes, and yield them as (pid, down, up): the pipes carry pickled
+    messages to it and back. A worker leaves by os._exit, never into the
+    caller. On the way out the pipes close, so an idle worker reads EOF and
+    returns; if the block raised, workers still busy are killed first.
+    Either way every worker is reaped."""
     workers = []
     try:
         for _ in range(n):
@@ -225,8 +218,8 @@ def _forked(n, serve):
             if pid == 0:
                 code = 1
                 try:
-                    for w in workers:   # a sibling's pipe held here would hide its EOF
-                        w.close()
+                    for _pid, down, _up in workers:   # held here, it would hide EOF from a sibling
+                        down.close()
                     os.close(down_w)
                     os.close(up_r)
                     serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))
@@ -235,18 +228,20 @@ def _forked(n, serve):
                     os._exit(code)
             os.close(down_r)
             os.close(up_w)
-            workers.append(_Worker(pid, os.fdopen(down_w, "wb"), os.fdopen(up_r, "rb")))
+            workers.append((pid, os.fdopen(down_w, "wb"), os.fdopen(up_r, "rb")))
         yield workers
     except BaseException:
         import signal   # only here: a module train would otherwise not load
 
-        for w in workers:
-            os.kill(w.pid, signal.SIGKILL)
+        for pid, *_files in workers:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for w in workers:
-            w.close()
-            os.waitpid(w.pid, 0)
+        for pid, *files in workers:
+            for f in files:
+                with contextlib.suppress(OSError):   # a dead worker's unsent bytes
+                    f.close()
+            os.waitpid(pid, 0)
 
 
 def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
@@ -262,12 +257,14 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     A batch's pairs are independent until their gradients are summed, so they
     run across this process and up to min(batch_size, usable CPUs) - 1
     workers, forked once per call where `_can_fork` allows (else every pair
-    runs here). Each step sends the workers the parameters and their pairs.
-    This process then takes every pair's result in pair order: it adds the
-    gradients into ``.grad`` as one backward after another would, replays the
-    deferred batch-norm statistic moves, sums the loss values, and raises the
-    first failing pair's exception. So the trace and every parameter, buffer
-    and optimizer array are byte-identical to a run without workers.
+    runs here). With P processes, pair i runs in process (i + 1) % P: each
+    step sends worker w the parameters and pairs w - 1, w - 1 + P, ..., and
+    this process runs pairs P - 1, 2P - 1, .... Then, in pair order, it adds
+    each pair's gradients into ``.grad`` as one backward after another would,
+    replays its deferred batch-norm statistic moves, sums its loss values,
+    and raises the first failing pair's exception. So the trace and every
+    parameter, buffer and optimizer array are byte-identical to a run
+    without workers. A worker that has exited (killed, say) is a WorkerError.
     """
     class_names = shared_class_names(scenes)
     model = build_model(cfg, len(class_names))
@@ -282,23 +279,20 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     n_batches = math.ceil(len(pairs) / cfg.batch_size)
     planned = cfg.epochs * n_batches
     total_steps = min(planned, cfg.max_steps) if cfg.max_steps else planned
-    per_batch = min(cfg.batch_size, len(pairs))
     n_workers = 0
-    if per_batch >= 2 and _can_fork():
-        n_workers = min(per_batch, len(os.sched_getaffinity(0))) - 1
+    if _can_fork():
+        n_workers = min(cfg.batch_size, len(pairs), len(os.sched_getaffinity(0))) - 1
 
     def serve(down, up):
-        while True:
-            try:
-                data, jobs = pickle.load(down)
-            except EOFError:
-                return
-            for p, d in zip(params, data):
-                p.data = d.copy()   # numpy's own allocation, as the parent's arrays are
-            results = _run_pairs(model, cfg, scenes, jobs)
-            if results and isinstance(results[-1], BaseException):
-                results[-1] = _portable(results[-1])
-            _send(up, results)
+        with contextlib.suppress(WorkerError):   # the parent closed the pipe: training is over
+            while True:
+                data, jobs = _receive(os.getppid(), down)
+                for p, d in zip(params, data):
+                    p.data = d.copy()   # numpy's own allocation, as the parent's arrays are
+                results = _run_pairs(model, cfg, scenes, jobs)
+                if results and isinstance(results[-1], BaseException):
+                    results[-1] = _portable(results[-1])
+                _send(os.getppid(), up, results)
 
     rng = np.random.default_rng(cfg.seed)
     trace = []
@@ -315,28 +309,25 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
             scale = 1.0 / len(batch)
             jobs = [(step, scale, pair, rng.integers(0, 2 ** 31 - 1, size=3))
                     for pair in batch]
-            # pair i runs in process owner[i]: 0 is this one, w the w-th worker
+            # pair i runs in process (i + 1) % procs: 0 is this one, w the w-th worker
             procs = min(1 + len(workers), len(jobs))
-            owner = [(i + 1) % procs for i in range(len(jobs))]
-            for w, worker in enumerate(workers, 1):
-                if w in owner:
-                    _send(worker.down, ([p.data for p in params],
-                                        [job for job, o in zip(jobs, owner) if o == w]))
-            results = {0: iter(_run_pairs(model, cfg, scenes,
-                                          [job for job, o in zip(jobs, owner) if o == 0]))}
+            for w, (pid, down, _up) in enumerate(workers[:procs - 1], 1):
+                _send(pid, down, ([p.data for p in params], jobs[w - 1::procs]))
+            results = [_run_pairs(model, cfg, scenes, jobs[procs - 1::procs])]
             sums = None
-            for o in owner:
-                if o not in results:
-                    results[o] = iter(workers[o - 1].receive())
-                result = next(results[o])
+            for i in range(len(jobs)):
+                if i < procs - 1:   # worker i + 1's list, first needed at pair i
+                    pid, _down, up = workers[i]
+                    results.append(_receive(pid, up))
+                result = results[(i + 1) % procs][i // procs]
                 if isinstance(result, BaseException):
                     raise result
                 values, grads, stats = result
                 for p, g in zip(params, grads):
                     if g is not None:
                         ad.accumulate_grad(p, g)
-                for i, j, mu, var in stats:
-                    ad.update_running_stats(state[i], state[j], mu, var)
+                for m, v, mu, var in stats:   # named_state positions of the running tensors
+                    ad.update_running_stats(state[m], state[v], mu, var)
                 sums = values[:-1] if sums is None else [a + v for a, v in zip(sums, values)]
 
             means = [s * scale for s in sums]

@@ -865,10 +865,11 @@ class TestEntryPoint:
         defined = {name for name, obj in vars(errors).items()
                    if isinstance(obj, type) and obj.__module__ == errors.__name__}
         assert defined == {"ConfigError", "ShapeError", "DataError", "StateError",
-                           "DivergenceError"}
+                           "DivergenceError", "WorkerError"}
         for exc, code, prefix in ((errors.ConfigError, 2, "config error"),
                                   (errors.DataError, 3, "data error"),
                                   (errors.DivergenceError, 4, "numeric divergence"),
+                                  (errors.WorkerError, 5, "worker error"),
                                   (errors.ShapeError, None, None),
                                   (errors.StateError, None, None)):
             def command(args, exc=exc):

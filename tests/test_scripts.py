@@ -4,11 +4,12 @@ scripts/ab_pairs.py: each checkout holds a BENCHMARK.json and a stub
 perfbench/run.py that prints what the real one prints, a detail line and then
 a result line, so the parser and the verdict run without a real benchmark.
 scripts/same_outputs.py: each checkout holds a stub fmfdet package whose
-command line writes fixed bytes to every output. scripts/run_ablation.py and
+command line writes fixed bytes to every output, in both modes. scripts/run_ablation.py and
 scripts/bench_snapshot.py: their measurements are monkeypatched, and only
 their report writing runs."""
 import importlib.util
 import json
+from hashlib import sha256
 import os
 import pathlib
 
@@ -260,7 +261,7 @@ class TestReportsAreAtomic:
         assert [p.name for p in tmp_path.iterdir()] == ["BENCH_ok.json"]
 
 
-STUB_CLI = """import pathlib, sys, time
+STUB_CLI = """import os, pathlib, sys, time
 args = sys.argv[1:]
 command = args[0]
 if command == {fail!r}:
@@ -274,20 +275,24 @@ out = pathlib.Path(args[args.index("--out") + 1])
 if command == "gen-data":
     out.mkdir(parents=True)
     out = out / "frame_000000.bin"
-out.write_text(command + (" changed" if out.suffix == {changed!r} else ""))
+out.write_text(command + (" changed" if out.suffix == {changed!r} else "")
+               + (f" {{os.environ.get('OPENBLAS_NUM_THREADS')}} {{len(os.sched_getaffinity(0))}}"
+                  if {where!r} else ""))
 if command == "train":
     pathlib.Path(str(out) + ".trace.csv").write_text("step,loss")
 """
 
 
-def stub_checkout(root, name, fail=None, changed=None):
+def stub_checkout(root, name, fail=None, changed=None, where=False):
     """A checkout whose src/fmfdet/cli.py writes a fixed text to each output;
-    `fail` names a command that exits 3, and outputs with suffix `changed`
-    get other bytes. Its grad-check prints a time that differs every run."""
+    `fail` names a command that exits 3, outputs with suffix `changed` get
+    other bytes, and with `where` each output ends with its command's
+    OPENBLAS_NUM_THREADS and usable CPU count. Its grad-check prints a time
+    that differs every run."""
     package = root / name / "src" / "fmfdet"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(STUB_CLI.format(fail=fail, changed=changed))
+    (package / "cli.py").write_text(STUB_CLI.format(fail=fail, changed=changed, where=where))
     return root / name
 
 
@@ -321,14 +326,38 @@ class TestSameOutputs:
         assert code == 1 and summary["failed"] == []
         assert summary["differ"] == [f"{spec}/{run}.json" for spec in ("dense", "flow")
                                      for run in ("float32-fusion-on", "float64-fusion-off")]
-        assert lines[0].startswith("differs: dense/float32-fusion-on.json: base ")
+        base, change = (sha256(f"eval{tail}".encode()).hexdigest()[:16] for tail in ("", " changed"))
+        assert lines[0] == (f"differs: dense/float32-fusion-on.json: base forked {base}, "
+                            f"base in-process {base}, change forked {change}, "
+                            f"change in-process {change}")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs to tell the modes apart")
+    def test_in_process_flows_run_on_one_cpu_with_one_blas_thread(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        code, lines, summary = run_same_outputs(monkeypatch, capsys,
+                                                stub_checkout(tmp_path, "base", where=True),
+                                                stub_checkout(tmp_path, "change", where=True))
+        assert code == 1 and summary["failed"] == []
+        # each output the stub writes through `--out`: not the trace or grad-check
+        assert summary["differ"] == sorted(
+            f"{spec}/{name}" for spec in ("dense", "flow")
+            for name in ["data/frame_000000.bin"] + [
+                run + suffix for run in ("float32-fusion-on", "float64-fusion-off")
+                for suffix in (".json", ".jsonl", ".npz")])
+        forked, in_process = (sha256(f"gen-data 1 {n}".encode()).hexdigest()[:16]
+                              for n in (len(os.sched_getaffinity(0)), 1))
+        assert lines[0] == (f"differs: dense/data/frame_000000.bin: base forked {forked}, "
+                            f"base in-process {in_process}, change forked {forked}, "
+                            f"change in-process {in_process}")
 
     def test_a_failing_command_is_named_and_exits_1(self, tmp_path, monkeypatch, capsys):
         change = stub_checkout(tmp_path, "change", fail="infer")
         code, lines, summary = run_same_outputs(monkeypatch, capsys,
                                                 stub_checkout(tmp_path, "base"), change)
         assert code == 1
-        assert len(summary["failed"]) == 4      # 2 specs x 2 runs
+        assert len(summary["failed"]) == 8      # 2 specs x 2 runs x 2 BLAS modes
         assert all(f.startswith(f"{change}: fmfdet infer --ckpt ") and
                    f.endswith("exit 3: stub infer failed") for f in summary["failed"])
         # the detections are missing on the change side; the stub's eval

@@ -5,8 +5,9 @@ Each check runs in a fresh interpreter with one BLAS thread, the state in
 which `train` forks, and compares against the in-process path forced by
 patching `_can_fork`: a forked run gives the bytes of an in-process one;
 each process backpropagates each of its pairs before it builds its next; a
-failing pair raises in the parent as it would in one process; and no worker
-outlives `train`, whether it returns or raises.
+failing pair raises in the parent as it would in one process; a worker that
+dies ends `fmfdet train` with exit 5; and no worker outlives `train`,
+whether it returns or raises.
 """
 import contextlib
 import hashlib
@@ -15,6 +16,8 @@ import io
 import json
 import os
 import pathlib
+import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -273,6 +276,46 @@ def child_second_fork_fails():
             "fds_kept": sorted(os.listdir("/proc/self/fd")) == fds}
 
 
+def child_digests_on_three_cpus(dtype):
+    """`child_digests` at batch size 3 with three usable CPUs claimed, so each
+    forked `train` call runs two workers."""
+    os.sched_getaffinity = lambda _pid: {0, 1, 2}
+    return child_digests(3, dtype)
+
+
+def child_worker_dies(root, how):
+    """`fmfdet train` with the worker gone mid-run: "killed" sends itself
+    SIGKILL inside its first pair, "cut" dies halfway through writing its
+    first result, and "exits" exits right after sending it."""
+    forks = _count_forks()
+    parent, real_losses, real_send = os.getpid(), train_mod.pair_losses, train_mod._send
+    sent = []
+
+    def pair_losses(model, prev, cur, cfg, vox_seeds):
+        if how == "killed" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_losses(model, prev, cur, cfg, vox_seeds)
+
+    def send(pid, f, obj):
+        if os.getpid() == parent:
+            if how == "exits" and sent:
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)   # gone, not yet reaped
+            sent.append(pid)
+            return real_send(pid, f, obj)
+        if how == "cut":
+            data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            f.write(data[:len(data) // 2])
+            f.flush()
+        else:
+            real_send(pid, f, obj)
+        os._exit(0)
+
+    train_mod.pair_losses, train_mod._send = pair_losses, send
+    code, err = _cli_train(root, small_cfg(max_steps=3))   # steps of 2, 1 and 2 pairs
+    return {"forks": forks, "code": code, "err": err, "reaped": _no_child_left(),
+            "files": sorted(p.name for p in pathlib.Path(root).iterdir())}
+
+
 class _TwoArgError(Exception):
     def __init__(self, what, where):
         super().__init__(f"{what} at {where}")
@@ -390,3 +433,32 @@ def test_import_loads_no_multiprocessing():
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_two_workers_are_byte_identical(dtype):
+    """Three processes share each batch of 3 (worker w gets pair w - 1, this
+    process pair 2), which a 2-CPU machine reaches only by claiming a third CPU."""
+    got, _err = in_child("child_digests_on_three_cpus", dtype)
+    assert got["forks"] == 2 * 2     # two workers per forked call, fusion on and off
+    for name, run in got["runs"].items():
+        differ = sorted(k for k in run["in_process"] if run["forked"][k] != run["in_process"][k])
+        assert differ == [], name
+        assert set(run["forked"]) == set(run["in_process"])
+    assert got["reaped"]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("how, message", [
+    ("killed", "exited without a result"),
+    ("cut", "exited without a result"),
+    ("exits", "exited before a step reached it"),
+])
+def test_a_worker_that_dies_exits_5(tmp_path, how, message):
+    got, err = in_child("child_worker_dies", str(tmp_path), how)
+    assert len(got["forks"]) == 1 and got["code"] == 5
+    assert got["err"] == f"worker error: training process {got['forks'][0]} {message}\n"
+    assert "Traceback" not in err
+    assert got["files"] == ["data", "spec.json", "train.json"]   # no checkpoint, no trace
+    assert got["reaped"]
