@@ -7,10 +7,11 @@ BASE and CHANGE are two checkout directories. In each, one after the other,
 the fmfdet command line runs the same flow twice, each time into its own
 temporary directory with that checkout's src on PYTHONPATH and one BLAS
 thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS at 1):
-"forked" with the CPUs this script has, so that `train` forks workers where
-it has two, and "in-process" with each command bound to one CPU, so that
-`train` runs every pair in one process. Only the training path differs
-between the modes; the BLAS thread count is the same in both. The flow:
+"forked" with the CPUs this script has, so that train, infer and
+grad-check fork `forkmap` workers where it has two, and "in-process" with
+each command bound to one CPU, so that they run every job in one process.
+Only those three commands' paths differ between the modes; the BLAS thread
+count is the same in both. The flow:
 
 - gen-data on two scene specs: `flow`, 2 sequences of 6 frames with ego
   motion (ego_speed 2.0, ego_yaw_rate 0.3), and `dense`, where the per-cell
@@ -56,12 +57,12 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def one_cpu():
-    """Bind the calling process to the lowest of its CPUs: `train` then sees
+    """Bind the calling process to the lowest of its CPUs: `forkmap` then sees
     one usable CPU and forks no worker."""
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-# each mode's preexec_fn; where there is no sched_setaffinity, `train` never forks
+# each mode's preexec_fn; where there is no sched_setaffinity, `forkmap` never forks
 MODES = {"forked": None, "in-process": one_cpu if hasattr(os, "sched_setaffinity") else None}
 
 

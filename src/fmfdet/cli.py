@@ -1,8 +1,8 @@
-"""Command-line interface.
-
-Subcommands: gen-data, train, infer, eval, ablate, grad-check, bench.
-Exit codes: 0 success, 2 ConfigError, 3 DataError (also for an output path
-that cannot be written), 4 DivergenceError, 5 WorkerError.
+"""Command-line interface: gen-data, train, infer, eval, ablate, grad-check,
+bench. train, infer and grad-check run their independent jobs through
+`forkmap`. Exit codes: 0 success, 2 ConfigError, 3 DataError (also for an
+output path that cannot be written), 4 DivergenceError, 5 WorkerError (a
+`forkmap` worker of train, infer or grad-check exited mid-run).
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import json
 import pathlib
 import sys
 
+from . import forkmap
 from .ablate import ablation_run, format_ablation
 from .bench import bench
 from .config import (apply_overrides, coerce, from_dict, load_config,
@@ -111,8 +112,9 @@ def _load_model_and_data(args):
 def cmd_infer(args):
     model, cfg, class_names, scenes = _load_model_and_data(args)
     _output(args.out)
-    det_frames = [dets for seq in scenes
-                  for dets in run_inference(model, seq, cfg.match)]
+    with forkmap.pool(len(scenes) - 1,
+                      lambda i: run_inference(model, scenes[i], cfg.match)) as run:
+        det_frames = [dets for frames in run(range(len(scenes))) for dets in frames]
     write_detections(det_frames, class_names, args.out)
     total = sum(len(d) for d in det_frames)
     print(f"wrote {total} detections over {len(det_frames)} frames "

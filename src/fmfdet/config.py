@@ -91,6 +91,8 @@ def read_json_object(path):
         data = json.loads(p.read_text(encoding="utf-8"))
     except ValueError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return data

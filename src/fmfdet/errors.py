@@ -1,7 +1,6 @@
-"""Exception types shared across the package.
-
-CLI exit codes, one class each (see cli.py): ConfigError -> 2, DataError -> 3,
-DivergenceError -> 4, WorkerError -> 5. ShapeError and StateError mean a bug.
+"""Exception types shared across the package. CLI exit codes, one class each
+(see cli.py): ConfigError -> 2, DataError -> 3, DivergenceError -> 4,
+WorkerError (a dead `forkmap` worker) -> 5. ShapeError and StateError mean a bug.
 """
 import contextlib
 import os
@@ -30,7 +29,7 @@ class DivergenceError(ArithmeticError):
 
 
 class WorkerError(RuntimeError):
-    """A forked training worker exited mid-run (killed, say)."""
+    """A `forkmap` worker (of train, infer or grad-check) exited mid-run (killed, say)."""
 
 
 @contextlib.contextmanager

@@ -104,7 +104,10 @@ class _Reader:
 
 
 def read_frame(path) -> PointCloudFrame:
-    data = pathlib.Path(path).read_bytes()
+    try:
+        data = pathlib.Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read frame {path}: {e.strerror or e}") from e
     r = _Reader(memoryview(data), path)  # slices of a memoryview do not copy
     if r.take(8) != MAGIC:
         raise DataError(f"{path}: bad magic, not a frame file")
@@ -168,6 +171,8 @@ def read_sequence(data_dir) -> SceneSequence:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except ValueError as e:  # also bytes that are not UTF-8
         raise DataError(f"{mpath}: invalid JSON manifest: {e}") from e
+    except OSError as e:
+        raise DataError(f"cannot read manifest {mpath}: {e.strerror or e}") from e
     if not isinstance(manifest, dict):
         raise DataError(f"{mpath}: manifest is not a JSON object")
     fmt, version = manifest.get("format"), manifest.get("version")

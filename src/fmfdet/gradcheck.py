@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
+from . import forkmap
 from .augment import AugmentConfig
 from .backbone import BackboneConfig
 from .fmf import FMFConfig
@@ -290,8 +291,8 @@ def tiny_scene_spec(seed=7):
 
 def check_pipeline(full=False):
     """Finite-difference check of d(total loss)/d(parameter) through the whole
-    frame-pair pipeline, `train.pair_losses`, on a small model. Checks two
-    coordinates per parameter tensor, or every coordinate with full=True."""
+    frame-pair pipeline, `train.pair_losses`, on a small model, one coordinate
+    per `forkmap` job: two per parameter tensor, or every one with full=True."""
     t_start = time.perf_counter()
     cfg = tiny_train_config()
     seq = generate_scene(tiny_scene_spec())
@@ -309,16 +310,17 @@ def check_pipeline(full=False):
                 for name, p in model.named_parameters()}
 
     rng = np.random.default_rng(123)
-    per_param = {}
-    for name, p in model.named_parameters():
+    params = dict(model.named_parameters())
+    jobs = []
+    for name, p in params.items():
         size = p.data.size
-        if full or size <= 2:
-            flat_indices = np.arange(size)
-        else:
-            flat_indices = rng.choice(size, size=2, replace=False)
-        indices = (np.unravel_index(int(flat), p.data.shape)
-                   for flat in flat_indices)
-        per_param[name] = _fd_error(p, analytic[name], indices, forward)
+        flat = np.arange(size) if full or size <= 2 else rng.choice(size, size=2, replace=False)
+        jobs += [(name, np.unravel_index(int(i), p.data.shape)) for i in flat]
+    per_param = dict.fromkeys(params, 0.0)
+    with forkmap.pool(len(jobs) - 1, lambda job: _fd_error(
+            params[job[0]], analytic[job[0]], [job[1]], forward)) as run:
+        for (name, _idx), err in zip(jobs, run(jobs)):
+            per_param[name] = max(per_param[name], err)
 
     return {"param_count": model.param_count(),
             "loss": loss.item(),

@@ -1,27 +1,25 @@
-"""Training loop: paired-frame batches (a batch's pairs spread over forked
-worker processes where fork is safe), one-cycle AdamW, loss traces, and npz
-checkpoints that restore a model bit-exactly.
+"""Training loop: paired-frame batches (a batch's pairs mapped across
+`forkmap` workers), one-cycle AdamW, loss traces, and npz checkpoints that
+restore a model bit-exactly.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import json
 import math
-import os
-import pickle
 import tokenize
 import zipfile
 
 import numpy as np
 
 from . import autodiff as ad
+from . import forkmap
 from .augment import AugmentConfig, apply_transform, sample_transform
 from .backbone import BackboneConfig
 from .config import from_dict, to_dict
 from .decode import MatchConfig
-from .errors import ConfigError, DataError, DivergenceError, ShapeError, WorkerError, atomic_file
+from .errors import ConfigError, DataError, DivergenceError, ShapeError, atomic_file
 from .fmf import FMFConfig
 from .heads import (FocalParams, LossWeights, focal_loss, regression_losses,
                     render_targets, total_loss)
@@ -122,126 +120,28 @@ def pair_losses(model, prev, cur, cfg: TrainConfig, vox_seeds):
     return (focal_loss(out.heatmap, target, cfg.focal),) + regression_losses(out, target)
 
 
-def _can_fork():
-    """The one fork predicate: whether `train` may fork workers here. It needs
-    os.fork, two usable CPUs, and a process with exactly one OS thread, the
-    state in which fork is safe: an unpinned OpenBLAS (a thread pool) or any
-    other thread keeps training in-process, as do Windows and macOS, which
-    lack sched_getaffinity or /proc."""
-    try:
-        return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2
-                and len(os.listdir("/proc/self/task")) == 1)
-    except (AttributeError, OSError):
-        return False
-
-
-def _run_pairs(model, cfg, scenes, jobs):
-    """Run `jobs`, (step, scale, (scene, prev, cur), seeds) each, in order:
-    the one path of every pair, in the parent or in a worker. A pair is
-    augmented, run forward with its batch-norm statistic moves deferred,
-    checked for a finite loss, and backpropagated scaled by `scale`.
-
-    Returns one result per pair: (its loss values, its gradient of each
-    parameter or None, its statistic records with `named_state` positions
-    for the running tensors), and leaves ``.grad`` None. The first pair
-    that raises ends the list with its exception."""
-    params = model.parameters()
-    where = {id(t): i for i, (_key, t) in enumerate(model.named_state())}
-    results = []
-    for step, scale, (si, tp, tc), seeds in jobs:
-        try:
-            prev, cur = scenes[si].frames[tp], scenes[si].frames[tc]
-            if cfg.augment.enabled:
-                tf = sample_transform(np.random.default_rng(seeds[0]), cfg.augment)
-                prev = apply_transform(prev, tf)
-                cur = apply_transform(cur, tf)
-            with ad.deferred_stats() as stats:
-                parts = pair_losses(model, prev, cur, cfg, (int(seeds[1]), int(seeds[2])))
-            loss = total_loss(parts, cfg.loss_weights)
-            values = [t.item() for t in parts + (loss,)]
-            if not all(np.isfinite(values)):
-                raise DivergenceError(f"non-finite loss at step {step}: {values}")
-            ad.backward(ad.mul(loss, scale))
-        except Exception as e:
-            results.append(e)
-            break
-        results.append((values, [p.grad for p in params],
-                        [(where[id(m)], where[id(v)], mu, var) for m, v, mu, var in stats]))
-        model.zero_grad()
-    return results
-
-
-def _portable(exc):
-    """`exc` if it survives pickling, else a RuntimeError with its type and message."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-def _send(pid, f, obj):
-    """Pickle `obj` into pipe `f`, read by process `pid`: a WorkerError if it exited."""
-    try:
-        pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
-        f.flush()
-    except BrokenPipeError:
-        raise WorkerError(f"training process {pid} exited before a step reached it") from None
-
-
-def _receive(pid, f):
-    """The next object process `pid` pickled into pipe `f`: a WorkerError if it exited."""
-    try:
-        return pickle.load(f)
-    except (EOFError, pickle.UnpicklingError):   # UnpicklingError: it died mid-object
-        raise WorkerError(f"training process {pid} exited without a result") from None
-
-
-@contextlib.contextmanager
-def _forked(n, serve):
-    """Fork `n` workers, each running serve(down, up) on its ends of two
-    pipes, and yield them as (pid, down, up): the pipes carry pickled
-    messages to it and back. A worker leaves by os._exit, never into the
-    caller. On the way out the pipes close, so an idle worker reads EOF and
-    returns; if the block raised, workers still busy are killed first.
-    Either way every worker is reaped."""
-    workers = []
-    try:
-        for _ in range(n):
-            fds = down_r, down_w, up_r, up_w = os.pipe() + os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                for fd in fds:
-                    os.close(fd)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    for _pid, down, _up in workers:   # held here, it would hide EOF from a sibling
-                        down.close()
-                    os.close(down_w)
-                    os.close(up_r)
-                    serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(down_r)
-            os.close(up_w)
-            workers.append((pid, os.fdopen(down_w, "wb"), os.fdopen(up_r, "rb")))
-        yield workers
-    except BaseException:
-        import signal   # only here: a module train would otherwise not load
-
-        for pid, *_files in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, *files in workers:
-            for f in files:
-                with contextlib.suppress(OSError):   # a dead worker's unsent bytes
-                    f.close()
-            os.waitpid(pid, 0)
+def _run_pair(model, cfg, scenes, where, job):
+    """Augment pair `job`, (step, scale, (scene, prev, cur), seeds), run it
+    forward with its batch-norm statistic moves deferred, check its loss is
+    finite, and backpropagate it times `scale`. Returns its loss values, each
+    parameter's gradient or None, and its statistic moves with the running
+    tensors' `where` positions; leaves ``.grad`` None."""
+    step, scale, (si, tp, tc), seeds = job
+    prev, cur = scenes[si].frames[tp], scenes[si].frames[tc]
+    if cfg.augment.enabled:
+        tf = sample_transform(np.random.default_rng(seeds[0]), cfg.augment)
+        prev = apply_transform(prev, tf)
+        cur = apply_transform(cur, tf)
+    with ad.deferred_stats() as stats:
+        parts = pair_losses(model, prev, cur, cfg, (int(seeds[1]), int(seeds[2])))
+    loss = total_loss(parts, cfg.loss_weights)
+    values = [t.item() for t in parts + (loss,)]
+    if not all(np.isfinite(values)):
+        raise DivergenceError(f"non-finite loss at step {step}: {values}")
+    ad.backward(ad.mul(loss, scale))
+    grads = [p.grad for p in model.parameters()]
+    model.zero_grad()
+    return values, grads, [(where[id(m)], where[id(v)], mu, var) for m, v, mu, var in stats]
 
 
 def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
@@ -254,17 +154,12 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     a time; the trace row holds the batch means. The learning rate and beta1
     follow a one-cycle schedule over the whole run.
 
-    A batch's pairs are independent until their gradients are summed, so they
-    run across this process and up to min(batch_size, usable CPUs) - 1
-    workers, forked once per call where `_can_fork` allows (else every pair
-    runs here). With P processes, pair i runs in process (i + 1) % P: each
-    step sends worker w the parameters and pairs w - 1, w - 1 + P, ..., and
-    this process runs pairs P - 1, 2P - 1, .... Then, in pair order, it adds
-    each pair's gradients into ``.grad`` as one backward after another would,
-    replays its deferred batch-norm statistic moves, sums its loss values,
-    and raises the first failing pair's exception. So the trace and every
+    A step maps its pairs through `forkmap.pool`, whose workers take the
+    parameters with their pairs. In pair order, this process then adds each
+    pair's gradients into ``.grad`` as one backward after another would and
+    replays its deferred batch-norm statistic moves, so the trace and every
     parameter, buffer and optimizer array are byte-identical to a run
-    without workers. A worker that has exited (killed, say) is a WorkerError.
+    without workers.
     """
     class_names = shared_class_names(scenes)
     model = build_model(cfg, len(class_names))
@@ -279,24 +174,16 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
     n_batches = math.ceil(len(pairs) / cfg.batch_size)
     planned = cfg.epochs * n_batches
     total_steps = min(planned, cfg.max_steps) if cfg.max_steps else planned
-    n_workers = 0
-    if _can_fork():
-        n_workers = min(cfg.batch_size, len(pairs), len(os.sched_getaffinity(0))) - 1
+    where = {id(t): i for i, t in enumerate(state)}
 
-    def serve(down, up):
-        with contextlib.suppress(WorkerError):   # the parent closed the pipe: training is over
-            while True:
-                data, jobs = _receive(os.getppid(), down)
-                for p, d in zip(params, data):
-                    p.data = d.copy()   # numpy's own allocation, as the parent's arrays are
-                results = _run_pairs(model, cfg, scenes, jobs)
-                if results and isinstance(results[-1], BaseException):
-                    results[-1] = _portable(results[-1])
-                _send(os.getppid(), up, results)
+    def install(data):
+        for p, d in zip(params, data):
+            p.data = d.copy()   # numpy's own allocation, as the parent's arrays are
 
     rng = np.random.default_rng(cfg.seed)
     trace = []
-    with _forked(n_workers, serve) as workers:
+    with forkmap.pool(min(cfg.batch_size, len(pairs)) - 1,
+                      lambda job: _run_pair(model, cfg, scenes, where, job), install) as run:
         for step in range(total_steps):
             b = step % n_batches
             if b == 0:
@@ -309,20 +196,8 @@ def train(cfg: TrainConfig, scenes, trace_path=None, print_every=0):
             scale = 1.0 / len(batch)
             jobs = [(step, scale, pair, rng.integers(0, 2 ** 31 - 1, size=3))
                     for pair in batch]
-            # pair i runs in process (i + 1) % procs: 0 is this one, w the w-th worker
-            procs = min(1 + len(workers), len(jobs))
-            for w, (pid, down, _up) in enumerate(workers[:procs - 1], 1):
-                _send(pid, down, ([p.data for p in params], jobs[w - 1::procs]))
-            results = [_run_pairs(model, cfg, scenes, jobs[procs - 1::procs])]
             sums = None
-            for i in range(len(jobs)):
-                if i < procs - 1:   # worker i + 1's list, first needed at pair i
-                    pid, _down, up = workers[i]
-                    results.append(_receive(pid, up))
-                result = results[(i + 1) % procs][i // procs]
-                if isinstance(result, BaseException):
-                    raise result
-                values, grads, stats = result
+            for values, grads, stats in run(jobs, [p.data for p in params]):
                 for p, g in zip(params, grads):
                     if g is not None:
                         ad.accumulate_grad(p, g)

@@ -4,6 +4,7 @@ import errno
 import importlib
 import os
 import json
+import pathlib
 import pkgutil
 import re
 import shutil
@@ -25,7 +26,8 @@ from fmfdet.cli import load_dataset, main
 from fmfdet.config import to_dict
 from fmfdet.fmf import FMFConfig
 from fmfdet.decode import Detection
-from fmfdet.frameio import read_frame, read_sequence, write_frame, write_sequence
+from fmfdet.frameio import (MANIFEST_NAME, frame_file_name, read_frame, read_sequence,
+                            write_frame, write_sequence)
 from fmfdet.geometry import Pose2D
 from fmfdet.metrics import read_detections, write_detections
 from fmfdet.model import run_inference
@@ -835,6 +837,35 @@ class TestAtomicOutputs:
         assert sorted(os.listdir(fresh)) == ["frame_000000.bin", "frame_000001.bin"]
         with pytest.raises(errors.DataError, match="not a sequence directory"):
             read_sequence(fresh)
+
+
+class TestUnreadableInputs:
+    """An input file the OS refuses to read ends in its error class's exit
+    code, naming the file. The refusal is patched into pathlib.Path's read,
+    for that file only, because chmod does not stop root."""
+
+    @pytest.mark.parametrize("name,method,code,message", [
+        ("frame", "read_bytes", 3, "data error: cannot read frame"),
+        ("manifest", "read_text", 3, "data error: cannot read manifest"),
+        ("spec", "read_text", 2, "config error: cannot read config file")])
+    def test_refused_read(self, workspace, tmp_path, monkeypatch, capsys,
+                          name, method, code, message):
+        seq = workspace["data"] / "seq_000"
+        target = {"frame": seq / frame_file_name(1), "manifest": seq / MANIFEST_NAME,
+                  "spec": workspace["spec"]}[name]
+        real = getattr(pathlib.Path, method)
+
+        def refused(self, *args, **kwargs):
+            if self == target:
+                raise PermissionError(errno.EACCES, "Permission denied", str(self))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, method, refused)
+        args = (["gen-data", "--spec", str(target), "--out", str(tmp_path / "data")]
+                if name == "spec" else
+                ["eval", "--dets", str(workspace["dets"]), "--data", str(workspace["data"])])
+        assert main(args) == code
+        assert capsys.readouterr().err == f"{message} {target}: Permission denied\n"
 
 
 class TestGradCheckCommand:

@@ -155,7 +155,7 @@ class TestTrainLoop:
     def test_each_pair_is_backpropagated_before_the_next_is_built(self, monkeypatch):
         """In one process; tests/test_workers.py checks each process of a
         forked run, which these spies cannot see into."""
-        monkeypatch.setattr(importlib.import_module("fmfdet.train"), "_can_fork",
+        monkeypatch.setattr(importlib.import_module("fmfdet.forkmap"), "_can_fork",
                             lambda: False)
         calls = []
         real_forward, real_backward = Detector.forward_pair, ad.backward
@@ -179,7 +179,8 @@ class TestTrainLoop:
         one process, so the spy sees both pairs' inputs; a forked run gives
         the same bytes (tests/test_workers.py)."""
         train_mod = importlib.import_module("fmfdet.train")
-        monkeypatch.setattr(train_mod, "_can_fork", lambda: False)
+        monkeypatch.setattr(importlib.import_module("fmfdet.forkmap"), "_can_fork",
+                            lambda: False)
         cfg = tiny_cfg(max_steps=1, batch_size=2, compute_dtype="float64",
                        augment=AugmentConfig())
         inputs, stepped = [], {}

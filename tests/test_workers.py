@@ -1,12 +1,13 @@
-"""Training's forked workers (`train.train` runs a batch's pairs across
-processes where `train._can_fork` allows).
+"""The forked workers of `forkmap.pool`, which runs training's pairs, the
+gradient check's coordinates and `fmfdet infer`'s sequences across
+processes where `forkmap._can_fork` allows.
 
 Each check runs in a fresh interpreter with one BLAS thread, the state in
-which `train` forks, and compares against the in-process path forced by
+which a pool forks, and compares against the in-process path forced by
 patching `_can_fork`: a forked run gives the bytes of an in-process one;
 each process backpropagates each of its pairs before it builds its next; a
-failing pair raises in the parent as it would in one process; a worker that
-dies ends `fmfdet train` with exit 5; and no worker outlives `train`,
+failing job raises in the parent as it would in one process; a worker that
+dies ends `fmfdet train` with exit 5; and no worker outlives its pool,
 whether it returns or raises.
 """
 import contextlib
@@ -30,14 +31,18 @@ from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
 from fmfdet.cli import main
 from fmfdet.config import to_dict
+from fmfdet.decode import MatchConfig
 from fmfdet.errors import DataError
 from fmfdet.fmf import FMFConfig
+from fmfdet.gradcheck import run_gradcheck
 from fmfdet.model import Detector
 from fmfdet.scene import SceneSpec, generate_scene
 from fmfdet.train import TrainConfig, train
 from fmfdet.voxelizer import GridConfig
 
 train_mod = importlib.import_module("fmfdet.train")
+forkmap = importlib.import_module("fmfdet.forkmap")
+cli = importlib.import_module("fmfdet.cli")
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -103,12 +108,12 @@ def _count_forks():
 
 @contextlib.contextmanager
 def _in_process():
-    real = train_mod._can_fork
-    train_mod._can_fork = lambda: False
+    real = forkmap._can_fork
+    forkmap._can_fork = lambda: False
     try:
         yield
     finally:
-        train_mod._can_fork = real
+        forkmap._can_fork = real
 
 
 def _no_child_left():
@@ -288,7 +293,7 @@ def child_worker_dies(root, how):
     SIGKILL inside its first pair, "cut" dies halfway through writing its
     first result, and "exits" exits right after sending it."""
     forks = _count_forks()
-    parent, real_losses, real_send = os.getpid(), train_mod.pair_losses, train_mod._send
+    parent, real_losses, real_send = os.getpid(), train_mod.pair_losses, forkmap._send
     sent = []
 
     def pair_losses(model, prev, cur, cfg, vox_seeds):
@@ -310,7 +315,7 @@ def child_worker_dies(root, how):
             real_send(pid, f, obj)
         os._exit(0)
 
-    train_mod.pair_losses, train_mod._send = pair_losses, send
+    train_mod.pair_losses, forkmap._send = pair_losses, send
     code, err = _cli_train(root, small_cfg(max_steps=3))   # steps of 2, 1 and 2 pairs
     return {"forks": forks, "code": code, "err": err, "reaped": _no_child_left(),
             "files": sorted(p.name for p in pathlib.Path(root).iterdir())}
@@ -335,6 +340,72 @@ def child_unpicklable_error():
     except RuntimeError as e:
         return {"error": str(e), "reaped": _no_child_left()}
     return {"error": None, "reaped": _no_child_left()}
+
+
+def child_gradcheck():
+    """`run_gradcheck(full=False)`, forked and in-process, without its seconds."""
+    forks = _count_forks()
+    _ok, forked = run_gradcheck(full=False)
+    n_forks = len(forks)
+    with _in_process():
+        _ok, alone = run_gradcheck(full=False)
+    for report in (forked, alone):
+        del report["pipeline_seconds"]
+    return {"forks": n_forks, "forked": forked, "in_process": alone,
+            "reaped": _no_child_left()}
+
+
+def _infer_workspace(root):
+    """Three sequences under root/data and a checkpoint root/m.npz whose
+    score threshold lets through detections, trained in-process."""
+    root = pathlib.Path(root)
+    spec = root / "spec.json"
+    spec.write_text(json.dumps(dict(SPEC, seed=21, count=3)))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(root / "data")]) == 0
+    with _in_process():
+        assert _cli_train(root, small_cfg(max_steps=2, match=MatchConfig(
+            score_threshold=0.01)))[0] == 0
+    return root
+
+
+def _cli_infer(root, out):
+    """`fmfdet infer` on root's workspace into `out`; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["infer", "--ckpt", str(root / "m.npz"), "--data", str(root / "data"),
+                     "--out", str(out)])
+    return code, err.getvalue()
+
+
+def child_infer(root):
+    forks = _count_forks()
+    root = _infer_workspace(root)
+    forks.clear()
+    forked = _cli_infer(root, root / "forked.jsonl")
+    n_forks = len(forks)
+    with _in_process():
+        alone = _cli_infer(root, root / "in_process.jsonl")
+    dets = [(root / f"{mode}.jsonl").read_bytes() for mode in ("forked", "in_process")]
+    return {"forks": n_forks, "codes": [forked[0], alone[0]], "same": dets[0] == dets[1],
+            "detections": dets[0].count(b"\n"), "reaped": _no_child_left()}
+
+
+def child_infer_data_error(root):
+    """`fmfdet infer` whose sequence job raises a DataError in the worker."""
+    forks = _count_forks()
+    root = _infer_workspace(root)
+    parent, real = os.getpid(), cli.run_inference
+
+    def run_inference(model, seq, match_cfg):
+        if os.getpid() != parent:
+            raise DataError(f"unreadable sequence in worker of {len(seq.frames)} frames")
+        return real(model, seq, match_cfg)
+
+    cli.run_inference = run_inference
+    forks.clear()
+    code, err = _cli_infer(root, root / "dets.jsonl")
+    return {"forks": len(forks), "code": code, "err": err, "reaped": _no_child_left(),
+            "written": (root / "dets.jsonl").exists()}
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +486,7 @@ def test_a_second_thread_keeps_training_in_process():
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert not train_mod._can_fork()
+        assert not forkmap._can_fork()
     finally:
         release.set()
         thread.join()
@@ -423,7 +494,7 @@ def test_a_second_thread_keeps_training_in_process():
 
 def test_one_cpu_keeps_training_in_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
-    assert not train_mod._can_fork()
+    assert not forkmap._can_fork()
 
 
 def test_import_loads_no_multiprocessing():
@@ -458,7 +529,36 @@ def test_two_workers_are_byte_identical(dtype):
 def test_a_worker_that_dies_exits_5(tmp_path, how, message):
     got, err = in_child("child_worker_dies", str(tmp_path), how)
     assert len(got["forks"]) == 1 and got["code"] == 5
-    assert got["err"] == f"worker error: training process {got['forks'][0]} {message}\n"
+    assert got["err"] == f"worker error: worker process {got['forks'][0]} {message}\n"
     assert "Traceback" not in err
     assert got["files"] == ["data", "spec.json", "train.json"]   # no checkpoint, no trace
+    assert got["reaped"]
+
+
+@needs_two_cpus
+def test_forked_gradcheck_reports_as_in_process():
+    """Every op and pipeline figure of the report, the seconds apart."""
+    got, _err = in_child("child_gradcheck")
+    assert got["forks"] == len(os.sched_getaffinity(0)) - 1
+    assert got["forked"] == got["in_process"]
+    assert got["forked"]["ok"]
+    assert got["reaped"]
+
+
+@needs_two_cpus
+def test_forked_infer_writes_the_same_detections(tmp_path):
+    got, _err = in_child("child_infer", str(tmp_path))
+    assert got["forks"] == min(3, len(os.sched_getaffinity(0))) - 1
+    assert got["codes"] == [0, 0]
+    assert got["same"] and got["detections"] > 0
+    assert got["reaped"]
+
+
+@needs_two_cpus
+def test_data_error_in_an_infer_worker_exits_3(tmp_path):
+    got, _err = in_child("child_infer_data_error", str(tmp_path))
+    assert got["forks"] == min(3, len(os.sched_getaffinity(0))) - 1
+    assert got["code"] == 3
+    assert got["err"] == "data error: unreadable sequence in worker of 4 frames\n"
+    assert not got["written"]
     assert got["reaped"]
