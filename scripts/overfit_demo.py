@@ -11,6 +11,7 @@ import time
 
 from fmfdet.augment import AugmentConfig
 from fmfdet.backbone import BackboneConfig
+from fmfdet.errors import writing
 from fmfdet.model import run_inference
 from fmfdet.scene import SceneSpec, generate_scene
 from fmfdet.train import TRACE_COLUMNS, TrainConfig, save_checkpoint, train
@@ -44,6 +45,9 @@ def main():
     scene = generate_scene(spec)
     cfg = build_config(args.steps, args.seed)
 
+    if args.ckpt:   # made before training, so a bad path ends the run at once
+        with writing(args.ckpt):
+            pathlib.Path(args.ckpt).parent.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     model, opt, trace = train(cfg, [scene], print_every=50)
     elapsed = time.perf_counter() - t0
@@ -66,11 +70,9 @@ def main():
     print(f"centers within one output cell ({cell:.2f} m): {hit}/{checked}")
 
     if args.ckpt:
-        path = pathlib.Path(args.ckpt)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(path, model, cfg, scene.class_names,
+        save_checkpoint(args.ckpt, model, cfg, scene.class_names,
                         step=len(trace), opt=opt)
-        print(f"checkpoint -> {path}")
+        print(f"checkpoint -> {args.ckpt}")
     return 0 if hit == checked else 1
 
 

@@ -10,7 +10,7 @@ import pathlib
 import sys
 
 from fmfdet.ablate import ablation_run, format_ablation, make_scene_set
-from fmfdet.errors import atomic_file
+from fmfdet.errors import atomic_file, writing
 from fmfdet.fmf import FMFConfig
 from overfit_demo import build_config  # this script's directory is on sys.path
 
@@ -31,6 +31,9 @@ def main(argv=None):
     train_scenes = make_scene_set(args.seed, args.train_sequences)
     eval_scenes = make_scene_set(args.seed + 1000, args.eval_sequences)
 
+    if args.out:   # made before training, so a bad path ends the run at once
+        with writing(args.out):
+            pathlib.Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     report = ablation_run(cfg_a, cfg_b, train_scenes=train_scenes,
                           eval_scenes=eval_scenes,
                           min_bench_frames=args.bench_frames,
@@ -38,11 +41,9 @@ def main(argv=None):
     print()
     print(format_ablation(report))
     if args.out:
-        path = pathlib.Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_file(path, encoding="utf-8") as f:
+        with atomic_file(args.out, encoding="utf-8") as f:
             f.write(json.dumps(report, indent=2) + "\n")
-        print(f"\nreport -> {path}")
+        print(f"\nreport -> {args.out}")
     return 0
 
 

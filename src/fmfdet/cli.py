@@ -32,15 +32,19 @@ def load_dataset(path):
     """Load one sequence dir, or every sequence dir directly under `path`.
 
     Every sequence must list the first one's class names in the same order;
-    a mismatch is a DataError naming both directories.
+    a mismatch is a DataError naming both directories, and an OSError from
+    listing or probing `path` a DataError naming it.
     """
     p = pathlib.Path(path)
-    if not p.is_dir():
-        raise DataError(f"data directory not found: {path}")
-    if (p / MANIFEST_NAME).is_file():
-        return [read_sequence(p)]
-    subs = sorted(d for d in p.iterdir()
-                  if d.is_dir() and (d / MANIFEST_NAME).is_file())
+    try:
+        if not p.is_dir():
+            raise DataError(f"data directory not found: {path}")
+        subs = [p] if (p / MANIFEST_NAME).is_file() else sorted(
+            d for d in p.iterdir() if d.is_dir() and (d / MANIFEST_NAME).is_file())
+    except DataError:
+        raise
+    except OSError as e:
+        raise DataError(f"cannot read data directory {path}: {e.strerror or e}") from e
     if not subs:
         raise DataError(f"no sequences found under {path}")
     scenes = [read_sequence(d) for d in subs]
@@ -159,7 +163,7 @@ def cmd_grad_check(args):
     print(f"pipeline worst {report['pipeline_worst']:.3e} "
           f"(tolerance {report['pipeline_tolerance']:.0e}) over "
           f"{report['pipeline_param_count']} params "
-          f"in {report['pipeline_seconds']:.1f}s")
+          f"in {report['seconds']:.1f}s")
     print("gradient check " + ("PASSED" if ok else "FAILED"))
     if not ok:
         raise DivergenceError("analytic and numeric gradients disagree")

@@ -1,13 +1,14 @@
 """Finite-difference verification of analytic gradients.
 
-Two layers: a per-op suite where every operator's inputs are checked against
-central differences, and an end-to-end check that differentiates the full
-training loss of a small model, the `total_loss` of `train.pair_losses` as
-training builds it, through every parameter tensor. Inputs are
-constructed to stay away from kinks and ties (relu and L1 at zero, the focal
-clip edges, max ties), where one-sided derivatives make the comparison
-meaningless.
-Both layers run in float64, whatever the training default: the tolerances
+One list of checks, each (name, tensor, analytic gradient, coordinates,
+forward): one per input of every op case, over all its coordinates, and one
+per parameter tensor of a small model whose forward is the full training
+loss, the `total_loss` of `train.pair_losses` as training builds it. Every
+(check, coordinate) central difference is one job of a single `forkmap`
+map. Inputs are constructed to stay away from kinks and ties (relu and L1
+at zero, the focal clip edges, max ties), where one-sided derivatives make
+the comparison meaningless.
+Both kinds run in float64, whatever the training default: the tolerances
 are float64 numbers, so the pipeline model sets compute_dtype="float64".
 """
 from __future__ import annotations
@@ -224,46 +225,42 @@ def _case_resample_down(rng):
     return (rng.normal(size=(1, 2, 6, 8)),), lambda x: ad.resample_nearest(x, (3, 4))
 
 
-def _fd_error(tensor, analytic, indices, forward):
-    """Worst relative error of `analytic` against the central difference
-    (f(x + h e_i) - f(x - h e_i)) / 2h, h = _H, over coordinates i of
-    `tensor`; each coordinate is restored after it is perturbed."""
-    worst = 0.0
-    for idx in indices:
-        orig = tensor.data[idx]
+def _grad(t):
+    """A snapshot of t's gradient, which no later forward can overwrite."""
+    return t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
+
+
+def _fd_error(check, idx):
+    """Relative error of the check's analytic gradient at coordinate idx
+    against the central difference (f(x + h e_idx) - f(x - h e_idx)) / 2h,
+    h = _H; the coordinate is restored after it is perturbed."""
+    _name, tensor, analytic, _coords, forward = check
+    orig = tensor.data[idx]
+    with ad.no_grad():
         tensor.data[idx] = orig + _H
-        with ad.no_grad():
-            fp = forward().item()
+        fp = forward().item()
         tensor.data[idx] = orig - _H
-        with ad.no_grad():
-            fm = forward().item()
-        tensor.data[idx] = orig
-        worst = max(worst, _rel_err(analytic[idx], (fp - fm) / (2.0 * _H)))
-    return worst
+        fm = forward().item()
+    tensor.data[idx] = orig
+    return _rel_err(analytic[idx], (fp - fm) / (2.0 * _H))
 
 
-def check_ops():
-    """Run every op case; returns [(name, max rel err)], worst first-order
-    mismatch across all inputs of all cases."""
-    results = []
+def _op_checks():
+    """One check per input of every op case, over all its coordinates."""
+    checks = []
     for name, seed, build in _OP_CASES:
         rng = np.random.default_rng(seed)
         inputs, op = build(rng)
         leaves = [_leaf(x) for x in inputs]
         w = rng.normal(size=op(*leaves).shape)
 
-        def forward():
+        def forward(op=op, leaves=leaves, w=w):
             return ad.sum(ad.mul(op(*leaves), w))
 
         ad.backward(forward())
-        worst = 0.0
-        for t in leaves:
-            analytic = (t.grad if t.grad is not None
-                        else np.zeros_like(t.data))
-            worst = max(worst, _fd_error(t, analytic, np.ndindex(t.data.shape),
-                                         forward))
-        results.append((name, worst))
-    return results
+        checks += [(name, t, _grad(t), list(np.ndindex(t.data.shape)), forward)
+                   for t in leaves]
+    return checks
 
 
 def tiny_grid_config():
@@ -289,11 +286,11 @@ def tiny_scene_spec(seed=7):
                      class_names=("pedestrian", "cyclist"))
 
 
-def check_pipeline(full=False):
-    """Finite-difference check of d(total loss)/d(parameter) through the whole
-    frame-pair pipeline, `train.pair_losses`, on a small model, one coordinate
-    per `forkmap` job: two per parameter tensor, or every one with full=True."""
-    t_start = time.perf_counter()
+def _pipeline_checks(full):
+    """(parameter count, checks): one check of d(total loss)/d(parameter)
+    through the whole frame-pair pipeline, `train.pair_losses`, on a small
+    model, per parameter tensor: over two sampled coordinates, or every one
+    with full=True."""
     cfg = tiny_train_config()
     seq = generate_scene(tiny_scene_spec())
     prev, cur = seq.frames[0], seq.frames[1]
@@ -303,43 +300,42 @@ def check_pipeline(full=False):
     def forward():
         return total_loss(pair_losses(model, prev, cur, cfg, (11, 12)), cfg.loss_weights)
 
-    loss = forward()
-    ad.backward(loss)
-    analytic = {name: (p.grad.copy() if p.grad is not None
-                       else np.zeros_like(p.data))
-                for name, p in model.named_parameters()}
-
+    ad.backward(forward())
     rng = np.random.default_rng(123)
-    params = dict(model.named_parameters())
-    jobs = []
-    for name, p in params.items():
+    checks = []
+    for name, p in model.named_parameters():
         size = p.data.size
         flat = np.arange(size) if full or size <= 2 else rng.choice(size, size=2, replace=False)
-        jobs += [(name, np.unravel_index(int(i), p.data.shape)) for i in flat]
-    per_param = dict.fromkeys(params, 0.0)
-    with forkmap.pool(len(jobs) - 1, lambda job: _fd_error(
-            params[job[0]], analytic[job[0]], [job[1]], forward)) as run:
-        for (name, _idx), err in zip(jobs, run(jobs)):
-            per_param[name] = max(per_param[name], err)
-
-    return {"param_count": model.param_count(),
-            "loss": loss.item(),
-            "worst": max(per_param.values()),
-            "per_param": per_param,
-            "seconds": time.perf_counter() - t_start}
+        checks.append((name, p, _grad(p),
+                       [np.unravel_index(int(i), p.data.shape) for i in flat], forward))
+    return model.param_count(), checks
 
 
 def run_gradcheck(full=False):
-    """Full verification pass; returns (ok, report dict)."""
-    ops = check_ops()
-    ops_worst = max(err for _, err in ops)
-    pipeline = check_pipeline(full=full)
-    ok = ops_worst < OP_TOLERANCE and pipeline["worst"] < PIPELINE_TOLERANCE
-    report = {"ops": ops, "ops_worst": ops_worst,
+    """Full verification pass: every (check, coordinate) central difference
+    is one job of a single `forkmap` map. Returns (ok, report dict): the
+    worst error per op case, in `_OP_CASES` order, and over the pipeline;
+    `seconds` times the whole pass."""
+    t_start = time.perf_counter()
+    ops = _op_checks()
+    param_count, pipeline = _pipeline_checks(full)
+    checks = ops + pipeline
+    jobs = [(c, idx) for c, (*_, coords, _forward) in enumerate(checks) for idx in coords]
+    worst = [0.0] * len(checks)
+    with forkmap.pool(len(jobs) - 1, lambda job: _fd_error(checks[job[0]], job[1])) as run:
+        for (c, _idx), err in zip(jobs, run(jobs)):
+            worst[c] = max(worst[c], err)
+    per_case = {}
+    for (name, *_), err in zip(ops, worst):
+        per_case[name] = max(per_case.get(name, 0.0), err)
+    ops_worst = max(per_case.values())
+    pipeline_worst = max(worst[len(ops):])
+    ok = ops_worst < OP_TOLERANCE and pipeline_worst < PIPELINE_TOLERANCE
+    report = {"ops": list(per_case.items()), "ops_worst": ops_worst,
               "ops_tolerance": OP_TOLERANCE,
-              "pipeline_worst": pipeline["worst"],
+              "pipeline_worst": pipeline_worst,
               "pipeline_tolerance": PIPELINE_TOLERANCE,
-              "pipeline_param_count": pipeline["param_count"],
-              "pipeline_seconds": pipeline["seconds"],
+              "pipeline_param_count": param_count,
+              "seconds": time.perf_counter() - t_start,
               "ok": ok}
     return ok, report

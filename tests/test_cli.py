@@ -29,6 +29,7 @@ from fmfdet.decode import Detection
 from fmfdet.frameio import (MANIFEST_NAME, frame_file_name, read_frame, read_sequence,
                             write_frame, write_sequence)
 from fmfdet.geometry import Pose2D
+from fmfdet.gradcheck import OP_TOLERANCE, PIPELINE_TOLERANCE, run_gradcheck
 from fmfdet.metrics import read_detections, write_detections
 from fmfdet.model import run_inference
 from fmfdet.optim import AdamW
@@ -840,19 +841,20 @@ class TestAtomicOutputs:
 
 
 class TestUnreadableInputs:
-    """An input file the OS refuses to read ends in its error class's exit
-    code, naming the file. The refusal is patched into pathlib.Path's read,
-    for that file only, because chmod does not stop root."""
+    """An input file or directory the OS refuses to read ends in its error
+    class's exit code, naming it. The refusal is patched into pathlib.Path's
+    read or listing, for that path only, because chmod does not stop root."""
 
     @pytest.mark.parametrize("name,method,code,message", [
         ("frame", "read_bytes", 3, "data error: cannot read frame"),
         ("manifest", "read_text", 3, "data error: cannot read manifest"),
+        ("data", "iterdir", 3, "data error: cannot read data directory"),
         ("spec", "read_text", 2, "config error: cannot read config file")])
     def test_refused_read(self, workspace, tmp_path, monkeypatch, capsys,
                           name, method, code, message):
         seq = workspace["data"] / "seq_000"
         target = {"frame": seq / frame_file_name(1), "manifest": seq / MANIFEST_NAME,
-                  "spec": workspace["spec"]}[name]
+                  "data": workspace["data"], "spec": workspace["spec"]}[name]
         real = getattr(pathlib.Path, method)
 
         def refused(self, *args, **kwargs):
@@ -874,6 +876,23 @@ class TestGradCheckCommand:
         out = capsys.readouterr().out
         assert "gradient check PASSED" in out
         assert "pipeline worst" in out
+
+    def test_a_wrong_gradient_fails(self, monkeypatch, capsys):
+        """relu's backward made to return twice its gradient: the op suite
+        and the pipeline check each catch it, and the command exits 4."""
+        real = ad.relu
+
+        def doubled(a):   # forward 2y - y == y exactly; d/dy is 2
+            y = real(a)
+            return ad.add(ad.mul(y, 2.0), -y.data)
+
+        monkeypatch.setattr(ad, "relu", doubled)
+        ok, report = run_gradcheck(full=False)
+        assert not ok
+        assert dict(report["ops"])["relu"] >= OP_TOLERANCE
+        assert report["pipeline_worst"] >= PIPELINE_TOLERANCE
+        assert main(["grad-check"]) == 4
+        assert "gradient check FAILED" in capsys.readouterr().out
 
 
 class TestEntryPoint:

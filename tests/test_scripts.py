@@ -12,6 +12,8 @@ import json
 from hashlib import sha256
 import os
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -220,9 +222,14 @@ def failing_replace(src, dst):
     raise OSError(28, "No space left on device")
 
 
+def unreached(*args, **kwargs):
+    raise AssertionError("reached past a bad output path")
+
+
 class TestReportsAreAtomic:
     """The scripts' reports go through errors.atomic_file: a failed move
-    leaves neither the report nor its temporary file."""
+    leaves neither the report nor its temporary file. An output path under
+    a regular file is a DataError naming it before any training."""
 
     REPORT = {"nds_a": 0.5, "nds_b": 0.25}
 
@@ -246,6 +253,24 @@ class TestReportsAreAtomic:
         with pytest.raises(DataError, match="ablation.json"):
             module.main(["--steps", "1", "--out", str(out)])
         assert list(out.parent.iterdir()) == []
+
+    def test_ablation_refuses_a_bad_out_before_training(self, tmp_path, monkeypatch):
+        module = self.ablation(monkeypatch)
+        monkeypatch.setattr(module, "ablation_run", unreached)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "ablation.json"
+        with pytest.raises(DataError, match=re.escape(f"cannot write {out}")):
+            module.main(["--steps", "1", "--out", str(out)])
+
+    def test_overfit_demo_refuses_a_bad_ckpt_before_training(self, tmp_path, monkeypatch):
+        module = load_script("overfit_demo", monkeypatch)
+        monkeypatch.setattr(module, "generate_scene", lambda spec: None)
+        monkeypatch.setattr(module, "train", unreached)
+        (tmp_path / "file").write_text("")
+        ckpt = tmp_path / "file" / "m.npz"
+        monkeypatch.setattr(sys, "argv", ["overfit_demo.py", "--ckpt", str(ckpt)])
+        with pytest.raises(DataError, match=re.escape(f"cannot write {ckpt}")):
+            module.main()
 
     def test_snapshot_leaves_nothing_when_the_move_fails(self, tmp_path, monkeypatch, capsys):
         module = load_script("bench_snapshot", monkeypatch)

@@ -350,7 +350,7 @@ def child_gradcheck():
     with _in_process():
         _ok, alone = run_gradcheck(full=False)
     for report in (forked, alone):
-        del report["pipeline_seconds"]
+        del report["seconds"]
     return {"forks": n_forks, "forked": forked, "in_process": alone,
             "reaped": _no_child_left()}
 
